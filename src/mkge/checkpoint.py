@@ -5,6 +5,7 @@ order. Round trips are bit-exact."""
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,15 +79,28 @@ def load_checkpoint(path):
         if version != FORMAT_VERSION:
             raise VersionUnsupported(f"checkpoint format version {version}")
         (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "variant"))
-        name = _read_exact(fh, name_len, "variant").decode()
+        raw_name = _read_exact(fh, name_len, "variant")
+        try:
+            name = raw_name.decode()
+        except UnicodeDecodeError:
+            raise BadMagic(f"variant name {raw_name[:32]!r} is not UTF-8") from None
         if name not in model.VARIANTS:
             raise BadMagic(f"unknown model variant {name!r}")
         k, ablation_code, n_ent, n_rel = struct.unpack("<IIQQ", _read_exact(fh, 24, "shape"))
+        if ablation_code not in _ABLATION_NAMES:
+            raise BadMagic(f"unknown ablation code {ablation_code}")
         digest = _read_exact(fh, 32, "digest")
         (epoch,) = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "flags"))
         variant = model.VARIANTS[name]
         ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
+        # check the declared payload against the file before allocating it
+        table_bytes = (n_ent * ew + n_rel * rw) * 8
+        payload = table_bytes + (8 + table_bytes if has_opt else 0)
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != remaining:
+            raise BadMagic(f"checkpoint header declares {payload} payload bytes, "
+                           f"the file holds {remaining}")
 
         def read_table(rows, cols, what):
             buf = _read_exact(fh, rows * cols * 8, what)
@@ -104,7 +118,4 @@ def load_checkpoint(path):
                 acc_relation=read_table(n_rel, rw, "relation accumulators"),
                 lr=lr,
             )
-        trailing = fh.read(1)
-        if trailing:
-            raise BadMagic("trailing bytes after checkpoint payload")
     return Checkpoint(store, opt_state, epoch, digest)

@@ -1,8 +1,22 @@
 """Model variants, parameter storage, and the combine/transform/score pipeline.
 
+A variant is a pair of entries of the group table `GROUPS`: a scaling group
+acting on the entity scalars and a rotation group acting on the entity unit
+vectors. The unit vector parts are themselves elements of a table entry
+(`VECTOR_GROUPS`: real -> fixed, complex -> U(1), quaternion -> unit
+quaternion). Every action, and the combination s_i * v_i of an entity's two
+parts, is the one ring product `product`, whose reverse mode is
+`product_backward`.
+
+A new group entry must provide its parameter and element widths, the
+parameters of its identity element (held by frozen ablation blocks), whether
+its elements are unit (their G_p norm is then constant), the half-width of its
+uniform init draw, `materialize` from free parameters to elements and
+`param_backward`, which pulls a gradient on elements back to the parameters.
+
 Entity row layout: [scalar params (k * scalar_width), vector free params
-(k * vector_param_width)]. Relation row layout: [scaling params
-(k * scaling_param_width), rotation params (k * rotation_param_width)].
+(k * vector.param_width)]. Relation row layout: [scaling params
+(k * scaling.param_width), rotation params (k * rotation.param_width)].
 Unit group elements are stored by their free parameters (a phase angle for
 U(1), a 3-vector rotation parameter for unit quaternions) and materialized on
 use, so unitarity holds by construction.
@@ -11,6 +25,7 @@ use, so unitarity holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +40,44 @@ GROUP_U1 = "u1"
 GROUP_UQ = "unit_quaternion"
 
 
+def _coordinate_half_width(k):
+    """Init half-width of free ring coordinates (entity scalars, GL(1))."""
+    return 0.5 / np.sqrt(k)
+
+
+@dataclass(frozen=True)
+class Group:
+    """Ops of one group whose elements act on a module part by `product`."""
+
+    param_width: int  # free parameters per dimension
+    width: int  # coordinates per element
+    identity: tuple  # parameters of the identity element
+    unit: bool  # every element has field norm 1
+    half_width: Callable  # k -> half-width of the uniform init draw
+    materialize: Callable  # params (..., k, param_width) -> elements (..., k, width)
+    param_backward: Callable  # (params, grad on elements) -> grad on params
+
+
+# The algebra calls go through the module so that wrappers installed on it
+# (the benchmark's tracer) see them.
+GROUPS = {
+    GROUP_FIXED: Group(0, 1, (), True, lambda k: 0.0,
+                       lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, g: np.zeros_like(p)),
+    GROUP_GL1: Group(1, 1, (1.0,), False, _coordinate_half_width,
+                     lambda p: p, lambda p, g: g),
+    GROUP_U1: Group(1, 2, (0.0,), True, lambda k: np.pi,
+                    lambda p: algebra.angle_to_complex(p[..., 0]),
+                    lambda p, g: algebra.angle_backward(p[..., 0], g)[..., None]),
+    GROUP_UQ: Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
+                    lambda p: algebra.exp_map(p),
+                    lambda p, g: algebra.exp_map_backward(p, g)),
+}
+
+# group whose unit elements are the entity vector parts of each space
+VECTOR_GROUPS = {"real": GROUP_FIXED, "complex": GROUP_U1, "quaternion": GROUP_UQ}
+SCALAR_WIDTHS = {"real": 1, "quaternion": 4}
+
+
 @dataclass(frozen=True)
 class ModelVariant:
     name: str
@@ -35,31 +88,26 @@ class ModelVariant:
     score_kind: str  # 'cosine' | 'distance'
 
     @property
+    def scaling(self):
+        return GROUPS[self.scaling_group]
+
+    @property
+    def rotation(self):
+        return GROUPS[self.rotation_group]
+
+    @property
+    def vector(self):
+        return GROUPS[VECTOR_GROUPS[self.vector_group]]
+
+    @property
     def scalar_width(self):
-        return 4 if self.scalar_group == "quaternion" else 1
-
-    @property
-    def vector_width(self):
-        return {"real": 1, "complex": 2, "quaternion": 4}[self.vector_group]
-
-    @property
-    def vector_param_width(self):
-        # free parameters per dimension of the unit vector part
-        return {"real": 0, "complex": 1, "quaternion": 3}[self.vector_group]
-
-    @property
-    def scaling_param_width(self):
-        return {GROUP_FIXED: 0, GROUP_GL1: 1, GROUP_UQ: 3}[self.scaling_group]
-
-    @property
-    def rotation_param_width(self):
-        return {GROUP_FIXED: 0, GROUP_U1: 1, GROUP_UQ: 3}[self.rotation_group]
+        return SCALAR_WIDTHS[self.scalar_group]
 
     def entity_row_width(self, k):
-        return k * (self.scalar_width + self.vector_param_width)
+        return k * (self.scalar_width + self.vector.param_width)
 
     def relation_row_width(self, k):
-        return k * (self.scaling_param_width + self.rotation_param_width)
+        return k * (self.scaling.param_width + self.rotation.param_width)
 
 
 VARIANTS = {
@@ -71,6 +119,14 @@ VARIANTS = {
         "module_hh", "quaternion", "quaternion", GROUP_UQ, GROUP_UQ, "cosine"
     ),
 }
+
+
+def _blocks(table, k, first_width, second_width):
+    """Views (n, k, first_width) and (n, k, second_width) of a table's two
+    column blocks."""
+    n, split = table.shape[0], k * first_width
+    return (table[:, :split].reshape(n, k, first_width),
+            table[:, split:].reshape(n, k, second_width))
 
 
 @dataclass
@@ -90,19 +146,16 @@ class ParameterStore:
         return self.relation.shape[0]
 
     def entity_parts(self):
-        """Views (E, k, scalar_width) and (E, k, vector_param_width)."""
+        """Views (E, k, scalar_width) and (E, k, vector.param_width)."""
         v = self.variant
-        split = self.k * v.scalar_width
-        es = self.entity[:, :split].reshape(self.n_entities, self.k, v.scalar_width)
-        ev = self.entity[:, split:].reshape(self.n_entities, self.k, v.vector_param_width)
-        return es, ev
+        return _blocks(self.entity, self.k, v.scalar_width, v.vector.param_width)
 
-    def relation_parts(self):
+    def relation_parts(self, table=None):
+        """Views (R, k, scaling.param_width) and (R, k, rotation.param_width)
+        of the relation table, or of a table shaped like it."""
         v = self.variant
-        split = self.k * v.scaling_param_width
-        rs = self.relation[:, :split].reshape(self.n_relations, self.k, v.scaling_param_width)
-        rv = self.relation[:, split:].reshape(self.n_relations, self.k, v.rotation_param_width)
-        return rs, rv
+        table = self.relation if table is None else table
+        return _blocks(table, self.k, v.scaling.param_width, v.rotation.param_width)
 
     def free_masks(self):
         """Boolean masks over entity/relation row columns; frozen ablation
@@ -111,7 +164,7 @@ class ParameterStore:
         ent = np.ones(v.entity_row_width(self.k), dtype=bool)
         rel = np.ones(v.relation_row_width(self.k), dtype=bool)
         es_w = self.k * v.scalar_width
-        rs_w = self.k * v.scaling_param_width
+        rs_w = self.k * v.scaling.param_width
         if self.ablation == "scalar":
             ent[es_w:] = False
             rel[rs_w:] = False
@@ -121,20 +174,27 @@ class ParameterStore:
         return ent, rel
 
 
-def _identity_scalar(variant):
-    if variant.scalar_group == "quaternion":
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    return np.array([1.0])
+def _draw_table(rng, n, k, blocks):
+    """Parameter table of consecutive column blocks, each given as
+    (param_width, half_width, identity params, free). A free block draws
+    uniform(-half_width, half_width); a frozen block holds the identity and
+    draws nothing."""
+    return np.concatenate([
+        rng.uniform(-half, half, size=(n, k * width)) if free else np.tile(identity, (n, k))
+        for width, half, identity, free in blocks
+    ], axis=1)
 
 
 def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     """Seed-deterministic initialization.
 
     Real scalar coordinates are drawn uniform(-0.5/sqrt(k), 0.5/sqrt(k));
-    free parameters of unit group elements uniform(-pi, pi). Frozen ablation
-    blocks are set to the group identity and consume no random draws, so e.g.
-    a scalar-only module_rc run shares its scalar draws with a distmult run
-    of the same seed.
+    group parameters uniform(-h, h) with h the group's half-width (the same
+    bound for GL(1), pi for unit groups). Blocks are drawn in row order,
+    entity scalars, entity vectors, relation scalings, relation rotations.
+    Frozen ablation blocks are set to the group identity and consume no
+    random draws, so e.g. a scalar-only module_rc run shares its scalar draws
+    with a distmult run of the same seed.
     """
     if isinstance(variant, str):
         variant = VARIANTS[variant]
@@ -143,81 +203,59 @@ def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     if ablation not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablation!r}")
     rng = np.random.default_rng(seed)
-    bound = 0.5 / np.sqrt(k)
-
-    sw, vpw = variant.scalar_width, variant.vector_param_width
-    spw, rpw = variant.scaling_param_width, variant.rotation_param_width
-    scalar_free = ablation != "vector"
-    vector_free = ablation != "scalar"
-
-    entity = np.empty((n_entities, variant.entity_row_width(k)), dtype=np.float64)
-    if scalar_free:
-        entity[:, : k * sw] = rng.uniform(-bound, bound, size=(n_entities, k * sw))
-    else:
-        entity[:, : k * sw] = np.tile(_identity_scalar(variant), k)
-    if vpw:
-        if vector_free:
-            entity[:, k * sw :] = rng.uniform(-np.pi, np.pi, size=(n_entities, k * vpw))
-        else:
-            entity[:, k * sw :] = 0.0
-
-    relation = np.empty((n_relations, variant.relation_row_width(k)), dtype=np.float64)
-    if spw:
-        if scalar_free:
-            if variant.scaling_group == GROUP_GL1:
-                relation[:, : k * spw] = rng.uniform(-bound, bound, size=(n_relations, k * spw))
-            else:
-                relation[:, : k * spw] = rng.uniform(
-                    -np.pi, np.pi, size=(n_relations, k * spw)
-                )
-        else:
-            # identity: GL(1) -> 1, unit quaternion -> zero rotation vector
-            relation[:, : k * spw] = 1.0 if variant.scaling_group == GROUP_GL1 else 0.0
-    if rpw:
-        if vector_free:
-            relation[:, k * spw :] = rng.uniform(-np.pi, np.pi, size=(n_relations, k * rpw))
-        else:
-            relation[:, k * spw :] = 0.0
-
+    scalar_free, vector_free = ablation != "vector", ablation != "scalar"
+    sw, vector = variant.scalar_width, variant.vector
+    entity = _draw_table(rng, n_entities, k, [
+        (sw, _coordinate_half_width(k), np.eye(1, sw), scalar_free),  # ring identity 1
+        (vector.param_width, vector.half_width(k), vector.identity, vector_free),
+    ])
+    relation = _draw_table(rng, n_relations, k, [
+        (group.param_width, group.half_width(k), group.identity, free)
+        for group, free in ((variant.scaling, scalar_free), (variant.rotation, vector_free))
+    ])
     return ParameterStore(variant, k, entity, relation, ablation)
 
 
 def materialize_vector(ev, variant):
-    """Free vector params (..., k, vpw) -> unit elements (..., k, vector_width)."""
-    if variant.vector_group == "real":
-        return np.ones(ev.shape[:-1] + (1,), dtype=np.float64)
-    if variant.vector_group == "complex":
-        return algebra.angle_to_complex(ev[..., 0])
-    return algebra.exp_map(ev)
+    """Free vector params (..., k, vpw) -> unit elements (..., k, vector.width)."""
+    return variant.vector.materialize(ev)
 
 
 def materialize_scaling(rs, variant):
-    """Scaling params -> group elements, or None for a fixed scaling group."""
-    if variant.scaling_group == GROUP_FIXED:
-        return None
-    if variant.scaling_group == GROUP_GL1:
-        return rs
-    return algebra.exp_map(rs)
+    """Scaling params -> group elements; a fixed group gives the identity 1."""
+    return variant.scaling.materialize(rs)
 
 
 def materialize_rotation(rv, variant):
-    if variant.rotation_group == GROUP_FIXED:
-        return None
-    if variant.rotation_group == GROUP_U1:
-        return algebra.angle_to_complex(rv[..., 0])
-    return algebra.exp_map(rv)
+    return variant.rotation.materialize(rv)
 
 
-def combine(scalar, vector, variant):
+def product(x, y):
+    """Ring product x * y of element arrays (..., w): real, complex or
+    Hamilton. A width-1 left operand is a real scalar and broadcasts."""
+    if x.shape[-1] == 1:
+        return x * y
+    return algebra.elem_mul(x, y)
+
+
+def product_backward(grad, x, y):
+    """Gradients (grad * conj(y), conj(x) * grad) of product(x, y); for a
+    width-1 left operand the first is summed over the broadcast axis."""
+    grad_y = product(algebra.elem_conj(x), grad)
+    if x.shape[-1] == 1:
+        return np.sum(grad * y, axis=-1, keepdims=True), grad_y
+    return algebra.elem_mul(grad, algebra.elem_conj(y)), grad_y
+
+
+def combine(scalar, vector, variant=None):
     """Element-wise scalar multiplication s_i * v_i (Hamilton product when the
-    scalar ring is the quaternions)."""
+    scalar ring is the quaternions). The operand widths select the product;
+    `variant` is accepted for existing callers and not needed."""
     scalar = np.asarray(scalar, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
     if scalar.shape[-2] != vector.shape[-2]:
         raise LengthMismatch("scalar and vector tuples differ in length")
-    if variant.scalar_width == 1:
-        return scalar * vector
-    return algebra.quat_mul(scalar, vector)
+    return product(scalar, vector)
 
 
 def combined_embeddings(store, ids=None):
@@ -225,28 +263,30 @@ def combined_embeddings(store, ids=None):
     es, ev = store.entity_parts()
     if ids is not None:
         es, ev = es[ids], ev[ids]
-    return combine(es, materialize_vector(ev, store.variant), store.variant)
+    return combine(es, materialize_vector(ev, store.variant))
 
 
-def transform_head(s_h, v_h, g_s, g_v, variant):
-    """Scaled/rotated head parts combined: T_s(s_h) * T_v(v_h)."""
-    if g_s is not None:
-        s_h = s_h * g_s if variant.scaling_group == GROUP_GL1 else algebra.quat_mul(s_h, g_s)
-    if g_v is not None:
-        v_h = algebra.elem_mul(v_h, g_v)
-    return combine(s_h, v_h, variant)
+def head_forward(s_h, v_h, g_s, g_v):
+    """Head transform with its intermediates: (s_h * g_s, v_h * g_v, h')
+    where h' combines the two."""
+    s2, v2 = product(s_h, g_s), product(v_h, g_v)
+    return s2, v2, product(s2, v2)
+
+
+def transform_head(s_h, v_h, g_s, g_v, variant=None):
+    """Scaled/rotated head parts combined: T_s(s_h) * T_v(v_h). `variant` is
+    accepted for existing callers and not needed."""
+    return head_forward(s_h, v_h, g_s, g_v)[2]
 
 
 def transformed_heads(store, h_ids, r_ids):
-    """Transformed head embeddings for id arrays: (B, k, vector_width)."""
+    """Transformed head embeddings for id arrays: (B, k, vector.width)."""
     variant = store.variant
     es, ev = store.entity_parts()
     rs, rv = store.relation_parts()
-    s_h = es[h_ids]
-    v_h = materialize_vector(ev[h_ids], variant)
-    g_s = materialize_scaling(rs[r_ids], variant)
-    g_v = materialize_rotation(rv[r_ids], variant)
-    return transform_head(s_h, v_h, g_s, g_v, variant)
+    return transform_head(es[h_ids], materialize_vector(ev[h_ids], variant),
+                          materialize_scaling(rs[r_ids], variant),
+                          materialize_rotation(rv[r_ids], variant))
 
 
 def _pair_scores(h_prime, tails, kind):
@@ -267,6 +307,22 @@ def score(store, h_id, r_id, t_id):
     return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
 
 
+def score_tails(h_prime, c_all, kind):
+    """Scores of transformed heads (B, k, w) against every combined entity
+    (E, k, w): (B, E)."""
+    b, k, w = h_prime.shape
+    if kind == "cosine":
+        return h_prime.reshape(b, k * w) @ c_all.reshape(-1, k * w).T
+    # distance kind: chunk candidates to bound the (B, E, k, w) intermediate
+    n = c_all.shape[0]
+    out = np.empty((b, n), dtype=np.float64)
+    chunk = max(1, int(4e6 / max(1, b * k * w)))
+    for start in range(0, n, chunk):
+        d = h_prime[:, None, :, :] - c_all[None, start : start + chunk, :, :]
+        out[:, start : start + chunk] = -np.sum(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
+    return out
+
+
 def score_all_tails(store, h_ids, r_ids, tails_combined=None):
     """Scores of (h, r) against every entity: (B, n_entities).
 
@@ -279,14 +335,4 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
         raise ShapeMismatch("head and relation id arrays differ in shape")
     c_all = tails_combined if tails_combined is not None else combined_embeddings(store)
     h_prime = transformed_heads(store, h_ids, r_ids)
-    b, k, w = h_prime.shape
-    if store.variant.score_kind == "cosine":
-        return h_prime.reshape(b, k * w) @ c_all.reshape(-1, k * w).T
-    # distance kind: chunk candidates to bound the (B, E, k, w) intermediate
-    n = c_all.shape[0]
-    out = np.empty((b, n), dtype=np.float64)
-    chunk = max(1, int(4e6 / max(1, b * k * w)))
-    for start in range(0, n, chunk):
-        d = h_prime[:, None, :, :] - c_all[None, start : start + chunk, :, :]
-        out[:, start : start + chunk] = -np.sum(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
-    return out
+    return score_tails(h_prime, c_all, store.variant.score_kind)

@@ -82,8 +82,8 @@ def evaluate(split, store, filter_index, chunk_size=64):
         rs = np.array([q[1] for q in batch])
         scores = model.score_all_tails(store, hs, rs, tails_combined=c_all)
         for row, (sh, sr, true_e, direction, base_rel, triple) in zip(scores, batch):
+            # bottom_rank keeps true_e even when the filter lists it
             filtered = filter_index.get((sh, sr), ()) if filter_index else ()
-            filtered = set(filtered) - {true_e}
             rank = bottom_rank(row, true_e, filtered)
             ranks.append(rank)
             records.append(RankRecord(triple[0], triple[1], triple[2], direction, rank))

@@ -105,30 +105,8 @@ def regularizer(store, h_id, r_id, t_id, cfg):
     gp_t = algebra.g_p_norm(c[1], cfg.p)
     rs, _ = store.relation_parts()
     g_s = model.materialize_scaling(rs[np.array([r_id])], store.variant)
-    if g_s is None:
-        g_s = np.ones((1, store.k, 1))
     gp_r = algebra.g_p_norm(g_s[0], cfg.p)
     return float(cfg.lam * (cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t))
-
-
-def _combine_backward(grad_c, scalar, vector, variant):
-    """Backward of combine: returns (grad_scalar, grad_vector)."""
-    if variant.scalar_width == 1:
-        g_s = np.sum(grad_c * vector, axis=-1, keepdims=True)
-        g_v = grad_c * scalar
-    else:
-        g_s = algebra.quat_mul(grad_c, algebra.quat_conj(vector))
-        g_v = algebra.quat_mul(algebra.quat_conj(scalar), grad_c)
-    return g_s, g_v
-
-
-def _vector_param_backward(grad_v, ev, variant):
-    """Backward of materialize_vector into the free parameters."""
-    if variant.vector_group == "real":
-        return np.zeros_like(ev)
-    if variant.vector_group == "complex":
-        return algebra.angle_backward(ev[..., 0], grad_v)[..., None]
-    return algebra.exp_map_backward(ev, grad_v)
 
 
 def batch_loss_and_grads(store, triples, cfg):
@@ -143,46 +121,37 @@ def batch_loss_and_grads(store, triples, cfg):
     variant = store.variant
     b = len(triples)
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    n_ent, k = store.n_entities, store.k
-    w = variant.vector_width
+    groups = (variant.scaling, variant.rotation)
+    n_ent, k, w = store.n_entities, store.k, variant.vector.width
 
     # forward
     es, ev = store.entity_parts()
-    rs, rv = store.relation_parts()
     vec_all = model.materialize_vector(ev, variant)
-    c_all = model.combine(es, vec_all, variant)  # (E, k, w)
-
-    s_h, v_h = es[heads], vec_all[heads]
-    g_s = model.materialize_scaling(rs[rels], variant)
-    g_v = model.materialize_rotation(rv[rels], variant)
-    if g_s is None:
-        s2 = s_h
-    elif variant.scaling_group == model.GROUP_GL1:
-        s2 = s_h * g_s
-    else:
-        s2 = algebra.quat_mul(s_h, g_s)
-    v2 = v_h if g_v is None else algebra.elem_mul(v_h, g_v)
-    h_prime = model.combine(s2, v2, variant)  # (B, k, w)
-
-    if variant.score_kind == "cosine":
-        scores = h_prime.reshape(b, k * w) @ c_all.reshape(n_ent, k * w).T
-    else:
-        scores = model.score_all_tails(store, heads, rels, tails_combined=c_all)
+    c_all = model.combine(es, vec_all)  # (E, k, w)
+    parts = (es[heads], vec_all[heads])
+    params = [p[rels] for p in store.relation_parts()]
+    elems = [g.materialize(p) for g, p in zip(groups, params)]
+    s2, v2, h_prime = model.head_forward(*parts, *elems)  # h_prime: (B, k, w)
+    scores = model.score_tails(h_prime, c_all, variant.score_kind)
 
     y = -np.ones_like(scores)
     y[np.arange(b), tails] = 1.0
     x = -y * scores
     data_loss = np.sum(np.logaddexp(0.0, x))
 
+    scale = cfg.lam / b
     norms_c = np.sum(c_all * c_all, axis=-1)  # (E, k)
     gp_h, coeff_h = _gp_pieces(norms_c[heads], cfg.p)
     gp_t, coeff_t = _gp_pieces(norms_c[tails], cfg.p)
-    if variant.scaling_group == model.GROUP_GL1:
-        norms_r = np.sum(g_s * g_s, axis=-1)
-        gp_r, coeff_r = _gp_pieces(norms_r, cfg.p)
+    if variant.scaling.unit:
+        # G_p(r) of unit (or fixed) scaling elements is the constant k^(1/p).
+        # Adding its zero gradient can only flip the sign of a zero, which the
+        # scatter into the zeroed gradient table below drops.
+        gp_r, reg_r = np.full(b, float(k) ** (1.0 / cfg.p)), 0.0
     else:
-        # unit or fixed scaling elements: G_p(r) is the constant k^(1/p)
-        gp_r, coeff_r = np.full(b, float(k) ** (1.0 / cfg.p)), None
+        g_s = elems[0]
+        gp_r, coeff_r = _gp_pieces(np.sum(g_s * g_s, axis=-1), cfg.p)
+        reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r[..., None]
     reg_loss = cfg.lam * np.sum(
         cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t
     )
@@ -207,61 +176,29 @@ def batch_loss_and_grads(store, triples, cfg):
             grad_c -= np.sum(gd, axis=0)
 
     # regularizer contributions: dG_p/dx = 2 x * coeff
-    scale = cfg.lam / b
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_all[heads] * coeff_h[..., None])
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_all[tails] * coeff_t[..., None])
 
-    # head transform backward
-    g_s2, g_v2 = _combine_backward(grad_h_prime, s2, v2, variant)
-    grad_rs_rows = None
-    if g_s is None:
-        g_sh = g_s2
-    elif variant.scaling_group == model.GROUP_GL1:
-        g_sh = g_s2 * g_s
-        grad_rs_rows = g_s2 * s_h
-    else:
-        g_sh = algebra.quat_mul(g_s2, algebra.quat_conj(g_s))
-        grad_gq = algebra.quat_mul(algebra.quat_conj(s_h), g_s2)
-        grad_rs_rows = algebra.exp_map_backward(rs[rels], grad_gq)
-    if coeff_r is not None:
-        reg_rs = scale * cfg.lambda2 * 2.0 * g_s * coeff_r[..., None]
-        grad_rs_rows = reg_rs if grad_rs_rows is None else grad_rs_rows + reg_rs
-
-    grad_rv_rows = None
-    if g_v is None:
-        g_vh = g_v2
-    else:
-        g_vh = algebra.elem_mul(g_v2, algebra.elem_conj(g_v))
-        grad_gv = algebra.elem_mul(algebra.elem_conj(v_h), g_v2)
-        if variant.rotation_group == model.GROUP_U1:
-            grad_rv_rows = algebra.angle_backward(rv[rels][..., 0], grad_gv)[..., None]
-        else:
-            grad_rv_rows = algebra.exp_map_backward(rv[rels], grad_gv)
+    # head transform backward, one pass per group: (scaling, rotation)
+    grad_relation = np.zeros_like(store.relation)
+    grad_heads = []
+    for group, part, elem, param, grad_out, reg, grad_block in zip(
+        groups, parts, elems, params,
+        model.product_backward(grad_h_prime, s2, v2), (reg_r, 0.0),
+        store.relation_parts(grad_relation),
+    ):
+        grad_part, grad_elem = model.product_backward(grad_out, part, elem)
+        grad_heads.append(grad_part)
+        np.add.at(grad_block, rels, group.param_backward(param, grad_elem + reg))
 
     # entity-side backward through combine and the unit parameterization
-    grad_s_all, grad_v_all = _combine_backward(grad_c, es, vec_all, variant)
-    np.add.at(grad_s_all, heads, g_sh)
-    np.add.at(grad_v_all, heads, g_vh)
-    grad_ev = _vector_param_backward(grad_v_all, ev, variant)
+    grad_s_all, grad_v_all = model.product_backward(grad_c, es, vec_all)
+    np.add.at(grad_s_all, heads, grad_heads[0])
+    np.add.at(grad_v_all, heads, grad_heads[1])
+    grad_ev = variant.vector.param_backward(ev, grad_v_all)
     grad_entity = np.concatenate(
         [grad_s_all.reshape(n_ent, -1), grad_ev.reshape(n_ent, -1)], axis=1
     )
-
-    grad_relation = np.zeros_like(store.relation)
-    spw = variant.scaling_param_width
-    if grad_rs_rows is not None:
-        np.add.at(
-            grad_relation[:, : k * spw].reshape(store.n_relations, k, spw),
-            rels,
-            grad_rs_rows,
-        )
-    if grad_rv_rows is not None:
-        rpw = variant.rotation_param_width
-        np.add.at(
-            grad_relation[:, k * spw :].reshape(store.n_relations, k, rpw),
-            rels,
-            grad_rv_rows,
-        )
 
     ent_mask, rel_mask = store.free_masks()
     grad_entity *= ent_mask
@@ -282,12 +219,6 @@ def triple_loss(store, h_id, r_id, t_id, cfg):
     """Loss contribution of one triple (its 1-vs-all sum plus its Phi share)."""
     loss, _, _ = batch_loss_and_grads(store, np.array([[h_id, r_id, t_id]]), cfg)
     return loss
-
-
-def batch_gradients(store, triples, cfg):
-    """Gradient tables of the mean batch loss; see batch_loss_and_grads."""
-    _, g_e, g_r = batch_loss_and_grads(store, triples, cfg)
-    return g_e, g_r
 
 
 def adagrad_step(store, state, grad_entity, grad_relation, lr=None):

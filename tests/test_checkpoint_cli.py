@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(BadMagic):
                 ckpt.load_checkpoint(path)
+
+    @pytest.mark.parametrize("forgery", ["ablation_code", "n_entities", "variant_name",
+                                         "trailing_byte"])
+    def test_forged_header(self, forgery, toy_dataset, tmp_path):
+        store, state = self.make_store()
+        path = tmp_path / "g.mkge"
+        ckpt.save_checkpoint(path, store, opt_state=state)
+        blob = path.read_bytes()
+        shape_at = 12 + len(b"module_hh")  # magic, version, name length, name
+        blob = {
+            "ablation_code": blob[:shape_at + 4] + struct.pack("<I", 7) + blob[shape_at + 8:],
+            "n_entities": blob[:shape_at + 8] + struct.pack("<Q", 2**62) + blob[shape_at + 16:],
+            "variant_name": blob[:12] + b"\xff" * 9 + blob[shape_at:],
+            "trailing_byte": blob + b"\x00",
+        }[forgery]
+        path.write_bytes(blob)
+        with pytest.raises(BadMagic):
+            ckpt.load_checkpoint(path)
+        code = cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", str(path),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 1
 
     def test_bad_magic_and_version(self, tmp_path):
         path = tmp_path / "d.mkge"

@@ -209,3 +209,55 @@ class TestDegenerations:
             qr = algebra.exp_map(rv[r])
             ref = float(np.sum(algebra.quat_mul(vh, qr) * vt))
             assert model.score(store, int(h), int(r), int(t)) == pytest.approx(ref, abs=1e-12)
+
+
+def central_difference(f, x, step=1e-6):
+    """Central differences of the scalar function f at every coordinate of x."""
+    out = np.zeros_like(x)
+    flat, grad = x.reshape(-1), out.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = f(x)
+        flat[i] = orig - step
+        grad[i] = (up - f(x)) / (2 * step)
+        flat[i] = orig
+    return out
+
+
+class TestGroupTable:
+    """Every entry of model.GROUPS, which also serves the entity unit vectors."""
+
+    def test_vector_groups_are_table_entries(self):
+        assert set(model.VECTOR_GROUPS.values()) <= set(model.GROUPS)
+
+    @pytest.mark.parametrize("name", sorted(model.GROUPS))
+    def test_identity_params_materialize_to_identity(self, name):
+        group = model.GROUPS[name]
+        params = np.tile(group.identity, (2, 3, 1))
+        elems = group.materialize(params)
+        assert elems.shape == (2, 3, group.width)
+        assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width), elems.shape))
+
+    @pytest.mark.parametrize("name", sorted(model.GROUPS))
+    def test_param_backward_matches_central_differences(self, name):
+        group = model.GROUPS[name]
+        rng = np.random.default_rng(4)
+        params = rng.uniform(-2.0, 2.0, size=(3, 2, group.param_width))
+        grad = rng.normal(size=(3, 2, group.width))
+        analytic = group.param_backward(params, grad)
+        assert analytic.shape == params.shape
+        fd = central_difference(lambda p: np.sum(grad * group.materialize(p)), params)
+        assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("widths", [(1, 1), (1, 2), (1, 4), (2, 2), (4, 4)])
+    def test_product_backward_matches_central_differences(self, widths):
+        rng = np.random.default_rng(sum(widths))
+        x = rng.normal(size=(3, 2, widths[0]))
+        y = rng.normal(size=(3, 2, widths[1]))
+        grad = rng.normal(size=(3, 2, widths[1]))
+        grad_x, grad_y = model.product_backward(grad, x, y)
+        fd_x = central_difference(lambda a: np.sum(grad * model.product(a, y)), x)
+        fd_y = central_difference(lambda a: np.sum(grad * model.product(x, a)), y)
+        assert np.allclose(grad_x, fd_x, rtol=1e-6, atol=1e-8)
+        assert np.allclose(grad_y, fd_y, rtol=1e-6, atol=1e-8)
