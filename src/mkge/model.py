@@ -20,6 +20,10 @@ Entity row layout: [scalar params (k * scalar_width), vector free params
 Unit group elements are stored by their free parameters (a phase angle for
 U(1), a 3-vector rotation parameter for unit quaternions) and materialized on
 use, so unitarity holds by construction.
+
+Cosine scores are one matmul. Distance scores, and in training their logistic
+loss and gradients, come from one chunked pass over component planes,
+`distance_kernel`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ GROUP_FIXED = "fixed"
 GROUP_GL1 = "gl1"
 GROUP_U1 = "u1"
 GROUP_UQ = "unit_quaternion"
+
+# elements of one (B, C, k) float64 plane of the distance kernel (~0.8 MB),
+# which sets its chunk of C candidates
+DISTANCE_CHUNK_ELEMENTS = 100_000
 
 
 def _coordinate_half_width(k):
@@ -307,20 +315,93 @@ def score(store, h_id, r_id, t_id):
     return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
 
 
+def planes(x):
+    """Component planes (w, ..., k) of an element array (..., k, w)."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)), without overflow for large |x|."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def distance_kernel(h, c, tails=None):
+    """Distance scores of heads against every entity, walked in chunks of
+    candidates over component planes: h (w, B, k), c (w, E, k).
+
+    The score of (b, e) is -sum_i |h_bi - c_ei|, the Euclidean distance of
+    each dimension's w coordinates. Without `tails` the kernel returns the
+    scores (B, E). Given the true tail id in [0, E) of each head row it
+    returns instead (loss, grad_h, grad_c): the 1-vs-all logistic loss
+    summed over rows and candidates, and the gradients (w, B, k), (w, E, k)
+    of loss / B. A dimension at distance 0 contributes a zero subgradient.
+
+    Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates, so each
+    (B, C, k) plane stays in cache; the differences and distances of a chunk
+    are built once and serve the scores, the loss and the gradients. No
+    (B, E, k) array and, in training, no (B, E) array is built.
+    """
+    w, b, k = h.shape
+    n = c.shape[1]
+    chunk = max(1, DISTANCE_CHUNK_ELEMENTS // (b * k))
+    # per-chunk buffers, reused so that the chunk's planes stay in cache
+    d = np.empty((w, b, chunk, k))
+    dist, aux = np.empty((b, chunk, k)), np.empty((b, chunk, k))
+    starts = range(0, n, chunk)
+    if tails is None:
+        scores = np.empty((b, n))
+    else:
+        loss, grad_h, grad_c = 0.0, np.zeros_like(h), np.empty_like(c)
+        # head rows ordered by true tail, and where each chunk's tails start
+        rows = np.argsort(tails, kind="stable")
+        cuts = np.searchsorted(tails[rows], [*starts, n]).tolist()
+    for i, start in enumerate(starts):
+        stop = min(n, start + chunk)
+        m = stop - start
+        d_c, dist_c, aux_c = d[:, :, :m], dist[:, :m], aux[:, :m]
+        for j in range(w):
+            np.subtract(h[j][:, None, :], c[j][None, start:stop], out=d_c[j])
+        # the coordinates' squares add in order, as np.sum over a last axis does
+        np.multiply(d_c[0], d_c[0], out=dist_c)
+        for j in range(1, w):
+            dist_c += np.multiply(d_c[j], d_c[j], out=aux_c)
+        np.sqrt(dist_c, out=dist_c)
+        x = -np.sum(dist_c, axis=-1)  # (B, m) scores
+        if tails is None:
+            scores[:, start:stop] = x
+            continue
+        # x = -y * score with y = +1 at the true tail and -1 elsewhere
+        hit = rows[cuts[i] : cuts[i + 1]]  # rows whose true tail is in this chunk
+        pos = hit, tails[hit] - start
+        x[pos] = -x[pos]
+        loss += float(np.sum(np.logaddexp(0.0, x)))
+        d_s = sigmoid(x) / b  # d (loss / B) / d score = -y * sigmoid(x) / B
+        d_s[pos] = -d_s[pos]
+        # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
+        # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
+        weight = aux_c
+        weight.fill(0.0)
+        np.divide(d_s[..., None], dist_c, out=weight, where=dist_c > 0.0)
+        for j in range(w):
+            grad_h[j] -= np.einsum("bck,bck->bk", weight, d_c[j])
+            np.einsum("bck,bck->ck", weight, d_c[j], out=grad_c[j, start:stop])
+    if tails is None:
+        return scores
+    return loss, grad_h, grad_c
+
+
 def score_tails(h_prime, c_all, kind):
     """Scores of transformed heads (B, k, w) against every combined entity
     (E, k, w): (B, E)."""
     b, k, w = h_prime.shape
     if kind == "cosine":
         return h_prime.reshape(b, k * w) @ c_all.reshape(-1, k * w).T
-    # distance kind: chunk candidates to bound the (B, E, k, w) intermediate
-    n = c_all.shape[0]
-    out = np.empty((b, n), dtype=np.float64)
-    chunk = max(1, int(4e6 / max(1, b * k * w)))
-    for start in range(0, n, chunk):
-        d = h_prime[:, None, :, :] - c_all[None, start : start + chunk, :, :]
-        out[:, start : start + chunk] = -np.sum(np.sqrt(np.sum(d * d, axis=-1)), axis=-1)
-    return out
+    return distance_kernel(planes(h_prime), planes(c_all))
 
 
 def score_all_tails(store, h_ids, r_ids, tails_combined=None):

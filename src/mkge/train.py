@@ -7,6 +7,11 @@ triples of that inner sum plus the triple's regularization share
 lambda * (l1 * G_p(h) + l2 * G_p(r) + l3 * G_p(t)). Gradients are closed-form
 reverse mode through the combine/transform/score chain, including the unit
 parameterizations (phase angles and quaternion exponential map).
+
+The cosine kind scores every candidate with one matmul and back-propagates
+through two more. The distance kind is scored, lossed and differentiated in
+one chunk pass of `model.distance_kernel`, which builds each chunk's
+differences and distances once and never the (B, E) score matrix.
 """
 
 from __future__ import annotations
@@ -114,6 +119,7 @@ def batch_loss_and_grads(store, triples, cfg):
 
     Returns (loss, grad_entity, grad_relation) with gradient tables shaped
     like the parameter tables; frozen ablation columns receive zero gradient.
+    An id outside the parameter tables raises IndexError.
     """
     triples = np.asarray(triples, dtype=np.int64)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
@@ -123,6 +129,9 @@ def batch_loss_and_grads(store, triples, cfg):
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     groups = (variant.scaling, variant.rotation)
     n_ent, k, w = store.n_entities, store.k, variant.vector.width
+    if (triples.min() < 0 or max(heads.max(), tails.max()) >= n_ent
+            or rels.max() >= store.n_relations):
+        raise IndexError("triple id out of range")
 
     # forward
     es, ev = store.entity_parts()
@@ -132,12 +141,20 @@ def batch_loss_and_grads(store, triples, cfg):
     params = [p[rels] for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
     s2, v2, h_prime = model.head_forward(*parts, *elems)  # h_prime: (B, k, w)
-    scores = model.score_tails(h_prime, c_all, variant.score_kind)
-
-    y = -np.ones_like(scores)
-    y[np.arange(b), tails] = 1.0
-    x = -y * scores
-    data_loss = np.sum(np.logaddexp(0.0, x))
+    if variant.score_kind == "cosine":
+        scores = model.score_tails(h_prime, c_all, variant.score_kind)
+        y = -np.ones_like(scores)
+        y[np.arange(b), tails] = 1.0
+        x = -y * scores
+        data_loss = np.sum(np.logaddexp(0.0, x))
+        # backward through the score matmul
+        d_scores = -y * model.sigmoid(x) / b  # (B, E)
+        grad_h_prime = (d_scores @ c_all.reshape(n_ent, k * w)).reshape(b, k, w)
+        grad_c = (d_scores.T @ h_prime.reshape(b, k * w)).reshape(n_ent, k, w)
+    else:
+        data_loss, grad_h, grad_c = model.distance_kernel(
+            model.planes(h_prime), model.planes(c_all), tails)
+        grad_h_prime, grad_c = np.moveaxis(grad_h, 0, -1), np.moveaxis(grad_c, 0, -1)
 
     scale = cfg.lam / b
     norms_c = np.sum(c_all * c_all, axis=-1)  # (E, k)
@@ -156,24 +173,6 @@ def batch_loss_and_grads(store, triples, cfg):
         cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t
     )
     loss = (data_loss + reg_loss) / b
-
-    # backward
-    d_scores = -y * _sigmoid(x) / b  # (B, E)
-    if variant.score_kind == "cosine":
-        grad_h_prime = (d_scores @ c_all.reshape(n_ent, k * w)).reshape(b, k, w)
-        grad_c = (d_scores.T @ h_prime.reshape(b, k * w)).reshape(n_ent, k, w)
-    else:
-        grad_h_prime = np.zeros_like(h_prime)
-        grad_c = np.zeros_like(c_all)
-        chunk = max(1, int(4e6 / max(1, n_ent * k * w)))
-        for start in range(0, b, chunk):
-            sl = slice(start, start + chunk)
-            d = h_prime[sl, None, :, :] - c_all[None, :, :, :]
-            dist = np.sqrt(np.sum(d * d, axis=-1))
-            unit = np.where(dist[..., None] > 0.0, d / np.where(dist == 0.0, 1.0, dist)[..., None], 0.0)
-            gd = -d_scores[sl][..., None, None] * unit  # (chunk, E, k, w)
-            grad_h_prime[sl] = np.sum(gd, axis=1)
-            grad_c -= np.sum(gd, axis=0)
 
     # regularizer contributions: dG_p/dx = 2 x * coeff
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_all[heads] * coeff_h[..., None])
@@ -204,15 +203,6 @@ def batch_loss_and_grads(store, triples, cfg):
     grad_entity *= ent_mask
     grad_relation *= rel_mask
     return float(loss), grad_entity, grad_relation
-
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def triple_loss(store, h_id, r_id, t_id, cfg):

@@ -144,6 +144,16 @@ class TestScore:
             for t in rng.choice(20, size=10, replace=False):
                 assert vec[t] == pytest.approx(model.score(store, h, r, int(t)), abs=1e-12)
 
+    def test_score_all_tails_multi_chunk(self, monkeypatch):
+        # three heads of k=2 in 42-element planes: chunks of 7 of the 20 candidates
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
+        store = model.init_model("rotate", 2, 20, 2, seed=4)
+        hs, rs = np.array([3, 11, 19]), np.array([0, 1, 1])
+        scores = model.score_all_tails(store, hs, rs)
+        for row, (h, r) in enumerate(zip(hs, rs)):
+            for t in range(20):
+                assert scores[row, t] == model.score(store, int(h), int(r), t)
+
     def test_single_entity(self):
         store = model.init_model("module_rc", 2, 1, 1, seed=0)
         vec = model.score_all_tails(store, 0, 0)

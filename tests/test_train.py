@@ -84,6 +84,64 @@ class TestGradients:
             assert analytic[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
+# Three heads of k=2 make a (3, C, 2) distance plane; 42 elements give chunks
+# of C=7 candidates, so 20 entities split into [0, 7), [7, 14) and [14, 20).
+MULTI_CHUNK_ELEMENTS = 42
+ROTATE20 = dict(k=2, n_entities=20, n_relations=2)
+# true tails in the first and the last chunk
+ROTATE20_BATCH = np.array([[3, 0, 2], [11, 1, 19], [5, 1, 9]])
+
+
+def n_distance_chunks(b, k, n):
+    chunk = max(1, model.DISTANCE_CHUNK_ELEMENTS // (b * k))
+    return -(-n // chunk)
+
+
+class TestDistanceKernel:
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        store = model.init_model("rotate", **ROTATE20, seed=11)
+        assert n_distance_chunks(3, 2, 20) == 1
+        loss1, g_e1, g_r1 = train.batch_loss_and_grads(store, ROTATE20_BATCH, LOSS)
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        assert n_distance_chunks(3, 2, 20) == 3
+        loss3, g_e3, g_r3 = train.batch_loss_and_grads(store, ROTATE20_BATCH, LOSS)
+        assert loss3 == pytest.approx(loss1, rel=1e-12)
+        np.testing.assert_allclose(g_e3, g_e1, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(g_r3, g_r1, rtol=1e-12, atol=1e-15)
+
+    def test_multi_chunk_matches_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        store = model.init_model("rotate", **ROTATE20, seed=11)
+        _, g_e, g_r = train.batch_loss_and_grads(store, ROTATE20_BATCH, LOSS)
+        fd_e, fd_r = finite_difference_grads(store, ROTATE20_BATCH, LOSS)
+        assert_grads_close(g_e, fd_e)
+        assert_grads_close(g_r, fd_r)
+
+    def test_zero_distance_pair_has_zero_subgradient(self):
+        store = model.init_model("rotate", 2, 6, 1, seed=3)
+        store.relation[:] = 0.0  # identity rotation
+        store.entity[4] = store.entity[1]  # tail 4 sits exactly on head 1's transform
+        assert model.score(store, 1, 0, 4) == 0.0
+        loss, g_e, g_r = train.batch_loss_and_grads(
+            store, np.array([[1, 0, 4]]), train.LossConfig(p=2, lam=0.0))
+        assert np.isfinite(loss)
+        assert np.all(np.isfinite(g_e)) and np.all(np.isfinite(g_r))
+        # entity 4 enters only through the zero-distance pair
+        assert np.all(g_e[4] == 0.0)
+
+    def test_zero_distance_candidate_adds_nothing_to_head_gradient(self):
+        rng = np.random.default_rng(5)
+        h, c = rng.normal(size=(2, 1, 3)), rng.normal(size=(2, 6, 3))
+        c[:, 2] = h[:, 0]  # every dimension at distance 0
+        c[:, 3, 1] = h[:, 0, 1]  # one dimension at distance 0
+        tails = np.array([0])
+        _, grad_h, grad_c = model.distance_kernel(h, c, tails)
+        assert np.all(grad_c[:, 2] == 0.0) and np.all(grad_c[:, 3, 1] == 0.0)
+        assert np.all(grad_c[:, 3, [0, 2]] != 0.0)
+        _, grad_h_without, _ = model.distance_kernel(h, np.delete(c, 2, axis=1), tails)
+        np.testing.assert_allclose(grad_h, grad_h_without, rtol=1e-14)
+
+
 class TestLoss:
     def test_single_entity_softplus(self):
         store = model.init_model("module_rc", 2, 1, 1, seed=0)
@@ -114,6 +172,13 @@ class TestLoss:
         a, _, _ = train.batch_loss_and_grads(store, batch, LOSS)
         b, _, _ = train.batch_loss_and_grads(store, batch[::-1], LOSS)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["module_rc", "rotate"])
+    @pytest.mark.parametrize("triple", [[0, 0, -1], [0, 0, 4], [-1, 0, 0], [0, 2, 0]])
+    def test_out_of_range_ids(self, name, triple):
+        store = model.init_model(name, 2, 4, 2, seed=0)
+        with pytest.raises(IndexError):
+            train.batch_loss_and_grads(store, np.array([triple]), LOSS)
 
     def test_large_scores_no_overflow(self):
         store = model.init_model("module_rc", 2, 3, 1, seed=0)
@@ -222,7 +287,20 @@ class TestFit:
             scores.append(model.score(store, 0, 0, 0))
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
-    @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh"])
+    def test_rotate_rerun_byte_identical(self, monkeypatch):
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        cfg = train.FitConfig(epochs=2, batch_size=3, seed=4, loss=train.LossConfig(p=3, lam=0.05))
+        runs = []
+        for _ in range(2):
+            store = model.init_model("rotate", 2, vocab.n_entities, vocab.n_relations, seed=1)
+            _, opt = train.fit(store, triples, cfg)
+            runs.append(b"".join(t.tobytes() for t in (
+                store.entity, store.relation, opt.acc_entity, opt.acc_relation)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh", "rotate"])
     def test_first_epoch_decreases_objective(self, name):
         vocab, store_data = data.generate_synthetic_kg(seed=1, n_entities=20)
         triples = data.augment_reciprocal(store_data.train, vocab)
@@ -234,9 +312,11 @@ class TestFit:
         after, _, _ = train.batch_loss_and_grads(store, triples, cfg)
         assert after < before
 
-    def test_nonfinite_aborts(self):
-        store = model.init_model("module_rc", 2, 4, 2, seed=0)
+    @pytest.mark.parametrize("name", ["module_rc", "rotate"])
+    def test_nonfinite_aborts(self, name):
+        store = model.init_model(name, 2, 4, 2, seed=0)
         store.entity[0, 0] = np.nan
         cfg = train.FitConfig(epochs=1, batch_size=4, loss=train.LossConfig(p=2, lam=0.0))
-        with pytest.raises(NonFiniteLoss):
+        # the NaN score is the one intended floating-point warning
+        with pytest.raises(NonFiniteLoss), pytest.warns(RuntimeWarning, match="logaddexp"):
             train.fit(store, small_batch(), cfg)
