@@ -164,11 +164,12 @@ def angle_to_complex(theta):
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def angle_backward(theta, grad_z):
-    """Gradient of angle_to_complex: grad . (-sin t, cos t)."""
-    theta = np.asarray(theta, dtype=np.float64)
+def angle_backward(z, grad_z):
+    """Gradient of angle_to_complex at the phase t of its output
+    z = (cos t, sin t): grad . (-sin t, cos t)."""
+    z = np.asarray(z, dtype=np.float64)
     grad_z = np.asarray(grad_z, dtype=np.float64)
-    return -grad_z[..., 0] * np.sin(theta) + grad_z[..., 1] * np.cos(theta)
+    return -grad_z[..., 0] * z[..., 1] + grad_z[..., 1] * z[..., 0]
 
 
 def g_p_norm(xs, p):

@@ -1,4 +1,5 @@
-"""Model variants, parameter storage, and the combine/transform/score pipeline.
+"""Model variants, parameter storage, the combine/transform pipeline, and
+the 1-vs-all score kernels.
 
 A variant is a pair of entries of the group table `GROUPS`: a scaling group
 acting on the entity scalars and a rotation group acting on the entity unit
@@ -12,7 +13,8 @@ A new group entry must provide its parameter and element widths, the
 parameters of its identity element (held by frozen ablation blocks), whether
 its elements are unit (their G_p norm is then constant), the half-width of its
 uniform init draw, `materialize` from free parameters to elements and
-`param_backward`, which pulls a gradient on elements back to the parameters.
+`param_backward`, which pulls a gradient on elements back to the parameters
+given both.
 
 Entity row layout: [scalar params (k * scalar_width), vector free params
 (k * vector.param_width)]. Relation row layout: [scaling params
@@ -21,9 +23,12 @@ Unit group elements are stored by their free parameters (a phase angle for
 U(1), a 3-vector rotation parameter for unit quaternions) and materialized on
 use, so unitarity holds by construction.
 
-Cosine scores are one matmul. Distance scores, and in training their logistic
-loss and gradients, come from one chunked pass over component planes,
-`distance_kernel`.
+Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
+transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
+the scores (B, E), or, given the true tail of each head row, the 1-vs-all
+logistic loss and its gradients on h and c. Both kernels apply the objective
+through `logistic_loss`: `cosine_kernel` to its one score matmul and
+`distance_kernel` to each chunk of its pass over component planes.
 """
 
 from __future__ import annotations
@@ -63,22 +68,22 @@ class Group:
     unit: bool  # every element has field norm 1
     half_width: Callable  # k -> half-width of the uniform init draw
     materialize: Callable  # params (..., k, param_width) -> elements (..., k, width)
-    param_backward: Callable  # (params, grad on elements) -> grad on params
+    param_backward: Callable  # (params, elements, grad on elements) -> grad on params
 
 
 # The algebra calls go through the module so that wrappers installed on it
 # (the benchmark's tracer) see them.
 GROUPS = {
     GROUP_FIXED: Group(0, 1, (), True, lambda k: 0.0,
-                       lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, g: np.zeros_like(p)),
+                       lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, z, g: np.zeros_like(p)),
     GROUP_GL1: Group(1, 1, (1.0,), False, _coordinate_half_width,
-                     lambda p: p, lambda p, g: g),
+                     lambda p: p, lambda p, z, g: g),
     GROUP_U1: Group(1, 2, (0.0,), True, lambda k: np.pi,
                     lambda p: algebra.angle_to_complex(p[..., 0]),
-                    lambda p, g: algebra.angle_backward(p[..., 0], g)[..., None]),
+                    lambda p, z, g: algebra.angle_backward(z, g)[..., None]),
     GROUP_UQ: Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
                     lambda p: algebra.exp_map(p),
-                    lambda p, g: algebra.exp_map_backward(p, g)),
+                    lambda p, z, g: algebra.exp_map_backward(p, g)),
 }
 
 # group whose unit elements are the entity vector parts of each space
@@ -110,6 +115,10 @@ class ModelVariant:
     @property
     def scalar_width(self):
         return SCALAR_WIDTHS[self.scalar_group]
+
+    @property
+    def kernel(self):
+        return SCORE_KERNELS[self.score_kind]
 
     def entity_row_width(self, k):
         return k * (self.scalar_width + self.vector.param_width)
@@ -229,15 +238,6 @@ def materialize_vector(ev, variant):
     return variant.vector.materialize(ev)
 
 
-def materialize_scaling(rs, variant):
-    """Scaling params -> group elements; a fixed group gives the identity 1."""
-    return variant.scaling.materialize(rs)
-
-
-def materialize_rotation(rv, variant):
-    return variant.rotation.materialize(rv)
-
-
 def product(x, y):
     """Ring product x * y of element arrays (..., w): real, complex or
     Hamilton. A width-1 left operand is a real scalar and broadcasts."""
@@ -255,10 +255,9 @@ def product_backward(grad, x, y):
     return algebra.elem_mul(grad, algebra.elem_conj(y)), grad_y
 
 
-def combine(scalar, vector, variant=None):
+def combine(scalar, vector):
     """Element-wise scalar multiplication s_i * v_i (Hamilton product when the
-    scalar ring is the quaternions). The operand widths select the product;
-    `variant` is accepted for existing callers and not needed."""
+    scalar ring is the quaternions). The operand widths select the product."""
     scalar = np.asarray(scalar, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
     if scalar.shape[-2] != vector.shape[-2]:
@@ -281,20 +280,15 @@ def head_forward(s_h, v_h, g_s, g_v):
     return s2, v2, product(s2, v2)
 
 
-def transform_head(s_h, v_h, g_s, g_v, variant=None):
-    """Scaled/rotated head parts combined: T_s(s_h) * T_v(v_h). `variant` is
-    accepted for existing callers and not needed."""
-    return head_forward(s_h, v_h, g_s, g_v)[2]
-
-
 def transformed_heads(store, h_ids, r_ids):
-    """Transformed head embeddings for id arrays: (B, k, vector.width)."""
+    """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays:
+    (B, k, vector.width)."""
     variant = store.variant
     es, ev = store.entity_parts()
     rs, rv = store.relation_parts()
-    return transform_head(es[h_ids], materialize_vector(ev[h_ids], variant),
-                          materialize_scaling(rs[r_ids], variant),
-                          materialize_rotation(rv[r_ids], variant))
+    return head_forward(es[h_ids], materialize_vector(ev[h_ids], variant),
+                        variant.scaling.materialize(rs[r_ids]),
+                        variant.rotation.materialize(rv[r_ids]))[2]
 
 
 def _pair_scores(h_prime, tails, kind):
@@ -315,11 +309,6 @@ def score(store, h_id, r_id, t_id):
     return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
 
 
-def planes(x):
-    """Component planes (w, ..., k) of an element array (..., k, w)."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
-
-
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), without overflow for large |x|."""
     out = np.empty_like(x)
@@ -330,22 +319,51 @@ def sigmoid(x):
     return out
 
 
+def logistic_loss(x, pos, b):
+    """1-vs-all logistic loss of a block of scores x (rows, candidates).
+
+    Every candidate contributes log(1 + exp(-y * score)) with y = +1 at the
+    true tails, indexed by `pos`, and y = -1 elsewhere. Returns the block's
+    summed loss and d (loss / b) / d score; x is overwritten with -y * score.
+    """
+    x[pos] = -x[pos]
+    loss = float(np.sum(np.logaddexp(0.0, x)))
+    d_s = sigmoid(x) / b  # -y * sigmoid(x) / b
+    d_s[pos] = -d_s[pos]
+    return loss, d_s
+
+
+def cosine_kernel(h, c, tails=None):
+    """Inner-product scores of heads h (B, k, w) against every entity
+    c (E, k, w): one matmul to the scores (B, E). Given the true tail id of
+    each head row it returns instead (loss, grad_h, grad_c), the summed
+    logistic loss and the gradients of loss / B, by two more matmuls."""
+    b, k, w = h.shape
+    h_flat, c_flat = h.reshape(b, k * w), c.reshape(-1, k * w)
+    scores = h_flat @ c_flat.T
+    if tails is None:
+        return scores
+    loss, d_s = logistic_loss(scores, (np.arange(b), tails), b)
+    return loss, (d_s @ c_flat).reshape(h.shape), (d_s.T @ h_flat).reshape(c.shape)
+
+
 def distance_kernel(h, c, tails=None):
-    """Distance scores of heads against every entity, walked in chunks of
-    candidates over component planes: h (w, B, k), c (w, E, k).
+    """Distance scores of heads h (B, k, w) against every entity c (E, k, w),
+    walked in chunks of candidates over component planes (w, B, k), (w, E, k).
 
     The score of (b, e) is -sum_i |h_bi - c_ei|, the Euclidean distance of
     each dimension's w coordinates. Without `tails` the kernel returns the
     scores (B, E). Given the true tail id in [0, E) of each head row it
     returns instead (loss, grad_h, grad_c): the 1-vs-all logistic loss
-    summed over rows and candidates, and the gradients (w, B, k), (w, E, k)
-    of loss / B. A dimension at distance 0 contributes a zero subgradient.
+    summed over rows and candidates, and the gradients of loss / B shaped
+    like h and c. A dimension at distance 0 contributes a zero subgradient.
 
     Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates, so each
     (B, C, k) plane stays in cache; the differences and distances of a chunk
     are built once and serve the scores, the loss and the gradients. No
     (B, E, k) array and, in training, no (B, E) array is built.
     """
+    h, c = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (h, c))
     w, b, k = h.shape
     n = c.shape[1]
     chunk = max(1, DISTANCE_CHUNK_ELEMENTS // (b * k))
@@ -375,13 +393,9 @@ def distance_kernel(h, c, tails=None):
         if tails is None:
             scores[:, start:stop] = x
             continue
-        # x = -y * score with y = +1 at the true tail and -1 elsewhere
         hit = rows[cuts[i] : cuts[i + 1]]  # rows whose true tail is in this chunk
-        pos = hit, tails[hit] - start
-        x[pos] = -x[pos]
-        loss += float(np.sum(np.logaddexp(0.0, x)))
-        d_s = sigmoid(x) / b  # d (loss / B) / d score = -y * sigmoid(x) / B
-        d_s[pos] = -d_s[pos]
+        chunk_loss, d_s = logistic_loss(x, (hit, tails[hit] - start), b)
+        loss += chunk_loss
         # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
         # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
         weight = aux_c
@@ -392,16 +406,15 @@ def distance_kernel(h, c, tails=None):
             np.einsum("bck,bck->ck", weight, d_c[j], out=grad_c[j, start:stop])
     if tails is None:
         return scores
-    return loss, grad_h, grad_c
+    return loss, np.moveaxis(grad_h, 0, -1), np.moveaxis(grad_c, 0, -1)
 
 
-def score_tails(h_prime, c_all, kind):
-    """Scores of transformed heads (B, k, w) against every combined entity
-    (E, k, w): (B, E)."""
-    b, k, w = h_prime.shape
-    if kind == "cosine":
-        return h_prime.reshape(b, k * w) @ c_all.reshape(-1, k * w).T
-    return distance_kernel(planes(h_prime), planes(c_all))
+# Resolved through the module globals at call time, so that wrappers installed
+# on the module (the benchmark's tracer) see each kernel.
+SCORE_KERNELS = {
+    "cosine": lambda h, c, tails=None: cosine_kernel(h, c, tails),
+    "distance": lambda h, c, tails=None: distance_kernel(h, c, tails),
+}
 
 
 def score_all_tails(store, h_ids, r_ids, tails_combined=None):
@@ -415,5 +428,4 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
     if h_ids.shape != r_ids.shape:
         raise ShapeMismatch("head and relation id arrays differ in shape")
     c_all = tails_combined if tails_combined is not None else combined_embeddings(store)
-    h_prime = transformed_heads(store, h_ids, r_ids)
-    return score_tails(h_prime, c_all, store.variant.score_kind)
+    return store.variant.kernel(transformed_heads(store, h_ids, r_ids), c_all)

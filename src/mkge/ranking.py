@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
+from .errors import ShapeMismatch
+
+# queries scored per score_all_tails call
+EVAL_CHUNK_QUERIES = 64
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,22 @@ def bottom_rank(scores, true_idx, filtered_out=()):
     return int(np.sum(kept > s_true) + np.sum(kept == s_true))
 
 
-def evaluate(split, store, filter_index, chunk_size=64):
+def evaluate(split, store, filter_index):
     """Filtered MRR / Hits@K over both directions of every triple.
 
     The metrics average the tail-direction and head-direction (reciprocal)
     ranks; per-relation MRR aggregates both directions under the base
-    relation id.
+    relation id. A split that is not a nonempty (n, 3) id array raises
+    ShapeMismatch; an entity id outside [0, E) or a relation id outside
+    [0, R / 2) raises IndexError.
     """
     split = np.asarray(split, dtype=np.int64)
+    if split.ndim != 2 or split.shape[1] != 3 or len(split) == 0:
+        raise ShapeMismatch("split must be a nonempty (n, 3) id array")
     n_base = store.n_relations // 2
+    if (split.min() < 0 or max(split[:, 0].max(), split[:, 2].max()) >= store.n_entities
+            or split[:, 1].max() >= n_base):
+        raise IndexError("triple id out of range")
     c_all = model.combined_embeddings(store)
 
     queries = []  # (scored_head, scored_rel, true_entity, direction, base_rel, triple)
@@ -76,8 +87,8 @@ def evaluate(split, store, filter_index, chunk_size=64):
     ranks = []
     records = []
     per_rel = {}
-    for start in range(0, len(queries), chunk_size):
-        batch = queries[start : start + chunk_size]
+    for start in range(0, len(queries), EVAL_CHUNK_QUERIES):
+        batch = queries[start : start + EVAL_CHUNK_QUERIES]
         hs = np.array([q[0] for q in batch])
         rs = np.array([q[1] for q in batch])
         scores = model.score_all_tails(store, hs, rs, tails_combined=c_all)

@@ -1,17 +1,15 @@
-"""1-vs-all regularized logistic objective, analytic gradients, Adagrad, and
-the epoch loop.
+"""Regularized 1-vs-all training: the batch gradient, Adagrad, and the epoch
+loop.
 
 Every candidate tail t' contributes log(1 + exp(-y * f(h, t'))) with y = +1
 for the true tail and y = -1 otherwise; the batch loss is the mean over
 triples of that inner sum plus the triple's regularization share
-lambda * (l1 * G_p(h) + l2 * G_p(r) + l3 * G_p(t)). Gradients are closed-form
-reverse mode through the combine/transform/score chain, including the unit
-parameterizations (phase angles and quaternion exponential map).
-
-The cosine kind scores every candidate with one matmul and back-propagates
-through two more. The distance kind is scored, lossed and differentiated in
-one chunk pass of `model.distance_kernel`, which builds each chunk's
-differences and distances once and never the (B, E) score matrix.
+lambda * (l1 * G_p(h) + l2 * G_p(r) + l3 * G_p(t)). The variant's score
+kernel (`model.cosine_kernel` or `model.distance_kernel`) owns the logistic
+term and its gradients on the transformed heads and the combined entities.
+This module adds the regularizer and the closed-form reverse mode through the
+head transform, `combine` and the unit parameterizations (phase angles and
+the quaternion exponential map).
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ def regularizer(store, h_id, r_id, t_id, cfg):
     gp_h = algebra.g_p_norm(c[0], cfg.p)
     gp_t = algebra.g_p_norm(c[1], cfg.p)
     rs, _ = store.relation_parts()
-    g_s = model.materialize_scaling(rs[np.array([r_id])], store.variant)
+    g_s = store.variant.scaling.materialize(rs[np.array([r_id])])
     gp_r = algebra.g_p_norm(g_s[0], cfg.p)
     return float(cfg.lam * (cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t))
 
@@ -128,7 +126,7 @@ def batch_loss_and_grads(store, triples, cfg):
     b = len(triples)
     heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
     groups = (variant.scaling, variant.rotation)
-    n_ent, k, w = store.n_entities, store.k, variant.vector.width
+    n_ent, k = store.n_entities, store.k
     if (triples.min() < 0 or max(heads.max(), tails.max()) >= n_ent
             or rels.max() >= store.n_relations):
         raise IndexError("triple id out of range")
@@ -141,20 +139,7 @@ def batch_loss_and_grads(store, triples, cfg):
     params = [p[rels] for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
     s2, v2, h_prime = model.head_forward(*parts, *elems)  # h_prime: (B, k, w)
-    if variant.score_kind == "cosine":
-        scores = model.score_tails(h_prime, c_all, variant.score_kind)
-        y = -np.ones_like(scores)
-        y[np.arange(b), tails] = 1.0
-        x = -y * scores
-        data_loss = np.sum(np.logaddexp(0.0, x))
-        # backward through the score matmul
-        d_scores = -y * model.sigmoid(x) / b  # (B, E)
-        grad_h_prime = (d_scores @ c_all.reshape(n_ent, k * w)).reshape(b, k, w)
-        grad_c = (d_scores.T @ h_prime.reshape(b, k * w)).reshape(n_ent, k, w)
-    else:
-        data_loss, grad_h, grad_c = model.distance_kernel(
-            model.planes(h_prime), model.planes(c_all), tails)
-        grad_h_prime, grad_c = np.moveaxis(grad_h, 0, -1), np.moveaxis(grad_c, 0, -1)
+    data_loss, grad_h_prime, grad_c = variant.kernel(h_prime, c_all, tails)
 
     scale = cfg.lam / b
     norms_c = np.sum(c_all * c_all, axis=-1)  # (E, k)
@@ -188,13 +173,13 @@ def batch_loss_and_grads(store, triples, cfg):
     ):
         grad_part, grad_elem = model.product_backward(grad_out, part, elem)
         grad_heads.append(grad_part)
-        np.add.at(grad_block, rels, group.param_backward(param, grad_elem + reg))
+        np.add.at(grad_block, rels, group.param_backward(param, elem, grad_elem + reg))
 
     # entity-side backward through combine and the unit parameterization
     grad_s_all, grad_v_all = model.product_backward(grad_c, es, vec_all)
     np.add.at(grad_s_all, heads, grad_heads[0])
     np.add.at(grad_v_all, heads, grad_heads[1])
-    grad_ev = variant.vector.param_backward(ev, grad_v_all)
+    grad_ev = variant.vector.param_backward(ev, vec_all, grad_v_all)
     grad_entity = np.concatenate(
         [grad_s_all.reshape(n_ent, -1), grad_ev.reshape(n_ent, -1)], axis=1
     )

@@ -217,4 +217,5 @@ class TestBackwardHelpers:
         theta, grad = 0.7, np.array([0.3, -1.1])
         eps = 1e-7
         fd = grad @ (algebra.angle_to_complex(theta + eps) - algebra.angle_to_complex(theta - eps)) / (2 * eps)
-        assert algebra.angle_backward(theta, grad) == pytest.approx(fd, rel=1e-6)
+        z = algebra.angle_to_complex(theta)
+        assert algebra.angle_backward(z, grad) == pytest.approx(fd, rel=1e-6)

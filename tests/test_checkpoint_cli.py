@@ -1,5 +1,6 @@
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,21 @@ class TestCmdEval:
         code = cli.main(["eval", "--dataset", str(other), "--checkpoint",
                          os.path.join(out, "checkpoint.mkge"), "--out", str(tmp_path / "x")])
         assert code == 1
+
+
+    def test_empty_split_errors_after_checkpoint(self, toy_dataset, tmp_path, capsys):
+        empty = tmp_path / "empty_test"
+        vocab, triples = data.build_dataset(toy_dataset)
+        data.write_dataset(empty, vocab, replace(triples, test=np.empty((0, 3), np.int64)))
+        out = str(tmp_path / "trained_empty")
+        assert cli.main(["train", *small_args(str(empty), out)]) == 1
+        # training finished and was saved before the final evaluation failed
+        assert ckpt.load_checkpoint(os.path.join(out, "checkpoint.mkge")).epoch == 2
+        capsys.readouterr()
+        code = cli.main(["eval", "--dataset", str(empty), "--checkpoint",
+                         os.path.join(out, "checkpoint.mkge"), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "error: split must be a nonempty (n, 3) id array" in capsys.readouterr().err
 
 
 class TestCmdAblate:

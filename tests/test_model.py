@@ -73,22 +73,20 @@ class TestCombineTransform:
         store = model.init_model("module_rc", 4, 3, 2, seed=1)
         _, ev = store.entity_parts()
         vec = model.materialize_vector(ev, store.variant)
-        out = model.combine(np.ones((3, 4, 1)), vec, store.variant)
+        out = model.combine(np.ones((3, 4, 1)), vec)
         assert np.allclose(out, vec)
 
     def test_combine_complex_value(self):
-        variant = model.VARIANTS["module_rc"]
         s = np.array([[[2.0]]])
         v = algebra.angle_to_complex(np.array([[np.pi / 2]]))
-        out = model.combine(s, v, variant)
+        out = model.combine(s, v)
         assert np.allclose(out, [[[0.0, 2.0]]], atol=1e-12)
 
     def test_combine_norm_multiplicative_hh(self):
         rng = np.random.default_rng(5)
-        variant = model.VARIANTS["module_hh"]
         s = rng.normal(size=(4, 3, 4))
         v = algebra.exp_map(rng.normal(size=(4, 3, 3)))
-        out = model.combine(s, v, variant)
+        out = model.combine(s, v)
         assert np.allclose(algebra.field_norm(out), algebra.field_norm(s), rtol=1e-9)
 
     def test_identity_relation_is_noop(self):
@@ -98,12 +96,11 @@ class TestCombineTransform:
         assert np.allclose(h_prime, model.combined_embeddings(store, np.array([1])), atol=1e-12)
 
     def test_rc_scale_and_half_turn(self):
-        variant = model.VARIANTS["module_rc"]
         s_h = np.array([[[1.0]]])
         v_h = algebra.angle_to_complex(np.array([[0.0]]))
         g_s = np.array([[[3.0]]])
         g_v = algebra.angle_to_complex(np.array([[np.pi]]))
-        out = model.transform_head(s_h, v_h, g_s, g_v, variant)
+        out = model.head_forward(s_h, v_h, g_s, g_v)[2]
         assert np.allclose(out, [[[-3.0, 0.0]]], atol=1e-12)
 
     def test_hh_relation_inverse_recovers(self):
@@ -112,14 +109,14 @@ class TestCombineTransform:
         rs, rv = store.relation_parts()
         variant = store.variant
         s_h, v_h = es[[2]], model.materialize_vector(ev[[2]], variant)
-        g_s = model.materialize_scaling(rs[[0]], variant)
-        g_v = model.materialize_rotation(rv[[0]], variant)
+        g_s = variant.scaling.materialize(rs[[0]])
+        g_v = variant.rotation.materialize(rv[[0]])
         fwd_s = algebra.quat_mul(s_h, g_s)
         fwd_v = algebra.quat_mul(v_h, g_v)
         back_s = algebra.quat_mul(fwd_s, algebra.quat_conj(g_s))
         back_v = algebra.quat_mul(fwd_v, algebra.quat_conj(g_v))
-        recovered = model.combine(back_s, back_v, variant)
-        assert np.allclose(recovered, model.combine(s_h, v_h, variant), atol=1e-9)
+        recovered = model.combine(back_s, back_v)
+        assert np.allclose(recovered, model.combine(s_h, v_h), atol=1e-9)
 
 
 class TestScore:
@@ -255,7 +252,7 @@ class TestGroupTable:
         rng = np.random.default_rng(4)
         params = rng.uniform(-2.0, 2.0, size=(3, 2, group.param_width))
         grad = rng.normal(size=(3, 2, group.width))
-        analytic = group.param_backward(params, grad)
+        analytic = group.param_backward(params, group.materialize(params), grad)
         assert analytic.shape == params.shape
         fd = central_difference(lambda p: np.sum(grad * group.materialize(p)), params)
         assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-8)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mkge import data, model, ranking
+from mkge.errors import ShapeMismatch
 
 
 def brute_force_rank(scores, true_idx, filtered_out):
@@ -82,6 +83,7 @@ def reference_evaluate(split, store, filter_index):
             ranks.append(brute_force_rank(scores, true_e, filtered))
     ranks = np.array(ranks, dtype=float)
     return {
+        "ranks": ranks,
         "mrr": float(np.mean(1.0 / ranks)),
         "hits1": float(np.mean(ranks <= 1)),
         "hits3": float(np.mean(ranks <= 3)),
@@ -104,6 +106,34 @@ class TestEvaluate:
         assert report.hits1 == ref["hits1"]
         assert report.hits3 == ref["hits3"]
         assert report.hits10 == ref["hits10"]
+
+    @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
+    def test_multi_chunk_ranks_match_reference(self, variant):
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
+        store = model.init_model(variant, 3, vocab.n_entities, vocab.n_relations, seed=4)
+        index = data.build_filter_index(store_data, vocab)
+        split = store_data.train
+        assert 2 * len(split) > 2 * ranking.EVAL_CHUNK_QUERIES  # at least 3 chunks
+        report = ranking.evaluate(split, store, index)
+        ref = reference_evaluate(split, store, index)
+        assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
+        assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
+
+    @pytest.mark.parametrize("split", [np.empty((0, 3)), np.array([0, 0, 1]),
+                                       np.array([[0, 0, 1, 2]]), np.array([[0, 0]])])
+    def test_bad_split_shape_raises(self, split):
+        _, _, store, index = self.make_setup()
+        with pytest.raises(ShapeMismatch):
+            ranking.evaluate(split, store, index)
+
+    @pytest.mark.parametrize("triple", [(-1, 0, 2), (0, -1, 2), (0, 0, -1), (20, 0, 2),
+                                        (0, 0, 20), (0, "n_base", 2)])
+    def test_out_of_range_ids_raise(self, triple):
+        vocab, _, store, index = self.make_setup()
+        assert store.n_entities == 20
+        split = np.array([[vocab.n_base_relations if x == "n_base" else x for x in triple]])
+        with pytest.raises(IndexError):
+            ranking.evaluate(split, store, index)
 
     def test_known_rank_pair(self):
         # MRR and Hits for ranks {1, 4} computed from the definition

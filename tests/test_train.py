@@ -135,10 +135,15 @@ class TestDistanceKernel:
         c[:, 2] = h[:, 0]  # every dimension at distance 0
         c[:, 3, 1] = h[:, 0, 1]  # one dimension at distance 0
         tails = np.array([0])
-        _, grad_h, grad_c = model.distance_kernel(h, c, tails)
+
+        def kernel(c):  # component planes (w, n, k) in and out
+            _, g_h, g_c = model.distance_kernel(np.moveaxis(h, 0, -1), np.moveaxis(c, 0, -1), tails)
+            return np.moveaxis(g_h, -1, 0), np.moveaxis(g_c, -1, 0)
+
+        grad_h, grad_c = kernel(c)
         assert np.all(grad_c[:, 2] == 0.0) and np.all(grad_c[:, 3, 1] == 0.0)
         assert np.all(grad_c[:, 3, [0, 2]] != 0.0)
-        _, grad_h_without, _ = model.distance_kernel(h, np.delete(c, 2, axis=1), tails)
+        grad_h_without, _ = kernel(np.delete(c, 2, axis=1))
         np.testing.assert_allclose(grad_h, grad_h_without, rtol=1e-14)
 
 
