@@ -1,6 +1,6 @@
-"""A tour of the algebra layer: real, complex, and quaternion elements all
+"""A tour of the ring layer: real, complex, and quaternion elements all
 live in numpy arrays whose trailing axis is the coordinate width (1, 2, or 4),
-and every operation dispatches on that width."""
+and one product, `elem_mul`, dispatches on that width."""
 
 import numpy as np
 
@@ -29,7 +29,7 @@ for scale in (2.0, 1e-3, 1e-13):
 u = algebra.exp_map(rng.standard_normal(3))
 x = rng.standard_normal(4)
 print("N(x)  =", algebra.field_norm(x))
-print("N(xu) =", algebra.field_norm(algebra.apply_rotation(x, u)))
+print("N(xu) =", algebra.field_norm(algebra.elem_mul(x, u)))
 
 # the same machinery covers complex numbers (width 2): U(1) elements are
 # stored as a phase angle

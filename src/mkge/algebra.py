@@ -1,25 +1,32 @@
-"""Complex and quaternion arithmetic on coordinate arrays.
+"""The ring layer: real, complex and quaternion arithmetic on coordinate arrays.
 
 Module elements are numpy arrays whose last axis holds the real coordinates
 of the element: width 1 for reals, 2 for complex numbers (re, im), 4 for
 quaternions (a, b, c, d) in the basis 1, i, j, k. All functions broadcast
 over leading axes, so the same code serves scalar sanity checks and the
 vectorized model hot path.
+
+Every group action of the model (GL(1) scaling, U(1) and unit-quaternion
+rotation) and the combination s * v of an entity's two parts is the one ring
+product `elem_mul`, whose reverse mode is `elem_mul_backward`; `complex_mul`
+and `quat_mul` are its width-2 and width-4 kernels. The unit groups'
+parameterizations (`angle_to_complex`, `exp_map`) and their backward passes
+live here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateElement, EmptyTuple, NotUnit, TagMismatch, ZeroScaling
+from .errors import DegenerateElement, EmptyTuple, TagMismatch
 
 REAL, COMPLEX, QUAT = 1, 2, 4
 
-# Unit-norm precondition tolerance for group elements.
-UNIT_TOL = 1e-6
-
 # Below this squared norm an element cannot be normalized meaningfully.
 DEGENERATE_EPS = 1e-24
+
+# coordinate signs of the conjugate, per non-real element width
+_CONJ_SIGNS = {COMPLEX: np.array([1.0, -1.0]), QUAT: np.array([1.0, -1.0, -1.0, -1.0])}
 
 
 def quat_mul(p, q):
@@ -39,12 +46,6 @@ def quat_mul(p, q):
     )
 
 
-def quat_conj(q):
-    """Conjugate (a, -b, -c, -d); anti-homomorphism over quat_mul."""
-    q = np.asarray(q, dtype=np.float64)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def complex_mul(x, y):
     """Product of complex arrays (..., 2)."""
     x = np.asarray(x, dtype=np.float64)
@@ -55,32 +56,43 @@ def complex_mul(x, y):
 
 
 def elem_conj(x):
-    """Conjugate for any element width; identity on reals."""
+    """Conjugate of elements of any width: (a, -b) for complex, (a, -b, -c, -d)
+    for quaternions; a real element is returned as it is. An
+    anti-homomorphism over elem_mul: conj(x * y) = conj(y) * conj(x)."""
     x = np.asarray(x, dtype=np.float64)
     w = x.shape[-1]
     if w == REAL:
         return x
-    if w == COMPLEX:
-        return x * np.array([1.0, -1.0])
-    if w == QUAT:
-        return quat_conj(x)
-    raise TagMismatch(f"unsupported element width {w}")
+    if w not in _CONJ_SIGNS:
+        raise TagMismatch(f"unsupported element width {w}")
+    return x * _CONJ_SIGNS[w]
 
 
 def elem_mul(x, y):
-    """Ring product dispatched on element width (real / complex / Hamilton)."""
+    """Ring product x * y of element arrays (..., w): real, complex or
+    Hamilton, dispatched on the element width. A width-1 left operand is a
+    real scalar and broadcasts over the coordinates of y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[-1] != y.shape[-1]:
-        raise TagMismatch(f"element widths differ: {x.shape[-1]} vs {y.shape[-1]}")
     w = x.shape[-1]
     if w == REAL:
         return x * y
+    if w != y.shape[-1]:
+        raise TagMismatch(f"element widths differ: {w} vs {y.shape[-1]}")
     if w == COMPLEX:
         return complex_mul(x, y)
     if w == QUAT:
         return quat_mul(x, y)
     raise TagMismatch(f"unsupported element width {w}")
+
+
+def elem_mul_backward(grad, x, y):
+    """Gradients (grad * conj(y), conj(x) * grad) of elem_mul(x, y); for a
+    width-1 left operand the first is summed over the broadcast axis."""
+    grad_y = elem_mul(elem_conj(x), grad)
+    if x.shape[-1] == REAL:
+        return np.sum(grad * y, axis=-1, keepdims=True), grad_y
+    return elem_mul(grad, elem_conj(y)), grad_y
 
 
 def field_norm(x):
@@ -106,10 +118,6 @@ def normalize(q):
     if np.any(n <= DEGENERATE_EPS):
         raise DegenerateElement(f"cannot normalize element with squared norm {np.min(n)}")
     return q / np.sqrt(n)[..., None]
-
-
-def is_unit(g, tol=UNIT_TOL):
-    return bool(np.all(np.abs(field_norm(g) - 1.0) <= tol))
 
 
 # sin(theta)/theta and its related Jacobian coefficient switch to series
@@ -181,26 +189,3 @@ def g_p_norm(xs, p):
         raise ValueError(f"p must be a positive integer, got {p}")
     return np.sum(field_norm(xs) ** p, axis=-1) ** (1.0 / p)
 
-
-def apply_rotation(v, g):
-    """Rotate v by the unit group element g (complex or quaternion product)."""
-    g = np.asarray(g, dtype=np.float64)
-    if not is_unit(g):
-        raise NotUnit("rotation element must have unit field norm")
-    return elem_mul(v, g)
-
-
-def apply_scaling(s, g, group):
-    """Scale s by a group element: real product for 'gl1', Hamilton product
-    for 'unit_quaternion'."""
-    s = np.asarray(s, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if group == "gl1":
-        if np.any(g == 0.0):
-            raise ZeroScaling("GL(1) element must be nonzero")
-        return s * g
-    if group == "unit_quaternion":
-        if not is_unit(g):
-            raise NotUnit("scaling quaternion must have unit field norm")
-        return quat_mul(s, g)
-    raise ValueError(f"unknown scaling group {group!r}")

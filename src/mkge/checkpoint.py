@@ -70,7 +70,7 @@ def _read_exact(fh, n, what):
 def load_checkpoint(path):
     try:
         fh = open(path, "rb")
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
         raise MissingFile(str(exc)) from exc
     with fh:
         if _read_exact(fh, 4, "magic") != MAGIC:

@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
-from .errors import MkgeError, ParseError
+from .errors import MissingFile, MkgeError, ParseError
 
 PRESETS = {
     # best published settings per benchmark for the quaternion-module model
@@ -61,18 +61,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.p not in (2, 3):
-            raise ValueError("p must be 2 or 3")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch size >= 1")
-        if min(self.lam, self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("regularization rates must be nonnegative")
-        if self.schedule not in ("constant", "exp"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.ablation not in model_mod.ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {self.ablation!r}")
-        if self.eval_interval < 1 or self.patience < 1:
-            raise ValueError("eval interval and patience must be >= 1")
+        _fit_config(self)  # the training and loss configs check their own fields
         return self
 
     def to_text(self):
@@ -97,13 +88,20 @@ def parse_config_text(text, base=None):
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = casts[types[key]](value)
+        try:
+            updates[key] = casts[types[key]](value)
+        except ValueError as exc:
+            raise ParseError(f"config line {lineno}: bad value {value!r} for key {key!r}") from exc
     return replace(cfg, **updates)
 
 
 def load_config_file(path, base=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise MissingFile(f"cannot read config file {path}: {exc.strerror}") from exc
+    return parse_config_text(text, base=base)
 
 
 def resolve_config(args):
@@ -222,9 +220,11 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    from .model import ABLATION_MODES
+
     cfg = resolve_config(args)
     rows = []
-    for mode in ("scalar", "vector", "both"):
+    for mode in ABLATION_MODES:
         mode_cfg = replace(cfg, ablation=mode)
         out_dir = os.path.join(cfg.out, mode)
         _, _, metrics = run_training(mode_cfg, out_dir=out_dir)
@@ -318,10 +318,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MkgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (MkgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

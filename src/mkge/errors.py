@@ -17,14 +17,6 @@ class EmptyTuple(MkgeError):
     """Norm map applied to an empty tuple of elements."""
 
 
-class NotUnit(MkgeError):
-    """Group element expected to be unit-norm is not."""
-
-
-class ZeroScaling(MkgeError):
-    """GL(1) scaling by zero is not a group element."""
-
-
 class LengthMismatch(MkgeError):
     """Tuple operands of different lengths."""
 
@@ -42,7 +34,7 @@ class ParseError(MkgeError):
 
 
 class MissingFile(MkgeError):
-    """Expected dataset or checkpoint file not found."""
+    """Expected dataset, checkpoint or config file not found or not readable."""
 
 
 class DuplicateTriple(MkgeError):

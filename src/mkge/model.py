@@ -6,8 +6,8 @@ acting on the entity scalars and a rotation group acting on the entity unit
 vectors. The unit vector parts are themselves elements of a table entry
 (`VECTOR_GROUPS`: real -> fixed, complex -> U(1), quaternion -> unit
 quaternion). Every action, and the combination s_i * v_i of an entity's two
-parts, is the one ring product `product`, whose reverse mode is
-`product_backward`.
+parts, is the one ring product `algebra.elem_mul`, whose reverse mode is
+`algebra.elem_mul_backward`.
 
 A new group entry must provide its parameter and element widths, the
 parameters of its identity element (held by frozen ablation blocks), whether
@@ -60,7 +60,7 @@ def _coordinate_half_width(k):
 
 @dataclass(frozen=True)
 class Group:
-    """Ops of one group whose elements act on a module part by `product`."""
+    """Ops of one group whose elements act on a module part by `algebra.elem_mul`."""
 
     param_width: int  # free parameters per dimension
     width: int  # coordinates per element
@@ -238,23 +238,6 @@ def materialize_vector(ev, variant):
     return variant.vector.materialize(ev)
 
 
-def product(x, y):
-    """Ring product x * y of element arrays (..., w): real, complex or
-    Hamilton. A width-1 left operand is a real scalar and broadcasts."""
-    if x.shape[-1] == 1:
-        return x * y
-    return algebra.elem_mul(x, y)
-
-
-def product_backward(grad, x, y):
-    """Gradients (grad * conj(y), conj(x) * grad) of product(x, y); for a
-    width-1 left operand the first is summed over the broadcast axis."""
-    grad_y = product(algebra.elem_conj(x), grad)
-    if x.shape[-1] == 1:
-        return np.sum(grad * y, axis=-1, keepdims=True), grad_y
-    return algebra.elem_mul(grad, algebra.elem_conj(y)), grad_y
-
-
 def combine(scalar, vector):
     """Element-wise scalar multiplication s_i * v_i (Hamilton product when the
     scalar ring is the quaternions). The operand widths select the product."""
@@ -262,13 +245,23 @@ def combine(scalar, vector):
     vector = np.asarray(vector, dtype=np.float64)
     if scalar.shape[-2] != vector.shape[-2]:
         raise LengthMismatch("scalar and vector tuples differ in length")
-    return product(scalar, vector)
+    return algebra.elem_mul(scalar, vector)
+
+
+def _check_ids(ids, bound):
+    """Raise IndexError unless every id lies in [0, bound); numpy indexing
+    would wrap a negative id silently."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise IndexError(f"id out of range [0, {bound})")
 
 
 def combined_embeddings(store, ids=None):
-    """Combined tuples s_e * v_e for all (or selected) entities: (N, k, w)."""
+    """Combined tuples s_e * v_e for all (or selected) entities: (N, k, w).
+    An entity id outside [0, E) raises IndexError."""
     es, ev = store.entity_parts()
     if ids is not None:
+        _check_ids(ids, store.n_entities)
         es, ev = es[ids], ev[ids]
     return combine(es, materialize_vector(ev, store.variant))
 
@@ -276,13 +269,16 @@ def combined_embeddings(store, ids=None):
 def head_forward(s_h, v_h, g_s, g_v):
     """Head transform with its intermediates: (s_h * g_s, v_h * g_v, h')
     where h' combines the two."""
-    s2, v2 = product(s_h, g_s), product(v_h, g_v)
-    return s2, v2, product(s2, v2)
+    s2, v2 = algebra.elem_mul(s_h, g_s), algebra.elem_mul(v_h, g_v)
+    return s2, v2, algebra.elem_mul(s2, v2)
 
 
 def transformed_heads(store, h_ids, r_ids):
     """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays:
-    (B, k, vector.width)."""
+    (B, k, vector.width). A head id outside [0, E) or a relation id outside
+    [0, R) raises IndexError."""
+    _check_ids(h_ids, store.n_entities)
+    _check_ids(r_ids, store.n_relations)
     variant = store.variant
     es, ev = store.entity_parts()
     rs, rv = store.relation_parts()
@@ -300,10 +296,8 @@ def _pair_scores(h_prime, tails, kind):
 
 
 def score(store, h_id, r_id, t_id):
-    """Score of one triple; higher is more plausible for both score kinds."""
-    for idx, bound in ((h_id, store.n_entities), (r_id, store.n_relations), (t_id, store.n_entities)):
-        if not 0 <= idx < bound:
-            raise IndexError(f"id {idx} out of range")
+    """Score of one triple; higher is more plausible for both score kinds.
+    An id outside its table raises IndexError."""
     h_prime = transformed_heads(store, np.array([h_id]), np.array([r_id]))
     t = combined_embeddings(store, np.array([t_id]))
     return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
@@ -421,7 +415,8 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
     """Scores of (h, r) against every entity: (B, n_entities).
 
     The transformed head is computed once per (h, r) row and reused across
-    candidates; pass a precomputed combined-entity table to amortize it.
+    candidates; pass a precomputed combined-entity table to amortize it. A
+    head id outside [0, E) or a relation id outside [0, R) raises IndexError.
     """
     h_ids = np.atleast_1d(np.asarray(h_ids, dtype=np.int64))
     r_ids = np.atleast_1d(np.asarray(r_ids, dtype=np.int64))

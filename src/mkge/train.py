@@ -168,15 +168,15 @@ def batch_loss_and_grads(store, triples, cfg):
     grad_heads = []
     for group, part, elem, param, grad_out, reg, grad_block in zip(
         groups, parts, elems, params,
-        model.product_backward(grad_h_prime, s2, v2), (reg_r, 0.0),
+        algebra.elem_mul_backward(grad_h_prime, s2, v2), (reg_r, 0.0),
         store.relation_parts(grad_relation),
     ):
-        grad_part, grad_elem = model.product_backward(grad_out, part, elem)
+        grad_part, grad_elem = algebra.elem_mul_backward(grad_out, part, elem)
         grad_heads.append(grad_part)
         np.add.at(grad_block, rels, group.param_backward(param, elem, grad_elem + reg))
 
     # entity-side backward through combine and the unit parameterization
-    grad_s_all, grad_v_all = model.product_backward(grad_c, es, vec_all)
+    grad_s_all, grad_v_all = algebra.elem_mul_backward(grad_c, es, vec_all)
     np.add.at(grad_s_all, heads, grad_heads[0])
     np.add.at(grad_v_all, heads, grad_heads[1])
     grad_ev = variant.vector.param_backward(ev, vec_all, grad_v_all)
@@ -217,6 +217,14 @@ class FitConfig:
     eval_interval: int = 5
     patience: int = 10
     loss: LossConfig = LossConfig()
+
+    def __post_init__(self):
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs must be >= 0 and batch size >= 1")
+        if self.schedule not in ("constant", "exp"):
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.eval_interval < 1 or self.patience < 1:
+            raise ValueError("eval interval and patience must be >= 1")
 
 
 def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_state=None,

@@ -29,7 +29,7 @@ class TestCriterion1Algebra:
         assert rel.max() <= 1e-9
 
         units = algebra.exp_map(rng.uniform(-3.0, 3.0, size=(N_ALGEBRA_PAIRS, 3)))
-        rotated = algebra.apply_rotation(p, units)
+        rotated = algebra.elem_mul(p, units)
         rel = np.abs(algebra.field_norm(rotated) - algebra.field_norm(p))
         rel /= np.maximum(algebra.field_norm(p), 1e-300)
         assert rel.max() <= 1e-9

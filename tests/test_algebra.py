@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkge import algebra
-from mkge.errors import DegenerateElement, EmptyTuple, NotUnit, TagMismatch, ZeroScaling
+from mkge.errors import DegenerateElement, EmptyTuple, TagMismatch
 
 RNG = np.random.default_rng(7)
 
@@ -54,15 +54,40 @@ class TestQuatMul:
 
 class TestConjugate:
     def test_fixed_points(self):
-        assert np.allclose(algebra.quat_conj([1.0, 0, 0, 0]), [1, 0, 0, 0])
-        assert np.allclose(algebra.quat_conj([0.0, 1, 0, 0]), [0, -1, 0, 0])
+        assert np.allclose(algebra.elem_conj([1.0, 0, 0, 0]), [1, 0, 0, 0])
+        assert np.allclose(algebra.elem_conj([0.0, 1, 0, 0]), [0, -1, 0, 0])
 
     @given(quats, quats)
     @settings(max_examples=200)
     def test_anti_homomorphism(self, p, q):
-        lhs = algebra.quat_conj(algebra.quat_mul(p, q))
-        rhs = algebra.quat_mul(algebra.quat_conj(q), algebra.quat_conj(p))
+        lhs = algebra.elem_conj(algebra.quat_mul(p, q))
+        rhs = algebra.quat_mul(algebra.elem_conj(q), algebra.elem_conj(p))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
+
+
+class TestRingProduct:
+    def test_width_one_left_operand_broadcasts(self):
+        s = RNG.normal(size=(3, 1))
+        for w in (1, 2, 4):
+            y = RNG.normal(size=(3, w))
+            assert np.array_equal(algebra.elem_mul(s, y), s * y)
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(TagMismatch):
+            algebra.elem_mul(np.zeros(2), np.zeros(4))
+        with pytest.raises(TagMismatch):
+            algebra.elem_mul(np.zeros(4), np.zeros(1))
+
+    def test_unsupported_width_raises(self):
+        for op in (lambda x: algebra.elem_mul(x, x), algebra.elem_conj):
+            with pytest.raises(TagMismatch):
+                op(np.zeros(3))
+
+    def test_conjugate_per_width(self):
+        x = np.array([[1.0], [-2.0]])
+        assert algebra.elem_conj(x) is x  # reals are their own conjugate
+        assert np.array_equal(algebra.elem_conj([3.0, 4.0]), [3.0, -4.0])
+        assert np.array_equal(algebra.elem_conj([1.0, 2.0, 3.0, 4.0]), [1.0, -2.0, -3.0, -4.0])
 
 
 class TestFieldNorm:
@@ -159,42 +184,34 @@ class TestRotationScaling:
     def test_rotate_identity_quat(self):
         v = np.array([1.0, 0, 0, 0])
         g = np.array([0.0, 1, 0, 0])
-        assert np.allclose(algebra.apply_rotation(v, g), g)
+        assert np.allclose(algebra.elem_mul(v, g), g)
 
     def test_rotate_complex_phase(self):
-        assert np.allclose(algebra.apply_rotation([1.0, 0.0], [0.0, 1.0]), [0.0, 1.0])
+        assert np.allclose(algebra.elem_mul([1.0, 0.0], [0.0, 1.0]), [0.0, 1.0])
 
     def test_rotation_preserves_norm(self):
         for _ in range(20):
             v = RNG.normal(size=4)
             g = random_unit_quat(RNG)
-            out = algebra.apply_rotation(v, g)
+            out = algebra.elem_mul(v, g)
             assert algebra.field_norm(out) == pytest.approx(algebra.field_norm(v), rel=1e-9)
 
     def test_rotation_inverse_recovers(self):
         v = RNG.normal(size=4)
         g = random_unit_quat(RNG)
-        back = algebra.apply_rotation(algebra.apply_rotation(v, g), algebra.quat_conj(g))
+        back = algebra.elem_mul(algebra.elem_mul(v, g), algebra.elem_conj(g))
         assert np.allclose(back, v, atol=1e-9)
 
-    def test_rotate_rejects_non_unit(self):
-        with pytest.raises(NotUnit):
-            algebra.apply_rotation(np.ones(4), np.array([2.0, 0, 0, 0]))
-
     def test_scaling_gl1(self):
-        assert algebra.apply_scaling(np.array([2.0]), np.array([3.0]), "gl1") == pytest.approx(6.0)
-        with pytest.raises(ZeroScaling):
-            algebra.apply_scaling(np.array([2.0]), np.array([0.0]), "gl1")
+        assert algebra.elem_mul(np.array([2.0]), np.array([3.0])) == pytest.approx(6.0)
 
     def test_scaling_unit_quaternion(self):
         g = random_unit_quat(RNG)
         one = np.array([1.0, 0, 0, 0])
-        assert np.allclose(algebra.apply_scaling(one, g, "unit_quaternion"), g)
+        assert np.allclose(algebra.elem_mul(one, g), g)
         s = RNG.normal(size=4)
-        out = algebra.apply_scaling(s, g, "unit_quaternion")
+        out = algebra.elem_mul(s, g)
         assert algebra.field_norm(out) == pytest.approx(algebra.field_norm(s), rel=1e-9)
-        with pytest.raises(NotUnit):
-            algebra.apply_scaling(s, s * 3.0, "unit_quaternion")
 
 
 class TestBackwardHelpers:

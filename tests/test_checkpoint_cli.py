@@ -7,7 +7,7 @@ import pytest
 
 from mkge import checkpoint as ckpt
 from mkge import cli, data, model, train
-from mkge.errors import BadMagic, DigestMismatch, VersionUnsupported
+from mkge.errors import BadMagic, DigestMismatch, MissingFile, ParseError, VersionUnsupported
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,17 @@ class TestConfig:
         cfg = cli.resolve_config(args)
         assert cfg.k == 8 and cfg.model == "module_rc"
 
+    def test_config_file_overrides_preset_and_flags_override_both(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k=4\n")
+        parser = cli.build_parser()
+        base = ["train", "--preset", "wn18rr", "--dataset", "/d"]
+        assert cli.resolve_config(parser.parse_args(base)).k == 128
+        cfg = cli.resolve_config(parser.parse_args([*base, "--config", str(path)]))
+        assert cfg.k == 4 and cfg.batch_size == 500  # the file's key wins, the preset's rest stays
+        cfg = cli.resolve_config(parser.parse_args([*base, "--config", str(path), "--k", "8"]))
+        assert cfg.k == 8
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cli.ExperimentConfig(k=0).validate()
@@ -130,6 +141,41 @@ class TestConfig:
             cli.ExperimentConfig(p=4).validate()
         with pytest.raises(ValueError):
             cli.ExperimentConfig(lam=-1.0).validate()
+
+
+class TestBadInput:
+    """Bad command-line input exits 1 with an `error:` line, not a traceback."""
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config(self, kind, toy_dataset, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o")),
+                                "--config", str(path)])
+        assert "config file" in err
+
+    def test_config_value_fails_cast(self, toy_dataset, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed=1\nk=abc\n")
+        with pytest.raises(ParseError, match=r"line 2: bad value 'abc' for key 'k'"):
+            cli.load_config_file(str(path))
+        self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o")),
+                          "--config", str(path)])
+
+    def test_checkpoint_is_directory(self, toy_dataset, tmp_path, capsys):
+        self.run(capsys, ["eval", "--dataset", toy_dataset, "--checkpoint", str(tmp_path),
+                          "--out", str(tmp_path / "e")])
+        with pytest.raises(MissingFile):
+            ckpt.load_checkpoint(str(tmp_path))
 
 
 class TestCmdTrain:

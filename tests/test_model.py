@@ -113,8 +113,8 @@ class TestCombineTransform:
         g_v = variant.rotation.materialize(rv[[0]])
         fwd_s = algebra.quat_mul(s_h, g_s)
         fwd_v = algebra.quat_mul(v_h, g_v)
-        back_s = algebra.quat_mul(fwd_s, algebra.quat_conj(g_s))
-        back_v = algebra.quat_mul(fwd_v, algebra.quat_conj(g_v))
+        back_s = algebra.quat_mul(fwd_s, algebra.elem_conj(g_s))
+        back_v = algebra.quat_mul(fwd_v, algebra.elem_conj(g_v))
         recovered = model.combine(back_s, back_v)
         assert np.allclose(recovered, model.combine(s_h, v_h), atol=1e-9)
 
@@ -174,13 +174,32 @@ class TestScore:
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=4), rng.normal(size=4)
         g = algebra.normalize(rng.normal(size=4))
-        lhs = algebra.inner_product(algebra.apply_rotation(x, g), algebra.apply_rotation(y, g))
+        lhs = algebra.inner_product(algebra.elem_mul(x, g), algebra.elem_mul(y, g))
         assert lhs == pytest.approx(algebra.inner_product(x, y), abs=1e-9)
 
     def test_out_of_range(self):
         store = model.init_model("module_rc", 2, 3, 2, seed=0)
         with pytest.raises(IndexError):
             model.score(store, 99, 0, 0)
+
+    # 20 entities and 4 relations: heads -1 and E, relations -1 and R
+    @pytest.mark.parametrize("h,r", [(-1, 0), (20, 0), (0, -1), (0, 4)])
+    def test_out_of_range_head_or_relation(self, h, r):
+        store = model.init_model("module_rc", 2, 20, 4, seed=0)
+        with pytest.raises(IndexError):
+            model.score_all_tails(store, [0, h], [0, r])
+        with pytest.raises(IndexError):
+            model.transformed_heads(store, np.array([h]), np.array([r]))
+        with pytest.raises(IndexError):
+            model.score(store, h, r, 0)
+
+    @pytest.mark.parametrize("t", [-1, 20])
+    def test_out_of_range_tail(self, t):
+        store = model.init_model("module_rc", 2, 20, 4, seed=0)
+        with pytest.raises(IndexError):
+            model.score(store, 0, 0, t)
+        with pytest.raises(IndexError):
+            model.combined_embeddings(store, np.array([t]))
 
 
 class TestDegenerations:
@@ -263,8 +282,8 @@ class TestGroupTable:
         x = rng.normal(size=(3, 2, widths[0]))
         y = rng.normal(size=(3, 2, widths[1]))
         grad = rng.normal(size=(3, 2, widths[1]))
-        grad_x, grad_y = model.product_backward(grad, x, y)
-        fd_x = central_difference(lambda a: np.sum(grad * model.product(a, y)), x)
-        fd_y = central_difference(lambda a: np.sum(grad * model.product(x, a)), y)
+        grad_x, grad_y = algebra.elem_mul_backward(grad, x, y)
+        fd_x = central_difference(lambda a: np.sum(grad * algebra.elem_mul(a, y)), x)
+        fd_y = central_difference(lambda a: np.sum(grad * algebra.elem_mul(x, a)), y)
         assert np.allclose(grad_x, fd_x, rtol=1e-6, atol=1e-8)
         assert np.allclose(grad_y, fd_y, rtol=1e-6, atol=1e-8)

@@ -1,8 +1,12 @@
 """Smoke test of the benchmark harness and the demos: each script runs to
 completion in a fresh interpreter. The harness self-test drives the public
 calls the benchmark makes (init_model, fit, checkpoints, evaluate and its
-per-query ranks) on a tiny generated KG."""
+per-query ranks) on a tiny generated KG. The benchmark's per-function metric
+names are checked against the program's functions."""
 
+import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +27,19 @@ def test_script_exits_cleanly(script):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def _traced_function_metrics():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    return sorted({tuple(name.split(".")[:2]) for name in names if name.count(".") == 2})
+
+
+@pytest.mark.parametrize("layer,function", _traced_function_metrics())
+def test_benchmark_metric_names_a_function(layer, function):
+    """Each `<layer>.<function>.<stat>` metric of the benchmark names a function
+    defined in `mkge.<layer>`, which the tracer wraps; a renamed or deleted one
+    would read 0 in the trace instead of failing."""
+    module = importlib.import_module(f"mkge.{layer}")
+    obj = getattr(module, function, None)
+    assert inspect.isfunction(obj) and obj.__module__ == module.__name__

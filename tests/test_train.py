@@ -263,6 +263,20 @@ class TestSchedule:
             assert train.lr_at(epoch, "constant", 0.1, 200) == 0.1
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1), ("batch_size", 0), ("schedule", "cosine"),
+        ("eval_interval", 0), ("patience", 0),
+    ])
+    def test_bad_value_raises(self, field, value):
+        with pytest.raises(ValueError):
+            train.FitConfig(**{field: value})
+
+    def test_defaults_and_edges_accepted(self):
+        train.FitConfig()
+        train.FitConfig(epochs=0, batch_size=1, schedule="exp", eval_interval=1, patience=1)
+
+
 class TestFit:
     def test_zero_epochs(self):
         store = model.init_model("module_rc", 2, 4, 2, seed=0)
