@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
+from . import thread_cap
 from .errors import MissingFile, MkgeError, ParseError
 
 PRESETS = {
@@ -307,16 +308,16 @@ def build_parser():
 
 
 def _apply_thread_cap():
-    threads = os.environ.get("MKGE_THREADS")
-    if threads:
+    cap = thread_cap()
+    if cap is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+            os.environ.setdefault(var, str(cap))
 
 
 def main(argv=None):
-    _apply_thread_cap()  # before numpy spins up its thread pools
     args = build_parser().parse_args(argv)
     try:
+        _apply_thread_cap()  # before a layer module loads numpy and its BLAS threads
         return args.func(args)
     except (MkgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,10 +76,12 @@ class TripleStore:
 
 def load_split(path):
     """Parse one TSV split into a list of (head, relation, tail) strings."""
-    if not os.path.exists(path):
-        raise MissingFile(path)
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise MissingFile(f"cannot read split file {path}: {exc.strerror}") from exc
     triples = []
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():

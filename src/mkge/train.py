@@ -10,19 +10,68 @@ term and its gradients on the transformed heads and the combined entities.
 This module adds the regularizer and the closed-form reverse mode through the
 head transform, `combine` and the unit parameterizations (phase angles and
 the quaternion exponential map).
+
+The whole-table entity chain runs per block of entity rows on one thread
+pool per process (one worker per usable core, at most MKGE_THREADS):
+forward, `materialize_vector` and `combine` fill the unit vectors and the
+combined entities; the score kernel then runs on the whole combined table
+and the regularizer scatters its terms into that table's gradient; backward,
+each block pulls its rows of that gradient through `combine` and the unit
+parameterization, adds the head-transform gradients of its rows and writes
+its rows of the entity gradient. `adagrad_step` updates the entity table in
+the same blocks. Blocks write disjoint rows, and a row's repeated heads are
+added in batch order, so results do not depend on the pool size or the block
+size (`ROW_BLOCK_ELEMENTS`).
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, model
+from . import algebra, model, thread_cap
 from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAGRAD_EPS = 1e-10
+
+# elements of one row block's combined entities (rows, k, w), ~1 MB of
+# float64, which sets the rows per block of the entity chain and of Adagrad
+ROW_BLOCK_ELEMENTS = 131_072
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _row_pool():
+    """The process's thread pool for row blocks, started on first use: one
+    worker per usable core, at most MKGE_THREADS."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                cores = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cores = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(min(cores, thread_cap() or cores),
+                                       thread_name_prefix="mkge-rows")
+        return _pool
+
+
+def _each_row_block(store, fn):
+    """Call fn(rows) on the row pool for consecutive slices of entity rows
+    covering the table, and wait for all of them. The blocks must write
+    disjoint rows; then neither the pool size nor the block size can change
+    a bit of the result."""
+    n = store.n_entities
+    step = max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
+    for _ in _row_pool().map(fn, [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]):
+        pass  # reading each result re-raises a block's exception
 
 
 @dataclass(frozen=True)
@@ -131,10 +180,16 @@ def batch_loss_and_grads(store, triples, cfg):
             or rels.max() >= store.n_relations):
         raise IndexError("triple id out of range")
 
-    # forward
+    # forward, per row block: unit vector elements and combined entities
     es, ev = store.entity_parts()
-    vec_all = model.materialize_vector(ev, variant)
-    c_all = model.combine(es, vec_all)  # (E, k, w)
+    vec_all = np.empty((n_ent, k, variant.vector.width))
+    c_all = np.empty_like(vec_all)  # (E, k, w)
+
+    def forward(rows):
+        vec_all[rows] = model.materialize_vector(ev[rows], variant)
+        c_all[rows] = model.combine(es[rows], vec_all[rows])
+
+    _each_row_block(store, forward)
     parts = (es[heads], vec_all[heads])
     params = [p[rels] for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
@@ -142,9 +197,9 @@ def batch_loss_and_grads(store, triples, cfg):
     data_loss, grad_h_prime, grad_c = variant.kernel(h_prime, c_all, tails)
 
     scale = cfg.lam / b
-    norms_c = np.sum(c_all * c_all, axis=-1)  # (E, k)
-    gp_h, coeff_h = _gp_pieces(norms_c[heads], cfg.p)
-    gp_t, coeff_t = _gp_pieces(norms_c[tails], cfg.p)
+    c_h, c_t = c_all[heads], c_all[tails]
+    gp_h, coeff_h = _gp_pieces(np.sum(c_h * c_h, axis=-1), cfg.p)
+    gp_t, coeff_t = _gp_pieces(np.sum(c_t * c_t, axis=-1), cfg.p)
     if variant.scaling.unit:
         # G_p(r) of unit (or fixed) scaling elements is the constant k^(1/p).
         # Adding its zero gradient can only flip the sign of a zero, which the
@@ -160,8 +215,8 @@ def batch_loss_and_grads(store, triples, cfg):
     loss = (data_loss + reg_loss) / b
 
     # regularizer contributions: dG_p/dx = 2 x * coeff
-    np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_all[heads] * coeff_h[..., None])
-    np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_all[tails] * coeff_t[..., None])
+    np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_h * coeff_h[..., None])
+    np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
     # head transform backward, one pass per group: (scaling, rotation)
     grad_relation = np.zeros_like(store.relation)
@@ -175,17 +230,29 @@ def batch_loss_and_grads(store, triples, cfg):
         grad_heads.append(grad_part)
         np.add.at(grad_block, rels, group.param_backward(param, elem, grad_elem + reg))
 
-    # entity-side backward through combine and the unit parameterization
-    grad_s_all, grad_v_all = algebra.elem_mul_backward(grad_c, es, vec_all)
-    np.add.at(grad_s_all, heads, grad_heads[0])
-    np.add.at(grad_v_all, heads, grad_heads[1])
-    grad_ev = variant.vector.param_backward(ev, vec_all, grad_v_all)
-    grad_entity = np.concatenate(
-        [grad_s_all.reshape(n_ent, -1), grad_ev.reshape(n_ent, -1)], axis=1
-    )
-
+    # entity-side backward, per row block: through combine and the unit
+    # parameterization, plus the head gradients of the block's rows. The
+    # stable sort keeps a row's repeated heads in batch order, the order in
+    # which a whole-table scatter adds them.
+    by_head = np.argsort(heads, kind="stable")
+    sorted_heads = heads[by_head]
+    grad_entity = np.empty_like(store.entity)
     ent_mask, rel_mask = store.free_masks()
-    grad_entity *= ent_mask
+    split = es.shape[1] * es.shape[2]  # scalar columns
+
+    def backward(rows):
+        grad_s, grad_v = algebra.elem_mul_backward(grad_c[rows], es[rows], vec_all[rows])
+        lo, hi = np.searchsorted(sorted_heads, (rows.start, rows.stop))
+        mine = by_head[lo:hi]
+        np.add.at(grad_s, heads[mine] - rows.start, grad_heads[0][mine])
+        np.add.at(grad_v, heads[mine] - rows.start, grad_heads[1][mine])
+        grad_ev = variant.vector.param_backward(ev[rows], vec_all[rows], grad_v)
+        out = grad_entity[rows]
+        out[:, :split] = grad_s.reshape(len(out), -1)
+        out[:, split:] = grad_ev.reshape(len(out), -1)
+        out *= ent_mask
+
+    _each_row_block(store, backward)
     grad_relation *= rel_mask
     return float(loss), grad_entity, grad_relation
 
@@ -197,14 +264,19 @@ def triple_loss(store, h_id, r_id, t_id, cfg):
 
 
 def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
-    """In-place Adagrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+    """In-place Adagrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
+    The entity table is updated per row block on the row pool."""
     if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
         raise ShapeMismatch("gradient tables do not match parameter tables")
     lr = state.lr if lr is None else lr
-    state.acc_entity += grad_entity**2
-    state.acc_relation += grad_relation**2
-    store.entity -= lr * grad_entity / (np.sqrt(state.acc_entity) + ADAGRAD_EPS)
-    store.relation -= lr * grad_relation / (np.sqrt(state.acc_relation) + ADAGRAD_EPS)
+
+    def update(table, acc, grad):
+        acc += grad**2
+        table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+
+    _each_row_block(store, lambda rows: update(store.entity[rows], state.acc_entity[rows],
+                                               grad_entity[rows]))
+    update(store.relation, state.acc_relation, grad_relation)
 
 
 @dataclass(frozen=True)
@@ -219,6 +291,8 @@ class FitConfig:
     loss: LossConfig = LossConfig()
 
     def __post_init__(self):
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
         if self.schedule not in ("constant", "exp"):

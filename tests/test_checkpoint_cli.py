@@ -1,5 +1,8 @@
 import os
+import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 from mkge import checkpoint as ckpt
 from mkge import cli, data, model, train
 from mkge.errors import BadMagic, DigestMismatch, MissingFile, ParseError, VersionUnsupported
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,57 @@ class TestBadInput:
                           "--out", str(tmp_path / "e")])
         with pytest.raises(MissingFile):
             ckpt.load_checkpoint(str(tmp_path))
+
+    def test_split_file_is_directory(self, toy_dataset, tmp_path, capsys):
+        broken = tmp_path / "kg"
+        shutil.copytree(toy_dataset, broken)
+        (broken / "train.txt").unlink()
+        (broken / "train.txt").mkdir()
+        err = self.run(capsys, ["train", *small_args(str(broken), str(tmp_path / "o"))])
+        assert "train.txt" in err
+
+    def test_nonpositive_lr(self, toy_dataset, tmp_path, capsys):
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o"),
+                                                     ["--lr", "0"])])
+        assert "learning rate" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_bad_thread_cap(self, value, toy_dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MKGE_THREADS", value)
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o"))])
+        assert "MKGE_THREADS" in err
+
+
+def _run_mkge(argv, threads):
+    """`python -m mkge.cli argv` in a fresh interpreter whose BLAS and row-pool
+    threads are set by MKGE_THREADS alone (unset when threads is None)."""
+    env = {key: value for key, value in os.environ.items() if key not in (
+        "MKGE_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    if threads is not None:
+        env["MKGE_THREADS"] = threads
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestThreadCap:
+    def test_import_loads_no_numpy(self):
+        """The command applies MKGE_THREADS before numpy starts its BLAS threads."""
+        proc = _run_mkge(["-c", "import sys, mkge.cli; print('numpy' in sys.modules)"], None)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+    def test_one_thread_trains_byte_identical(self, toy_dataset, tmp_path):
+        runs = []
+        for threads in (None, "1"):
+            out = tmp_path / f"threads{threads}"
+            proc = _run_mkge(["-m", "mkge.cli", "train",
+                              *small_args(toy_dataset, str(out), ["--epochs", "3"])], threads)
+            assert proc.returncode == 0, proc.stderr
+            with open(out / "train_report.csv", encoding="utf-8") as fh:
+                losses = [line.split(",")[1] for line in fh.read().splitlines()[1:]]
+            runs.append(((out / "checkpoint.mkge").read_bytes(), losses))
+        assert len(runs[0][1]) == 3
+        assert runs[0] == runs[1]
 
 
 class TestCmdTrain:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -267,6 +270,7 @@ class TestFitConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", -1), ("batch_size", 0), ("schedule", "cosine"),
         ("eval_interval", 0), ("patience", 0),
+        ("lr", 0.0), ("lr", -0.1), ("lr", float("nan")), ("lr", float("inf")),
     ])
     def test_bad_value_raises(self, field, value):
         with pytest.raises(ValueError):
@@ -274,7 +278,8 @@ class TestFitConfig:
 
     def test_defaults_and_edges_accepted(self):
         train.FitConfig()
-        train.FitConfig(epochs=0, batch_size=1, schedule="exp", eval_interval=1, patience=1)
+        train.FitConfig(epochs=0, batch_size=1, schedule="exp", eval_interval=1, patience=1,
+                        lr=1e-300)
 
 
 class TestFit:
@@ -339,3 +344,104 @@ class TestFit:
         # the NaN score is the one intended floating-point warning
         with pytest.raises(NonFiniteLoss), pytest.warns(RuntimeWarning, match="logaddexp"):
             train.fit(store, small_batch(), cfg)
+
+
+BLOCK_K = 2
+# heads 2, 3, 5, 6 and 19 repeat, on both sides of the boundaries of 3-row blocks
+BLOCK_BATCH = np.array([[2, 0, 7], [3, 1, 2], [2, 2, 19], [5, 3, 6], [6, 0, 5], [3, 2, 2],
+                        [6, 1, 0], [19, 3, 18], [0, 0, 3], [19, 1, 19], [2, 3, 11]])
+
+
+@pytest.fixture(scope="module")
+def row_pools():
+    pools = {n: ThreadPoolExecutor(n) for n in (1, 2)}
+    yield pools
+    for pool in pools.values():
+        pool.shutdown()
+
+
+def _block_runs(monkeypatch, name, run, configs):
+    """run() once per (rows per block, pool) of configs; returns the byte
+    strings of the results."""
+    width = BLOCK_K * model.VARIANTS[name].vector.width  # combined elements per row
+    results = []
+    for rows, pool in configs:
+        monkeypatch.setattr(train, "ROW_BLOCK_ELEMENTS", rows * width)
+        monkeypatch.setattr(train, "_pool", pool)
+        results.append(b"".join(np.ascontiguousarray(a).tobytes() for a in run()))
+    return results
+
+
+def _configs(pools, n_entities):
+    """One block on one worker, then 3-row blocks on one and on two workers."""
+    return [(n_entities, pools[1]), (3, pools[1]), (3, pools[2])]
+
+
+class TestRowBlocks:
+    """The entity chain and Adagrad run per row block on a thread pool; the
+    blocks write disjoint rows, so results are bit-identical for any block
+    size and pool size."""
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    def test_gradients_bit_identical(self, name, ablation, monkeypatch, row_pools):
+        store = model.init_model(name, BLOCK_K, 20, 4, seed=6, ablation=ablation)
+
+        def run():
+            loss, g_e, g_r = train.batch_loss_and_grads(store, BLOCK_BATCH, LOSS)
+            return np.float64(loss), g_e, g_r
+
+        one, *blocked = _block_runs(monkeypatch, name, run, _configs(row_pools, 20))
+        assert blocked == [one, one]
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    def test_fit_bit_identical(self, name, ablation, monkeypatch, row_pools):
+        vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        cfg = train.FitConfig(epochs=3, batch_size=16, seed=2, loss=LOSS)
+
+        def run():
+            store = model.init_model(name, BLOCK_K, vocab.n_entities, vocab.n_relations, seed=1,
+                                     ablation=ablation)
+            report, opt = train.fit(store, triples, cfg)
+            return (store.entity, store.relation, opt.acc_entity, opt.acc_relation,
+                    np.array([rec.loss for rec in report.epochs]))
+
+        one, *blocked = _block_runs(monkeypatch, name, run,
+                                    _configs(row_pools, vocab.n_entities))
+        assert blocked == [one, one]
+
+    def test_more_workers_than_cores_one_row_blocks(self, monkeypatch, row_pools):
+        """Eight workers on one-row blocks with a short switch interval: a lost
+        or misplaced row update would change the bytes."""
+        vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        cfg = train.FitConfig(epochs=2, batch_size=8, seed=2, loss=LOSS)
+
+        def run():
+            store = model.init_model("module_hh", BLOCK_K, vocab.n_entities,
+                                     vocab.n_relations, seed=1)
+            _, opt = train.fit(store, triples, cfg)
+            return store.entity, store.relation, opt.acc_entity, opt.acc_relation
+
+        interval = sys.getswitchinterval()
+        pool = ThreadPoolExecutor(8)
+        try:
+            sys.setswitchinterval(1e-6)
+            one, many = _block_runs(monkeypatch, "module_hh", run,
+                                    [(vocab.n_entities, row_pools[1]), (1, pool)])
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert many == one
+
+    def test_pool_capped_by_mkge_threads(self, monkeypatch):
+        monkeypatch.setenv("MKGE_THREADS", "1")
+        monkeypatch.setattr(train, "_pool", None)
+        pool = train._row_pool()
+        try:
+            assert pool._max_workers == 1
+            assert train._row_pool() is pool  # started once per process
+        finally:
+            pool.shutdown()
