@@ -46,6 +46,6 @@ for k in (4, 16):
     cfg = train.FitConfig(epochs=200, batch_size=256, lr=0.1, seed=7,
                           loss=train.LossConfig(p=3, lam=0.01))
     train.fit(store, aug, cfg)
-    raw = ranking.evaluate(triples.train, store, {})
+    raw = ranking.evaluate(triples.train, store, None)
     test = ranking.evaluate(triples.test, store, index)
     print(f"  k={k:<3d} raw train MRR {raw.mrr:.3f}  filtered test MRR {test.mrr:.3f}")

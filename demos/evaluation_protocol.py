@@ -13,12 +13,12 @@ print("scores:", scores)
 print("rank of candidate 2 (three-way tie at 0.5):",
       ranking.bottom_rank(scores, 2))
 
-# filtering removes other known-true candidates from the competition;
-# the true candidate itself is always kept
+# filtering removes other known-true candidates, marked in a bool mask, from
+# the competition; the true candidate itself is always kept
 print("same query, candidates 0 and 1 filtered:",
-      ranking.bottom_rank(scores, 2, filtered_out={0, 1}))
+      ranking.bottom_rank(scores, 2, np.isin(np.arange(5), [0, 1])))
 print("the true candidate is never filtered away:",
-      ranking.bottom_rank(scores, 2, filtered_out={2}))
+      ranking.bottom_rank(scores, 2, np.arange(5) == 2))
 
 # full evaluation on a small KG with an untrained model: ranks should hover
 # around the midpoint of the candidate list

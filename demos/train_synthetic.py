@@ -25,7 +25,7 @@ print(f"epoch 0 loss {report.epochs[0].loss:.3f} -> "
       f"epoch {report.epochs[-1].epoch} loss {report.epochs[-1].loss:.3f}")
 
 # raw ranking on the training split measures pure memorization
-raw = ranking.evaluate(triples.train, store, {})
+raw = ranking.evaluate(triples.train, store, None)
 print(f"raw train MRR {raw.mrr:.3f}  Hits@1 {raw.hits1:.3f}")
 
 # the filtered protocol removes all known true triples from the candidates

@@ -42,22 +42,28 @@ class Checkpoint:
 def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
     variant = store.variant
     name = variant.name.encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(name)))
-        fh.write(name)
-        fh.write(struct.pack("<IIQQ", store.k, _ABLATION_CODES[store.ablation],
-                             store.n_entities, store.n_relations))
-        fh.write(digest)
-        fh.write(struct.pack("<Q", epoch))
-        fh.write(struct.pack("<B", 1 if opt_state is not None else 0))
-        fh.write(np.ascontiguousarray(store.entity, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(store.relation, dtype="<f8").tobytes())
-        if opt_state is not None:
-            fh.write(struct.pack("<d", opt_state.lr))
-            fh.write(np.ascontiguousarray(opt_state.acc_entity, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(opt_state.acc_relation, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"  # renamed over path once complete, so a failed save keeps the old file
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<I", len(name)))
+            fh.write(name)
+            fh.write(struct.pack("<IIQQ", store.k, _ABLATION_CODES[store.ablation],
+                                 store.n_entities, store.n_relations))
+            fh.write(digest)
+            fh.write(struct.pack("<Q", epoch))
+            fh.write(struct.pack("<B", 1 if opt_state is not None else 0))
+            fh.write(np.ascontiguousarray(store.entity, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(store.relation, dtype="<f8").tobytes())
+            if opt_state is not None:
+                fh.write(struct.pack("<d", opt_state.lr))
+                fh.write(np.ascontiguousarray(opt_state.acc_entity, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(opt_state.acc_relation, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the rename
+            os.remove(tmp)
 
 
 def _read_exact(fh, n, what):

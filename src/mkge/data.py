@@ -137,14 +137,32 @@ def augment_reciprocal(triples, vocab):
     return np.concatenate([triples, recip], axis=0)
 
 
+@dataclass(frozen=True)
+class FilterIndex:
+    """Known triples of every split in both directions, for filtered
+    evaluation: the sorted unique keys (h * n_relations + r) * n_entities + t."""
+
+    keys: np.ndarray
+    n_entities: int
+    n_relations: int
+
+    def mask(self, heads, rels):
+        """(B, E) bool array, True at every known tail of each (head, rel) query."""
+        first = (np.asarray(heads, dtype=np.int64) * self.n_relations + rels) * self.n_entities
+        lo, hi = np.searchsorted(self.keys, [first, first + self.n_entities])
+        rows = np.repeat(np.arange(len(first)), hi - lo)  # the query of each known tail
+        at = np.arange(len(rows)) + (hi - np.cumsum(hi - lo))[rows]  # the tail's key
+        out = np.zeros((len(first), self.n_entities), dtype=bool)
+        out[rows, self.keys[at] % self.n_entities] = True
+        return out
+
+
 def build_filter_index(store, vocab):
-    """(h_id, r_id) -> set of true tail ids over train+valid+test, including
-    the reciprocal direction, for filtered evaluation."""
-    index = {}
-    for split in (store.train, store.valid, store.test):
-        for h, r, t in augment_reciprocal(split, vocab):
-            index.setdefault((int(h), int(r)), set()).add(int(t))
-    return index
+    """FilterIndex of train+valid+test and their reciprocal triples."""
+    n_ent, n_rel = vocab.n_entities, vocab.n_relations
+    known = augment_reciprocal(np.concatenate([store.train, store.valid, store.test]), vocab)
+    keys = np.unique((known[:, 0] * n_rel + known[:, 1]) * n_ent + known[:, 2])
+    return FilterIndex(keys, n_ent, n_rel)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 Head prediction reuses the tail-scoring kernel through reciprocal relations:
 the rank of h in (?, r, t) is the rank of h among tails of (t, r + |R|, ?).
+Raw ranking passes filter_index=None.
 """
 
 from __future__ import annotations
@@ -46,19 +47,22 @@ class MetricsReport:
         return "\n".join(f"{name:<8} {value:.4f}" for name, value in rows)
 
 
-def bottom_rank(scores, true_idx, filtered_out=()):
-    """Rank of true_idx among unfiltered candidates, true placed last among
-    score ties. Ties use exact float equality (pessimistic, never inflates)."""
+def bottom_rank(scores, true_idx, filtered=None):
+    """Ranks of true_idx (...) among the scores (..., E) not masked by the bool
+    array `filtered`; the true candidate counts even where the mask lists it.
+    It goes last among exact score ties (pessimistic, never inflates); masked
+    scores drop out of the count, so a -inf true score ties with no masked -inf."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= true_idx < len(scores):
+    true_idx = np.asarray(true_idx, dtype=np.int64)
+    if np.any((true_idx < 0) | (true_idx >= scores.shape[-1])):
         raise IndexError(f"true index {true_idx} out of range")
-    keep = np.ones(len(scores), dtype=bool)
-    if filtered_out:
-        keep[np.fromiter(filtered_out, dtype=np.int64)] = False
-    keep[true_idx] = True
-    s_true = scores[true_idx]
-    kept = scores[keep]
-    return int(np.sum(kept > s_true) + np.sum(kept == s_true))
+    at_true = true_idx[..., None]
+    hits = scores >= np.take_along_axis(scores, at_true, axis=-1)
+    if filtered is not None:
+        keep = ~filtered
+        np.put_along_axis(keep, at_true, True, axis=-1)
+        hits &= keep
+    return np.count_nonzero(hits, axis=-1)
 
 
 def evaluate(split, store, filter_index):
@@ -66,51 +70,44 @@ def evaluate(split, store, filter_index):
 
     The metrics average the tail-direction and head-direction (reciprocal)
     ranks; per-relation MRR aggregates both directions under the base
-    relation id. A split that is not a nonempty (n, 3) id array raises
-    ShapeMismatch; an entity id outside [0, E) or a relation id outside
-    [0, R / 2) raises IndexError.
+    relation id. filter_index is None for raw ranking. A split that is not a
+    nonempty (n, 3) id array, or a filter index built for other entity or
+    relation counts, raises ShapeMismatch; an entity id outside [0, E) or a
+    relation id outside [0, R / 2) raises IndexError.
     """
     split = np.asarray(split, dtype=np.int64)
     if split.ndim != 2 or split.shape[1] != 3 or len(split) == 0:
         raise ShapeMismatch("split must be a nonempty (n, 3) id array")
+    if filter_index is not None and (filter_index.n_entities, filter_index.n_relations) != (
+            store.n_entities, store.n_relations):
+        raise ShapeMismatch("filter index was built for other entity or relation counts")
     n_base = store.n_relations // 2
     if (split.min() < 0 or max(split[:, 0].max(), split[:, 2].max()) >= store.n_entities
             or split[:, 1].max() >= n_base):
         raise IndexError("triple id out of range")
     c_all = model.combined_embeddings(store)
 
-    queries = []  # (scored_head, scored_rel, true_entity, direction, base_rel, triple)
-    for h, r, t in split:
-        queries.append((int(h), int(r), int(t), "tail", int(r), (int(h), int(r), int(t))))
-        queries.append((int(t), int(r) + n_base, int(h), "head", int(r), (int(h), int(r), int(t))))
-
-    ranks = []
-    records = []
-    per_rel = {}
+    # row 2i is the tail query (h, r, t) of triple i, row 2i + 1 its head query (t, r + |R|, h)
+    queries = np.stack([split, split[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
+    ranks = np.empty(len(queries), dtype=np.int64)
     for start in range(0, len(queries), EVAL_CHUNK_QUERIES):
-        batch = queries[start : start + EVAL_CHUNK_QUERIES]
-        hs = np.array([q[0] for q in batch])
-        rs = np.array([q[1] for q in batch])
-        scores = model.score_all_tails(store, hs, rs, tails_combined=c_all)
-        for row, (sh, sr, true_e, direction, base_rel, triple) in zip(scores, batch):
-            # bottom_rank keeps true_e even when the filter lists it
-            filtered = filter_index.get((sh, sr), ()) if filter_index else ()
-            rank = bottom_rank(row, true_e, filtered)
-            ranks.append(rank)
-            records.append(RankRecord(triple[0], triple[1], triple[2], direction, rank))
-            acc = per_rel.setdefault(base_rel, [0.0, 0])
-            acc[0] += 1.0 / rank
-            if direction == "tail":
-                acc[1] += 1  # count each triple once; mrr still averages both directions
+        heads, rels, trues = queries[start : start + EVAL_CHUNK_QUERIES].T
+        scores = model.score_all_tails(store, heads, rels, tails_combined=c_all)
+        filtered = None if filter_index is None else filter_index.mask(heads, rels)
+        ranks[start : start + EVAL_CHUNK_QUERIES] = bottom_rank(scores, trues, filtered)
 
-    ranks = np.array(ranks, dtype=np.float64)
-    per_relation = {rid: (s / (2 * c), c) for rid, (s, c) in per_rel.items()}
+    inverse = 1.0 / ranks
+    # bincount adds in query order, as a running sum per relation does
+    sums = np.bincount(np.repeat(split[:, 1], 2), weights=inverse).tolist()
+    counts = np.bincount(split[:, 1]).tolist()  # triples; mrr still averages both directions
+    records = [RankRecord(*triple, direction, rank) for triple, direction, rank in zip(
+        np.repeat(split, 2, axis=0).tolist(), ("tail", "head") * len(split), ranks.tolist())]
     return MetricsReport(
-        mrr=float(np.mean(1.0 / ranks)),
+        mrr=float(np.mean(inverse)),
         hits1=float(np.mean(ranks <= 1)),
         hits3=float(np.mean(ranks <= 3)),
         hits10=float(np.mean(ranks <= 10)),
-        per_relation=per_relation,
+        per_relation={rid: (sums[rid] / (2 * c), c) for rid, c in enumerate(counts) if c},
         ranks=records,
     )
 

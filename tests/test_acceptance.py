@@ -141,7 +141,9 @@ def ranking_artifact():
         others = [i for i in range(n) if i != true_idx]
         filtered = set(rng.choice(others, size=min(len(others), int(rng.integers(0, n))),
                                   replace=False).tolist())
-        ranks.append((ranking.bottom_rank(scores, true_idx, filtered),
+        mask = np.zeros(n, dtype=bool)
+        mask[list(filtered)] = True
+        ranks.append((ranking.bottom_rank(scores, true_idx, mask),
                       brute_force_rank(scores, true_idx, filtered)))
     return np.array(ranks, dtype=np.int64).tobytes(), ranks
 
@@ -156,11 +158,14 @@ class TestCriterion4RankingOracle:
         index = data.build_filter_index(store_data, vocab)
         got = ranking.evaluate(store_data.test, store, index)
         n_base = vocab.n_base_relations
+        facts = np.concatenate(list(store_data.splits().values())).tolist()
         want = []
         for h, r, t in store_data.test:
             for sh, sr, true_e in ((int(h), int(r), int(t)), (int(t), int(r) + n_base, int(h))):
                 scores = model.score_all_tails(store, sh, sr)[0]
-                filtered = set(index.get((sh, sr), set())) - {true_e}
+                # filter sets from the raw splits, both directions
+                filtered = ({b for a, q, b in facts if (a, q) == (sh, sr)}
+                            | {a for a, q, b in facts if (b, q + n_base) == (sh, sr)}) - {true_e}
                 want.append(brute_force_rank(scores, true_e, filtered))
         assert [rec.rank for rec in got.ranks] == want
         report(4, "1000 tied instances + full evaluate pass, exact agreement")
@@ -175,7 +180,7 @@ def desk_scale_run():
     cfg = train.FitConfig(epochs=200, batch_size=256, lr=0.1, seed=0,
                           loss=train.LossConfig(p=3, lam=0.01))
     train.fit(store, aug, cfg)
-    raw = ranking.evaluate(triples.train, store, {})
+    raw = ranking.evaluate(triples.train, store, None)
     test = ranking.evaluate(triples.test, store, index)
     artifact = b"".join([store.entity.tobytes(), store.relation.tobytes(),
                          np.float64([raw.mrr, test.mrr]).tobytes()])
@@ -250,8 +255,8 @@ class TestCriterion7DataFidelity:
         assert len(store.test) == self.EXPECTED["n_test"]
         index = data.build_filter_index(store, vocab)
         for h, r, t in store.test:
-            assert int(t) in index[(int(h), int(r))]
-            assert int(h) in index[(int(t), int(r) + vocab.n_base_relations)]
+            assert index.mask([h], [r])[0, t]
+            assert index.mask([t], [r + vocab.n_base_relations])[0, h]
         report(7, "WN18RR counts and filter-index self-membership verified")
 
 

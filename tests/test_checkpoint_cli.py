@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import struct
@@ -52,6 +53,42 @@ class TestCheckpoint:
         ckpt.save_checkpoint(path2, loaded.store, opt_state=loaded.opt_state,
                              epoch=loaded.epoch, digest=loaded.digest)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        store, state = self.make_store()
+        path = tmp_path / "h.mkge"
+        ckpt.save_checkpoint(path, store, opt_state=state, epoch=3)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file that takes `room` bytes, then fails as a full disk does."""
+
+            def __init__(self, fh, room):
+                self.fh, self.room = fh, room
+
+            def write(self, buf):
+                if len(buf) > self.room:
+                    self.fh.write(buf[: self.room])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.room -= len(buf)
+                return self.fh.write(buf)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        room = len(before) // 2  # inside the entity table
+        monkeypatch.setattr(ckpt, "open", lambda *a, **kw: FullDisk(open(*a, **kw), room),
+                            raising=False)
+        store.entity += 1.0
+        with pytest.raises(OSError):
+            ckpt.save_checkpoint(path, store, opt_state=state, epoch=4)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert ckpt.load_checkpoint(path).epoch == 3
+        assert sorted(os.listdir(tmp_path)) == ["h.mkge"]
 
     def test_truncated_file(self, tmp_path):
         store, state = self.make_store()

@@ -110,6 +110,11 @@ class TestReciprocal:
         assert aug[:, 1].max() == vocab.n_relations - 1
 
 
+def known_tails(index, h, r):
+    """The tail ids the index's mask lists for the query (h, r)."""
+    return set(np.flatnonzero(index.mask([h], [r])[0]).tolist())
+
+
 class TestFilterIndex:
     def test_grouped_tails(self):
         vocab = data.Vocab()
@@ -122,24 +127,34 @@ class TestFilterIndex:
             test=np.zeros((0, 3), dtype=np.int64),
         )
         index = data.build_filter_index(store, vocab)
-        assert index[(0, 0)] == {1, 2}
-        assert index[(1, 1)] == {0} and index[(2, 1)] == {0}
+        assert known_tails(index, 0, 0) == {1, 2}
+        assert known_tails(index, 1, 1) == {0} and known_tails(index, 2, 1) == {0}
 
     def test_every_test_tail_member(self):
         vocab, store = data.generate_synthetic_kg(seed=6, n_entities=20)
         index = data.build_filter_index(store, vocab)
         for h, r, t in store.test:
-            assert int(t) in index[(int(h), int(r))]
-            assert int(h) in index[(int(t), int(r) + vocab.n_base_relations)]
+            assert int(t) in known_tails(index, h, r)
+            assert int(h) in known_tails(index, t, r + vocab.n_base_relations)
 
-    def test_size_counts_distinct_pairs(self):
-        vocab, store = data.generate_synthetic_kg(seed=6, n_entities=20)
+    def test_mask_rows_match_augmented_tails(self):
+        # random triples, so many (h, r) pairs hold several tails spread over splits
+        vocab = data.Vocab()
+        for i in range(12):
+            vocab._intern_entity(f"e{i}")
+        for i in range(3):
+            vocab._intern_relation(f"r{i}")
+        rng = np.random.default_rng(6)
+        triples = np.unique(rng.integers(0, [12, 3, 12], size=(80, 3)), axis=0)
+        store = data.TripleStore(*np.array_split(rng.permutation(triples), 3))
         index = data.build_filter_index(store, vocab)
-        pairs = set()
+        want = np.zeros((vocab.n_entities, vocab.n_relations, vocab.n_entities), dtype=bool)
         for split in store.splits().values():
             for h, r, t in data.augment_reciprocal(split, vocab):
-                pairs.add((int(h), int(r)))
-        assert len(index) == len(pairs)
+                want[h, r, t] = True
+        # every (h, r) query in one mask, the pairs with no known tail included
+        heads, rels = np.divmod(np.arange(vocab.n_entities * vocab.n_relations), vocab.n_relations)
+        assert np.array_equal(index.mask(heads, rels), want.reshape(len(heads), -1))
 
 
 class TestSyntheticKG:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ def brute_force_rank(scores, true_idx, filtered_out):
     candidates = [i for i in range(len(scores)) if i == true_idx or i not in filtered_out]
     ordered = sorted(candidates, key=lambda i: (-scores[i], i == true_idx))
     return ordered.index(true_idx) + 1
+
+
+def as_mask(n, ids):
+    """The bool filter mask over n candidates that lists ids."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(ids)] = True
+    return mask
 
 
 class TestBottomRank:
@@ -27,11 +36,11 @@ class TestBottomRank:
 
     def test_filtering_removes_competitors(self):
         scores = np.array([0.9, 0.5, 0.8, 0.1])
-        assert ranking.bottom_rank(scores, 1, filtered_out={0, 2}) == 1
+        assert ranking.bottom_rank(scores, 1, as_mask(4, {0, 2})) == 1
 
     def test_true_idx_never_filtered(self):
         scores = np.array([0.9, 0.5])
-        assert ranking.bottom_rank(scores, 1, filtered_out={1}) == 2
+        assert ranking.bottom_rank(scores, 1, as_mask(2, {1})) == 2
 
     def test_invalid_index(self):
         with pytest.raises(IndexError):
@@ -46,9 +55,8 @@ class TestBottomRank:
             others = [i for i in range(n) if i != true_idx]
             filtered = set(rng.choice(others, size=min(len(others), int(rng.integers(0, n))),
                                       replace=False).tolist())
-            assert ranking.bottom_rank(scores, true_idx, filtered) == brute_force_rank(
-                scores, true_idx, filtered
-            )
+            assert ranking.bottom_rank(scores, true_idx, as_mask(n, filtered)) == (
+                brute_force_rank(scores, true_idx, filtered))
 
     def test_bottom_is_most_pessimistic(self):
         rng = np.random.default_rng(1)
@@ -67,19 +75,45 @@ class TestBottomRank:
             scores = rng.normal(size=15)
             true_idx = int(rng.integers(15))
             filtered = {int(i) for i in rng.choice(15, size=5, replace=False)} - {true_idx}
-            assert ranking.bottom_rank(scores, true_idx, filtered) <= ranking.bottom_rank(
-                scores, true_idx
-            )
+            assert ranking.bottom_rank(scores, true_idx, as_mask(15, filtered)) <= (
+                ranking.bottom_rank(scores, true_idx))
 
 
-def reference_evaluate(split, store, filter_index):
-    """Independent evaluator built on the brute-force sorter."""
+    @pytest.mark.parametrize("filtered, want", [(set(), 5), ({2}, 4), ({2, 3}, 3),
+                                                 ({0}, 5), ({0, 2, 3}, 3)])
+    def test_neg_inf_true_score(self, filtered, want):
+        # -inf candidates tie with a -inf true score unless the mask drops them
+        scores = np.array([-np.inf, 0.5, -np.inf, -np.inf, 0.2])
+        assert ranking.bottom_rank(scores, 0, as_mask(5, filtered)) == want
+        assert brute_force_rank(scores, 0, filtered) == want
+
+    def test_chunk_with_ragged_filter_rows(self):
+        # one call ranks every row; the rows' filter lists differ in length,
+        # two are empty and one lists every candidate, the true one included
+        rng = np.random.default_rng(3)
+        n = 12
+        scores = rng.choice([-np.inf, 0.0, 0.5, 1.0], size=(6, n))
+        true_idx = rng.integers(n, size=6)
+        filtered = [set(), {0}, set(range(n)), set(), set(rng.choice(n, 5, replace=False).tolist()),
+                    set(range(0, n, 2))]
+        masks = np.array([as_mask(n, f) for f in filtered])
+        want = [brute_force_rank(row, int(t), f) for row, t, f in zip(scores, true_idx, filtered)]
+        assert ranking.bottom_rank(scores, true_idx, masks).tolist() == want
+
+
+def reference_evaluate(split, store, known=None):
+    """Independent evaluator built on the brute-force sorter; the filter sets
+    come from the raw splits of the TripleStore `known`, or are empty."""
     n_base = store.n_relations // 2
+    tails = {}
+    for h, r, t in (() if known is None else np.concatenate(list(known.splits().values()))):
+        tails.setdefault((int(h), int(r)), set()).add(int(t))
+        tails.setdefault((int(t), int(r) + n_base), set()).add(int(h))
     ranks = []
     for h, r, t in split:
         for sh, sr, true_e in (((int(h)), int(r), int(t)), (int(t), int(r) + n_base, int(h))):
             scores = model.score_all_tails(store, sh, sr)[0]
-            filtered = set(filter_index.get((sh, sr), set())) - {true_e}
+            filtered = tails.get((sh, sr), set()) - {true_e}
             ranks.append(brute_force_rank(scores, true_e, filtered))
     ranks = np.array(ranks, dtype=float)
     return {
@@ -101,7 +135,7 @@ class TestEvaluate:
     def test_matches_reference_evaluator(self):
         vocab, store_data, store, index = self.make_setup()
         report = ranking.evaluate(store_data.test, store, index)
-        ref = reference_evaluate(store_data.test, store, index)
+        ref = reference_evaluate(store_data.test, store, store_data)
         assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
         assert report.hits1 == ref["hits1"]
         assert report.hits3 == ref["hits3"]
@@ -115,9 +149,23 @@ class TestEvaluate:
         split = store_data.train
         assert 2 * len(split) > 2 * ranking.EVAL_CHUNK_QUERIES  # at least 3 chunks
         report = ranking.evaluate(split, store, index)
-        ref = reference_evaluate(split, store, index)
+        ref = reference_evaluate(split, store, store_data)
         assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
         assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
+
+    def test_raw_multi_chunk_ranks_match_reference(self):
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
+        store = model.init_model("module_hh", 2, vocab.n_entities, vocab.n_relations, seed=4)
+        report = ranking.evaluate(store_data.train, store, None)
+        ref = reference_evaluate(store_data.train, store)
+        assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
+
+    @pytest.mark.parametrize("count", ["n_entities", "n_relations"])
+    def test_index_for_other_counts_raises(self, count):
+        _, store_data, store, index = self.make_setup()
+        other = replace(index, **{count: getattr(index, count) + 2})
+        with pytest.raises(ShapeMismatch):
+            ranking.evaluate(store_data.test, store, other)
 
     @pytest.mark.parametrize("split", [np.empty((0, 3)), np.array([0, 0, 1]),
                                        np.array([[0, 0, 1, 2]]), np.array([[0, 0]])])
@@ -164,8 +212,7 @@ class TestEvaluate:
         vocab, _ = data.generate_synthetic_kg(seed=0, n_entities=10)
         store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
         split = np.array([[0, 0, 1]])
-        index = {}
-        full = ranking.evaluate(split, store, index)
+        full = ranking.evaluate(split, store, None)
         tail_scores = model.score_all_tails(store, 0, 0)[0]
         head_scores = model.score_all_tails(store, 1, vocab.n_base_relations)[0]
         if tail_scores.argmax() == 1 and head_scores.argmax() == 0:
@@ -195,7 +242,19 @@ class TestPerRelation:
         vocab, _ = data.generate_synthetic_kg(seed=0, n_entities=10)
         store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
         split = np.array([[0, 1, 2], [3, 1, 4]])
-        report = ranking.evaluate(split, store, {})
+        report = ranking.evaluate(split, store, None)
         rows = ranking.per_relation_table(report, vocab)
         assert len(rows) == 1
         assert rows[0][0] == vocab.relation_name(1)
+
+    def test_mrr_sums_records_in_query_order(self):
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
+        store = model.init_model("module_rh", 2, vocab.n_entities, vocab.n_relations, seed=2)
+        index = data.build_filter_index(store_data, vocab)
+        report = ranking.evaluate(store_data.train, store, index)
+        sums = {}
+        for rec in report.ranks:
+            acc = sums.setdefault(rec.r_id, [0.0, 0])
+            acc[0] += 1.0 / rec.rank
+            acc[1] += rec.direction == "tail"
+        assert report.per_relation == {rid: (s / (2 * c), c) for rid, (s, c) in sums.items()}
