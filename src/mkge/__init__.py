@@ -6,14 +6,18 @@ command applies its thread cap before numpy starts its BLAS threads.
 """
 
 import os
+import threading
 
 __version__ = "0.1.0"
+
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def thread_cap():
     """The thread cap in the MKGE_THREADS environment variable, or None when
     it is unset or empty. It caps both the BLAS threads (set by the `mkge`
-    command) and the training row-block pool. A value that is not a positive
+    command) and the process's thread pool. A value that is not a positive
     integer raises ValueError."""
     value = os.environ.get("MKGE_THREADS", "")
     if not value:
@@ -25,3 +29,22 @@ def thread_cap():
     if cap < 1:
         raise ValueError(f"MKGE_THREADS must be a positive integer, got {value!r}")
     return cap
+
+
+def thread_pool():
+    """The process's one thread pool, started on first use: one worker per
+    usable core, at most MKGE_THREADS. It runs the entity row blocks of a
+    training step (`train`) and the candidate chunks of the distance kernel
+    (`model`). A task on the pool must not wait on other tasks of the pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept out of `import mkge`
+
+            try:
+                cores = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cores = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(min(cores, thread_cap() or cores),
+                                       thread_name_prefix="mkge")
+        return _pool

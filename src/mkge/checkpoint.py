@@ -39,6 +39,12 @@ class Checkpoint:
             raise DigestMismatch("checkpoint does not match the current config/dataset")
 
 
+def _table_bytes(table):
+    """A table as 1-D little-endian float64 bytes whose len() counts bytes:
+    a view, with no copy, of a table already C-contiguous in that layout."""
+    return np.ascontiguousarray(table, dtype="<f8").reshape(-1).view(np.uint8)
+
+
 def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
     variant = store.variant
     name = variant.name.encode()
@@ -54,12 +60,12 @@ def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
             fh.write(digest)
             fh.write(struct.pack("<Q", epoch))
             fh.write(struct.pack("<B", 1 if opt_state is not None else 0))
-            fh.write(np.ascontiguousarray(store.entity, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(store.relation, dtype="<f8").tobytes())
+            fh.write(_table_bytes(store.entity))
+            fh.write(_table_bytes(store.relation))
             if opt_state is not None:
                 fh.write(struct.pack("<d", opt_state.lr))
-                fh.write(np.ascontiguousarray(opt_state.acc_entity, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(opt_state.acc_relation, dtype="<f8").tobytes())
+                fh.write(_table_bytes(opt_state.acc_entity))
+                fh.write(_table_bytes(opt_state.acc_relation))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the save failed before the rename
@@ -109,8 +115,10 @@ def load_checkpoint(path):
                            f"the file holds {remaining}")
 
         def read_table(rows, cols, what):
-            buf = _read_exact(fh, rows * cols * 8, what)
-            return np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(rows, cols)
+            table = np.empty((rows, cols), dtype="<f8")  # filled in place, no byte copy
+            if fh.readinto(_table_bytes(table)) != table.nbytes:
+                raise BadMagic(f"truncated checkpoint while reading {what}")
+            return table
 
         entity = read_table(n_ent, ew, "entity table")
         relation = read_table(n_rel, rw, "relation table")

@@ -29,16 +29,21 @@ the scores (B, E), or, given the true tail of each head row, the 1-vs-all
 logistic loss and its gradients on h and c. Both kernels apply the objective
 through `logistic_loss`: `cosine_kernel` to its one score matmul and
 `distance_kernel` to each chunk of its pass over component planes.
+`distance_kernel` runs its chunks on the process's thread pool
+(`mkge.thread_pool`) and folds their losses and head gradients in chunk
+order, so its results do not depend on the pool size; it must not be called
+from a task on that pool, which would deadlock.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import algebra
+from . import algebra, thread_pool
 from .errors import LengthMismatch, ShapeMismatch
 
 ABLATION_MODES = ("scalar", "vector", "both")
@@ -51,6 +56,11 @@ GROUP_UQ = "unit_quaternion"
 # elements of one (B, C, k) float64 plane of the distance kernel (~0.8 MB),
 # which sets its chunk of C candidates
 DISTANCE_CHUNK_ELEMENTS = 100_000
+
+# each thread's (w, B, C, k) difference buffer and two (B, C, k) planes for
+# the distance kernel, kept while that shape holds so that every chunk reuses
+# pages already mapped and in cache
+_chunk_scratch = threading.local()
 
 
 def _coordinate_half_width(k):
@@ -354,27 +364,40 @@ def distance_kernel(h, c, tails=None):
 
     Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates, so each
     (B, C, k) plane stays in cache; the differences and distances of a chunk
-    are built once and serve the scores, the loss and the gradients. No
-    (B, E, k) array and, in training, no (B, E) array is built.
+    are built once, in its worker's reused buffers, and serve the scores, the
+    loss and the gradients. No (B, E, k) array and, in training, no (B, E)
+    array is built.
+
+    The chunks run as tasks on the process's thread pool (`mkge.thread_pool`).
+    A chunk writes only its own columns of the scores or its own rows of
+    grad_c. Its loss and its head-gradient terms are returned instead, and
+    the caller folds them in chunk order, the order of a serial loop, so the
+    results are bit-identical for any pool size. The caller waits on the
+    pool, so the kernel must not be called from a task on that pool: with
+    every worker waiting, nothing would run the chunks.
     """
     h, c = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (h, c))
     w, b, k = h.shape
     n = c.shape[1]
     chunk = max(1, DISTANCE_CHUNK_ELEMENTS // (b * k))
-    # per-chunk buffers, reused so that the chunk's planes stay in cache
-    d = np.empty((w, b, chunk, k))
-    dist, aux = np.empty((b, chunk, k)), np.empty((b, chunk, k))
     starts = range(0, n, chunk)
     if tails is None:
         scores = np.empty((b, n))
     else:
-        loss, grad_h, grad_c = 0.0, np.zeros_like(h), np.empty_like(c)
+        grad_c = np.empty_like(c)
         # head rows ordered by true tail, and where each chunk's tails start
         rows = np.argsort(tails, kind="stable")
         cuts = np.searchsorted(tails[rows], [*starts, n]).tolist()
-    for i, start in enumerate(starts):
+
+    def run_chunk(i):
+        start = starts[i]
         stop = min(n, start + chunk)
         m = stop - start
+        bufs = getattr(_chunk_scratch, "bufs", None)
+        if bufs is None or bufs[0].shape != (w, b, chunk, k):
+            bufs = _chunk_scratch.bufs = (np.empty((w, b, chunk, k)), np.empty((b, chunk, k)),
+                                          np.empty((b, chunk, k)))
+        d, dist, aux = bufs
         d_c, dist_c, aux_c = d[:, :, :m], dist[:, :m], aux[:, :m]
         for j in range(w):
             np.subtract(h[j][:, None, :], c[j][None, start:stop], out=d_c[j])
@@ -386,20 +409,29 @@ def distance_kernel(h, c, tails=None):
         x = -np.sum(dist_c, axis=-1)  # (B, m) scores
         if tails is None:
             scores[:, start:stop] = x
-            continue
+            return None
         hit = rows[cuts[i] : cuts[i + 1]]  # rows whose true tail is in this chunk
         chunk_loss, d_s = logistic_loss(x, (hit, tails[hit] - start), b)
-        loss += chunk_loss
         # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
         # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
         weight = aux_c
         weight.fill(0.0)
         np.divide(d_s[..., None], dist_c, out=weight, where=dist_c > 0.0)
         for j in range(w):
-            grad_h[j] -= np.einsum("bck,bck->bk", weight, d_c[j])
             np.einsum("bck,bck->ck", weight, d_c[j], out=grad_c[j, start:stop])
+        return chunk_loss, [np.einsum("bck,bck->bk", weight, d_c[j]) for j in range(w)]
+
+    # map yields in chunk order and re-raises a chunk's exception
+    results = thread_pool().map(run_chunk, range(len(starts)))
     if tails is None:
+        for _ in results:
+            pass
         return scores
+    loss, grad_h = 0.0, np.zeros_like(h)
+    for chunk_loss, part in results:
+        loss += chunk_loss
+        for j in range(w):
+            grad_h[j] -= part[j]
     return loss, np.moveaxis(grad_h, 0, -1), np.moveaxis(grad_c, 0, -1)
 
 

@@ -51,13 +51,15 @@ def bottom_rank(scores, true_idx, filtered=None):
     """Ranks of true_idx (...) among the scores (..., E) not masked by the bool
     array `filtered`; the true candidate counts even where the mask lists it.
     It goes last among exact score ties (pessimistic, never inflates); masked
-    scores drop out of the count, so a -inf true score ties with no masked -inf."""
+    scores drop out of the count, so a -inf true score ties with no masked -inf.
+    A candidate counts unless it scores below the true one, so a NaN true score
+    ranks last among the unmasked and a NaN candidate counts against it."""
     scores = np.asarray(scores, dtype=np.float64)
     true_idx = np.asarray(true_idx, dtype=np.int64)
     if np.any((true_idx < 0) | (true_idx >= scores.shape[-1])):
         raise IndexError(f"true index {true_idx} out of range")
     at_true = true_idx[..., None]
-    hits = scores >= np.take_along_axis(scores, at_true, axis=-1)
+    hits = ~(scores < np.take_along_axis(scores, at_true, axis=-1))
     if filtered is not None:
         keep = ~filtered
         np.put_along_axis(keep, at_true, True, axis=-1)

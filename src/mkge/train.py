@@ -11,8 +11,9 @@ This module adds the regularizer and the closed-form reverse mode through the
 head transform, `combine` and the unit parameterizations (phase angles and
 the quaternion exponential map).
 
-The whole-table entity chain runs per block of entity rows on one thread
-pool per process (one worker per usable core, at most MKGE_THREADS):
+The whole-table entity chain runs per block of entity rows on the process's
+one thread pool, `mkge.thread_pool()` (one worker per usable core, at most
+MKGE_THREADS), which also runs the distance kernel's candidate chunks:
 forward, `materialize_vector` and `combine` fill the unit vectors and the
 combined entities; the score kernel then runs on the whole combined table
 and the regularizer scatters its terms into that table's gradient; backward,
@@ -27,15 +28,12 @@ size (`ROW_BLOCK_ELEMENTS`).
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, model, thread_cap
+from . import algebra, model, thread_pool
 from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAGRAD_EPS = 1e-10
@@ -44,33 +42,15 @@ ADAGRAD_EPS = 1e-10
 # float64, which sets the rows per block of the entity chain and of Adagrad
 ROW_BLOCK_ELEMENTS = 131_072
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _row_pool():
-    """The process's thread pool for row blocks, started on first use: one
-    worker per usable core, at most MKGE_THREADS."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                cores = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                cores = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(min(cores, thread_cap() or cores),
-                                       thread_name_prefix="mkge-rows")
-        return _pool
-
 
 def _each_row_block(store, fn):
-    """Call fn(rows) on the row pool for consecutive slices of entity rows
+    """Call fn(rows) on the thread pool for consecutive slices of entity rows
     covering the table, and wait for all of them. The blocks must write
     disjoint rows; then neither the pool size nor the block size can change
     a bit of the result."""
     n = store.n_entities
     step = max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
-    for _ in _row_pool().map(fn, [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]):
+    for _ in thread_pool().map(fn, [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]):
         pass  # reading each result re-raises a block's exception
 
 
@@ -265,7 +245,7 @@ def triple_loss(store, h_id, r_id, t_id, cfg):
 
 def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
     """In-place Adagrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
-    The entity table is updated per row block on the row pool."""
+    The entity table is updated per row block on the thread pool."""
     if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
         raise ShapeMismatch("gradient tables do not match parameter tables")
     lr = state.lr if lr is None else lr

@@ -54,6 +54,23 @@ class TestCheckpoint:
                              epoch=loaded.epoch, digest=loaded.digest)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_loaded_tables_are_native_and_writable(self, tmp_path):
+        store, state = self.make_store()
+        path = tmp_path / "w.mkge"
+        ckpt.save_checkpoint(path, store, opt_state=state)
+        loaded = ckpt.load_checkpoint(path)
+        for table in (loaded.store.entity, loaded.store.relation, loaded.opt_state.acc_entity,
+                      loaded.opt_state.acc_relation):
+            assert table.dtype == np.float64 and table.flags.writeable  # resumed in place
+
+    def test_empty_relation_table_round_trip(self, tmp_path):
+        store = model.init_model("module_rc", 2, 3, 0, seed=1)
+        path = tmp_path / "z.mkge"
+        ckpt.save_checkpoint(path, store, opt_state=train.OptimizerState.for_store(store))
+        loaded = ckpt.load_checkpoint(path)
+        assert loaded.store.relation.shape == (0, store.relation.shape[1])
+        assert np.array_equal(loaded.store.entity, store.entity)
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         store, state = self.make_store()
         path = tmp_path / "h.mkge"

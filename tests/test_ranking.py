@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,14 @@ class TestBottomRank:
         assert ranking.bottom_rank(scores, 0, as_mask(5, filtered)) == want
         assert brute_force_rank(scores, 0, filtered) == want
 
+    def test_nan_true_score_ranks_last(self):
+        assert ranking.bottom_rank(np.array([np.nan, 1.0, 0.5]), 0) == 3
+        assert ranking.bottom_rank(np.array([np.nan, 1.0, 0.5]), 0, as_mask(3, {1})) == 2
+
+    def test_nan_candidate_counts_against_true(self):
+        assert ranking.bottom_rank(np.array([0.2, np.nan, 0.5]), 0) == 3
+        assert ranking.bottom_rank(np.array([0.2, np.nan, 0.5]), 0, as_mask(3, {1})) == 2
+
     def test_chunk_with_ragged_filter_rows(self):
         # one call ranks every row; the rows' filter lists differ in length,
         # two are empty and one lists every candidate, the true one included
@@ -153,12 +162,41 @@ class TestEvaluate:
         assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
         assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
 
+    def test_rotate_ranks_equal_across_pools(self, monkeypatch, pool_runs):
+        # three queries of k=2 per score call: the 20 candidates of each call
+        # fall into distance chunks [0, 7), [7, 14) and [14, 20)
+        monkeypatch.setattr(ranking, "EVAL_CHUNK_QUERIES", 3)
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
+        vocab, store_data, _, index = self.make_setup()
+        store = model.init_model("rotate", 2, vocab.n_entities, vocab.n_relations, seed=4)
+
+        def run():
+            return (np.array([rec.rank for rec in ranking.evaluate(store_data.test, store,
+                                                                   index).ranks]),)
+
+        one, *pooled = pool_runs(run)
+        assert pooled == [one, one]
+
     def test_raw_multi_chunk_ranks_match_reference(self):
         vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
         store = model.init_model("module_hh", 2, vocab.n_entities, vocab.n_relations, seed=4)
         report = ranking.evaluate(store_data.train, store, None)
         ref = reference_evaluate(store_data.train, store)
         assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
+
+    @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
+    def test_nan_entity_row_gives_finite_mrr(self, variant):
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=20)
+        store = model.init_model(variant, 2, vocab.n_entities, vocab.n_relations, seed=4)
+        store.entity[store_data.test[0, 0]] = np.nan  # every score of this head is NaN
+        index = data.build_filter_index(store_data, vocab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ranking.evaluate(store_data.test, store, index)
+        assert 0.0 < report.mrr < 1.0
+        # the NaN head's tail query ranks last among its unfiltered candidates
+        assert report.ranks[0].rank == store.n_entities - np.count_nonzero(
+            index.mask(store_data.test[:1, 0], store_data.test[:1, 1])) + 1
 
     @pytest.mark.parametrize("count", ["n_entities", "n_relations"])
     def test_index_for_other_counts_raises(self, count):

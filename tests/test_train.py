@@ -1,9 +1,9 @@
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import mkge
 from mkge import algebra, data, model, ranking, train
 from mkge.errors import NonFiniteLoss, ShapeMismatch
 
@@ -148,6 +148,38 @@ class TestDistanceKernel:
         assert np.all(grad_c[:, 3, [0, 2]] != 0.0)
         grad_h_without, _ = kernel(np.delete(c, 2, axis=1))
         np.testing.assert_allclose(grad_h, grad_h_without, rtol=1e-14)
+
+    def test_pool_size_bit_identical(self, monkeypatch, pool_runs):
+        """Three chunks on pools of 1, 2 and 8 workers: the chunk losses and
+        head gradients fold in chunk order, so loss, gradients and scores are
+        the same bytes."""
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        assert n_distance_chunks(3, 2, 20) == 3
+        rng = np.random.default_rng(8)
+        h, c = rng.normal(size=(3, 2, 2)), rng.normal(size=(20, 2, 2))
+        tails = ROTATE20_BATCH[:, 2]
+
+        def run():
+            loss, grad_h, grad_c = model.distance_kernel(h, c, tails)
+            return np.float64(loss), grad_h, grad_c, model.distance_kernel(h, c)
+
+        one, *pooled = pool_runs(run)
+        assert pooled == [one, one]
+
+    def test_fit_pool_size_bit_identical(self, monkeypatch, pool_runs):
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        cfg = train.FitConfig(epochs=3, batch_size=3, seed=4, loss=LOSS)
+
+        def run():
+            store = model.init_model("rotate", 2, vocab.n_entities, vocab.n_relations, seed=1)
+            report, opt = train.fit(store, triples, cfg)
+            return (store.entity, store.relation, opt.acc_entity, opt.acc_relation,
+                    np.array([rec.loss for rec in report.epochs]))
+
+        one, *pooled = pool_runs(run)
+        assert pooled == [one, one]
 
 
 class TestLoss:
@@ -352,14 +384,6 @@ BLOCK_BATCH = np.array([[2, 0, 7], [3, 1, 2], [2, 2, 19], [5, 3, 6], [6, 0, 5], 
                         [6, 1, 0], [19, 3, 18], [0, 0, 3], [19, 1, 19], [2, 3, 11]])
 
 
-@pytest.fixture(scope="module")
-def row_pools():
-    pools = {n: ThreadPoolExecutor(n) for n in (1, 2)}
-    yield pools
-    for pool in pools.values():
-        pool.shutdown()
-
-
 def _block_runs(monkeypatch, name, run, configs):
     """run() once per (rows per block, pool) of configs; returns the byte
     strings of the results."""
@@ -367,7 +391,7 @@ def _block_runs(monkeypatch, name, run, configs):
     results = []
     for rows, pool in configs:
         monkeypatch.setattr(train, "ROW_BLOCK_ELEMENTS", rows * width)
-        monkeypatch.setattr(train, "_pool", pool)
+        monkeypatch.setattr(mkge, "_pool", pool)
         results.append(b"".join(np.ascontiguousarray(a).tobytes() for a in run()))
     return results
 
@@ -384,19 +408,19 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("name", sorted(model.VARIANTS))
     @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
-    def test_gradients_bit_identical(self, name, ablation, monkeypatch, row_pools):
+    def test_gradients_bit_identical(self, name, ablation, monkeypatch, thread_pools):
         store = model.init_model(name, BLOCK_K, 20, 4, seed=6, ablation=ablation)
 
         def run():
             loss, g_e, g_r = train.batch_loss_and_grads(store, BLOCK_BATCH, LOSS)
             return np.float64(loss), g_e, g_r
 
-        one, *blocked = _block_runs(monkeypatch, name, run, _configs(row_pools, 20))
+        one, *blocked = _block_runs(monkeypatch, name, run, _configs(thread_pools, 20))
         assert blocked == [one, one]
 
     @pytest.mark.parametrize("name", sorted(model.VARIANTS))
     @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
-    def test_fit_bit_identical(self, name, ablation, monkeypatch, row_pools):
+    def test_fit_bit_identical(self, name, ablation, monkeypatch, thread_pools):
         vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
         triples = data.augment_reciprocal(kg.train, vocab)
         cfg = train.FitConfig(epochs=3, batch_size=16, seed=2, loss=LOSS)
@@ -409,10 +433,10 @@ class TestRowBlocks:
                     np.array([rec.loss for rec in report.epochs]))
 
         one, *blocked = _block_runs(monkeypatch, name, run,
-                                    _configs(row_pools, vocab.n_entities))
+                                    _configs(thread_pools, vocab.n_entities))
         assert blocked == [one, one]
 
-    def test_more_workers_than_cores_one_row_blocks(self, monkeypatch, row_pools):
+    def test_more_workers_than_cores_one_row_blocks(self, monkeypatch, thread_pools):
         """Eight workers on one-row blocks with a short switch interval: a lost
         or misplaced row update would change the bytes."""
         vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
@@ -426,22 +450,20 @@ class TestRowBlocks:
             return store.entity, store.relation, opt.acc_entity, opt.acc_relation
 
         interval = sys.getswitchinterval()
-        pool = ThreadPoolExecutor(8)
         try:
             sys.setswitchinterval(1e-6)
             one, many = _block_runs(monkeypatch, "module_hh", run,
-                                    [(vocab.n_entities, row_pools[1]), (1, pool)])
+                                    [(vocab.n_entities, thread_pools[1]), (1, thread_pools[8])])
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown()
         assert many == one
 
     def test_pool_capped_by_mkge_threads(self, monkeypatch):
         monkeypatch.setenv("MKGE_THREADS", "1")
-        monkeypatch.setattr(train, "_pool", None)
-        pool = train._row_pool()
+        monkeypatch.setattr(mkge, "_pool", None)
+        pool = mkge.thread_pool()
         try:
             assert pool._max_workers == 1
-            assert train._row_pool() is pool  # started once per process
+            assert mkge.thread_pool() is pool  # started once per process
         finally:
             pool.shutdown()
