@@ -33,9 +33,7 @@ def thread_cap():
 
 def thread_pool():
     """The process's one thread pool, started on first use: one worker per
-    usable core, at most MKGE_THREADS. It runs the entity row blocks of a
-    training step (`train`) and the candidate chunks of the distance kernel
-    (`model`). A task on the pool must not wait on other tasks of the pool."""
+    usable core, at most MKGE_THREADS. `map_blocks` is its one use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -48,3 +46,14 @@ def thread_pool():
             _pool = ThreadPoolExecutor(min(cores, thread_cap() or cores),
                                        thread_name_prefix="mkge")
         return _pool
+
+
+def map_blocks(fn, n, step):
+    """Start fn(slice) on the thread pool for the consecutive slices of
+    [0, n), each `step` long but the last, and return an iterator over their
+    results in block order. Reading a result waits for its block and
+    re-raises its exception, so a caller reads every result before it uses
+    what the blocks wrote. A task on the pool must not call this: with every
+    worker waiting, nothing would run the blocks."""
+    blocks = [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    return thread_pool().map(fn, blocks)

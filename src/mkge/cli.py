@@ -102,6 +102,8 @@ def load_config_file(path, base=None):
             text = fh.read()
     except OSError as exc:
         raise MissingFile(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file {path}: not valid UTF-8 at byte {exc.start}") from None
     return parse_config_text(text, base=base)
 
 

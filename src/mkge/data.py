@@ -75,14 +75,20 @@ class TripleStore:
 
 
 def load_split(path):
-    """Parse one TSV split into a list of (head, relation, tail) strings."""
+    """Parse one TSV split into a list of (head, relation, tail) strings. A
+    malformed line, or one that is not valid UTF-8, raises ParseError."""
     try:
-        fh = open(path, encoding="utf-8")
+        # undecodable bytes become lone surrogates, which fail to encode below
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:  # missing, a directory, unreadable
         raise MissingFile(f"cannot read split file {path}: {exc.strerror}") from exc
     triples = []
     with fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
             line = line.rstrip("\r\n")
             if not line.strip():
                 continue

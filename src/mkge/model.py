@@ -23,27 +23,30 @@ Unit group elements are stored by their free parameters (a phase angle for
 U(1), a 3-vector rotation parameter for unit quaternions) and materialized on
 use, so unitarity holds by construction.
 
+Training and evaluation build the whole entity table's unit vectors and
+combined entities s_e * v_e through one function, `entity_forward`, per block
+of entity rows (`rows_per_block`) on the process's thread pool.
+
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
 the scores (B, E), or, given the true tail of each head row, the 1-vs-all
 logistic loss and its gradients on h and c. Both kernels apply the objective
 through `logistic_loss`: `cosine_kernel` to its one score matmul and
 `distance_kernel` to each chunk of its pass over component planes.
-`distance_kernel` runs its chunks on the process's thread pool
-(`mkge.thread_pool`) and folds their losses and head gradients in chunk
-order, so its results do not depend on the pool size; it must not be called
-from a task on that pool, which would deadlock.
+`distance_kernel` runs its chunks on the process's thread pool and folds
+their losses and head gradients in chunk order, so its results do not depend
+on the pool size; it must not be called from a task on that pool, which
+would deadlock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import algebra, thread_pool
+from . import algebra, map_blocks
 from .errors import LengthMismatch, ShapeMismatch
 
 ABLATION_MODES = ("scalar", "vector", "both")
@@ -57,10 +60,10 @@ GROUP_UQ = "unit_quaternion"
 # which sets its chunk of C candidates
 DISTANCE_CHUNK_ELEMENTS = 100_000
 
-# each thread's (w, B, C, k) difference buffer and two (B, C, k) planes for
-# the distance kernel, kept while that shape holds so that every chunk reuses
-# pages already mapped and in cache
-_chunk_scratch = threading.local()
+# elements of one row block's combined entities (rows, k, w), ~1 MB of
+# float64, which sets the rows per block of the entity forward, the entity
+# backward and Adagrad
+ROW_BLOCK_ELEMENTS = 131_072
 
 
 def _coordinate_half_width(k):
@@ -266,14 +269,37 @@ def _check_ids(ids, bound):
         raise IndexError(f"id out of range [0, {bound})")
 
 
-def combined_embeddings(store, ids=None):
-    """Combined tuples s_e * v_e for all (or selected) entities: (N, k, w).
-    An entity id outside [0, E) raises IndexError."""
+def rows_per_block(store):
+    """Entity rows per block of the whole-table entity work, so that a block's
+    combined entities hold about ROW_BLOCK_ELEMENTS floats."""
+    return max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
+
+
+def entity_forward(store):
+    """Unit vector elements and combined entities s_e * v_e of the whole
+    entity table, (E, k, vector.width) each, built per row block on the
+    process's thread pool. Must not be called from a task on that pool."""
     es, ev = store.entity_parts()
-    if ids is not None:
-        _check_ids(ids, store.n_entities)
-        es, ev = es[ids], ev[ids]
-    return combine(es, materialize_vector(ev, store.variant))
+    vec_all = np.empty((store.n_entities, store.k, store.variant.vector.width))
+    c_all = np.empty_like(vec_all)
+
+    def forward(rows):
+        vec_all[rows] = materialize_vector(ev[rows], store.variant)
+        c_all[rows] = combine(es[rows], vec_all[rows])
+
+    for _ in map_blocks(forward, store.n_entities, rows_per_block(store)):
+        pass
+    return vec_all, c_all
+
+
+def combined_embeddings(store, ids=None):
+    """Combined tuples s_e * v_e for all (`entity_forward`) or selected
+    entities: (N, k, w). An entity id outside [0, E) raises IndexError."""
+    if ids is None:
+        return entity_forward(store)[1]
+    _check_ids(ids, store.n_entities)
+    es, ev = store.entity_parts()
+    return combine(es[ids], materialize_vector(ev[ids], store.variant))
 
 
 def head_forward(s_h, v_h, g_s, g_v):
@@ -364,12 +390,11 @@ def distance_kernel(h, c, tails=None):
 
     Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates, so each
     (B, C, k) plane stays in cache; the differences and distances of a chunk
-    are built once, in its worker's reused buffers, and serve the scores, the
-    loss and the gradients. No (B, E, k) array and, in training, no (B, E)
-    array is built.
+    are built once and serve the scores, the loss and the gradients. No
+    (B, E, k) array and, in training, no (B, E) array is built.
 
-    The chunks run as tasks on the process's thread pool (`mkge.thread_pool`).
-    A chunk writes only its own columns of the scores or its own rows of
+    The chunks run as blocks of `mkge.map_blocks` on the process's thread
+    pool. A chunk writes only its own columns of the scores or its own rows of
     grad_c. Its loss and its head-gradient terms are returned instead, and
     the caller folds them in chunk order, the order of a serial loop, so the
     results are bit-identical for any pool size. The caller waits on the
@@ -379,50 +404,36 @@ def distance_kernel(h, c, tails=None):
     h, c = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (h, c))
     w, b, k = h.shape
     n = c.shape[1]
-    chunk = max(1, DISTANCE_CHUNK_ELEMENTS // (b * k))
-    starts = range(0, n, chunk)
     if tails is None:
         scores = np.empty((b, n))
     else:
         grad_c = np.empty_like(c)
-        # head rows ordered by true tail, and where each chunk's tails start
-        rows = np.argsort(tails, kind="stable")
-        cuts = np.searchsorted(tails[rows], [*starts, n]).tolist()
+        rows = np.argsort(tails, kind="stable")  # head rows ordered by true tail
+        sorted_tails = tails[rows]
 
-    def run_chunk(i):
-        start = starts[i]
-        stop = min(n, start + chunk)
-        m = stop - start
-        bufs = getattr(_chunk_scratch, "bufs", None)
-        if bufs is None or bufs[0].shape != (w, b, chunk, k):
-            bufs = _chunk_scratch.bufs = (np.empty((w, b, chunk, k)), np.empty((b, chunk, k)),
-                                          np.empty((b, chunk, k)))
-        d, dist, aux = bufs
-        d_c, dist_c, aux_c = d[:, :, :m], dist[:, :m], aux[:, :m]
-        for j in range(w):
-            np.subtract(h[j][:, None, :], c[j][None, start:stop], out=d_c[j])
+    def run_chunk(cols):
+        d = h[:, :, None, :] - c[:, None, cols, :]  # (w, B, C, k)
         # the coordinates' squares add in order, as np.sum over a last axis does
-        np.multiply(d_c[0], d_c[0], out=dist_c)
+        dist = d[0] * d[0]
         for j in range(1, w):
-            dist_c += np.multiply(d_c[j], d_c[j], out=aux_c)
-        np.sqrt(dist_c, out=dist_c)
-        x = -np.sum(dist_c, axis=-1)  # (B, m) scores
+            dist += d[j] * d[j]
+        np.sqrt(dist, out=dist)
+        x = -np.sum(dist, axis=-1)  # (B, C) scores
         if tails is None:
-            scores[:, start:stop] = x
+            scores[:, cols] = x
             return None
-        hit = rows[cuts[i] : cuts[i + 1]]  # rows whose true tail is in this chunk
-        chunk_loss, d_s = logistic_loss(x, (hit, tails[hit] - start), b)
+        lo, hi = np.searchsorted(sorted_tails, (cols.start, cols.stop))
+        hit = rows[lo:hi]  # rows whose true tail is in this chunk
+        chunk_loss, d_s = logistic_loss(x, (hit, tails[hit] - cols.start), b)
         # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
         # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
-        weight = aux_c
-        weight.fill(0.0)
-        np.divide(d_s[..., None], dist_c, out=weight, where=dist_c > 0.0)
+        weight = np.divide(d_s[..., None], dist, out=np.zeros_like(dist), where=dist > 0.0)
         for j in range(w):
-            np.einsum("bck,bck->ck", weight, d_c[j], out=grad_c[j, start:stop])
-        return chunk_loss, [np.einsum("bck,bck->bk", weight, d_c[j]) for j in range(w)]
+            np.einsum("bck,bck->ck", weight, d[j], out=grad_c[j, cols])
+        return chunk_loss, [np.einsum("bck,bck->bk", weight, d[j]) for j in range(w)]
 
-    # map yields in chunk order and re-raises a chunk's exception
-    results = thread_pool().map(run_chunk, range(len(starts)))
+    # chunk results are folded as they arrive, so at most a few are held
+    results = map_blocks(run_chunk, n, max(1, DISTANCE_CHUNK_ELEMENTS // (b * k)))
     if tails is None:
         for _ in results:
             pass

@@ -11,18 +11,17 @@ This module adds the regularizer and the closed-form reverse mode through the
 head transform, `combine` and the unit parameterizations (phase angles and
 the quaternion exponential map).
 
-The whole-table entity chain runs per block of entity rows on the process's
-one thread pool, `mkge.thread_pool()` (one worker per usable core, at most
-MKGE_THREADS), which also runs the distance kernel's candidate chunks:
-forward, `materialize_vector` and `combine` fill the unit vectors and the
-combined entities; the score kernel then runs on the whole combined table
-and the regularizer scatters its terms into that table's gradient; backward,
-each block pulls its rows of that gradient through `combine` and the unit
-parameterization, adds the head-transform gradients of its rows and writes
-its rows of the entity gradient. `adagrad_step` updates the entity table in
-the same blocks. Blocks write disjoint rows, and a row's repeated heads are
-added in batch order, so results do not depend on the pool size or the block
-size (`ROW_BLOCK_ELEMENTS`).
+The whole-table entity work runs per block of entity rows
+(`model.rows_per_block`) on the process's one thread pool (`mkge.map_blocks`;
+one worker per usable core, at most MKGE_THREADS). Forward,
+`model.entity_forward` builds the unit vectors and the combined entities; the
+score kernel then runs on the whole combined table and the regularizer
+scatters its terms into that table's gradient; backward, each block pulls its
+rows of that gradient through `combine` and the unit parameterization, adds
+the head-transform gradients of its rows and writes its rows of the entity
+gradient. `adagrad_step` updates the entity table in the same blocks. Blocks
+write disjoint rows, and a row's repeated heads are added in batch order, so
+results do not depend on the pool size or the block size.
 """
 
 from __future__ import annotations
@@ -33,25 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, model, thread_pool
+from . import algebra, map_blocks, model
 from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAGRAD_EPS = 1e-10
-
-# elements of one row block's combined entities (rows, k, w), ~1 MB of
-# float64, which sets the rows per block of the entity chain and of Adagrad
-ROW_BLOCK_ELEMENTS = 131_072
-
-
-def _each_row_block(store, fn):
-    """Call fn(rows) on the thread pool for consecutive slices of entity rows
-    covering the table, and wait for all of them. The blocks must write
-    disjoint rows; then neither the pool size nor the block size can change
-    a bit of the result."""
-    n = store.n_entities
-    step = max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
-    for _ in thread_pool().map(fn, [slice(lo, min(n, lo + step)) for lo in range(0, n, step)]):
-        pass  # reading each result re-raises a block's exception
 
 
 @dataclass(frozen=True)
@@ -160,16 +144,8 @@ def batch_loss_and_grads(store, triples, cfg):
             or rels.max() >= store.n_relations):
         raise IndexError("triple id out of range")
 
-    # forward, per row block: unit vector elements and combined entities
     es, ev = store.entity_parts()
-    vec_all = np.empty((n_ent, k, variant.vector.width))
-    c_all = np.empty_like(vec_all)  # (E, k, w)
-
-    def forward(rows):
-        vec_all[rows] = model.materialize_vector(ev[rows], variant)
-        c_all[rows] = model.combine(es[rows], vec_all[rows])
-
-    _each_row_block(store, forward)
+    vec_all, c_all = model.entity_forward(store)  # (E, k, w) each
     parts = (es[heads], vec_all[heads])
     params = [p[rels] for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
@@ -232,7 +208,8 @@ def batch_loss_and_grads(store, triples, cfg):
         out[:, split:] = grad_ev.reshape(len(out), -1)
         out *= ent_mask
 
-    _each_row_block(store, backward)
+    for _ in map_blocks(backward, n_ent, model.rows_per_block(store)):
+        pass
     grad_relation *= rel_mask
     return float(loss), grad_entity, grad_relation
 
@@ -254,8 +231,10 @@ def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
         acc += grad**2
         table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
-    _each_row_block(store, lambda rows: update(store.entity[rows], state.acc_entity[rows],
-                                               grad_entity[rows]))
+    for _ in map_blocks(lambda rows: update(store.entity[rows], state.acc_entity[rows],
+                                            grad_entity[rows]),
+                        store.n_entities, model.rows_per_block(store)):
+        pass
     update(store.relation, state.acc_relation, grad_relation)
 
 
@@ -288,10 +267,14 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     Validation MRR (filtered, both directions) is computed every
     eval_interval epochs when a validation split and filter index are given;
     training stops early after `patience` evaluations without improvement.
+    A train split that is not a nonempty (n, 3) id array raises
+    ShapeMismatch.
     """
     from . import ranking  # deferred: ranking imports model only
 
     train_triples = np.asarray(train_triples, dtype=np.int64)
+    if train_triples.ndim != 2 or train_triples.shape[1] != 3 or len(train_triples) == 0:
+        raise ShapeMismatch("train split must be a nonempty (n, 3) id array")
     if opt_state is None:
         opt_state = OptimizerState.for_store(store, lr=cfg.lr)
     report = TrainReport()

@@ -244,6 +244,32 @@ class TestBadInput:
         err = self.run(capsys, ["train", *small_args(str(broken), str(tmp_path / "o"))])
         assert "train.txt" in err
 
+    def test_non_utf8_config(self, toy_dataset, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed=1\n# \xff\n")
+        with pytest.raises(ParseError, match=r"bad\.cfg: not valid UTF-8 at byte 9"):
+            cli.load_config_file(str(path))
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o")),
+                                "--config", str(path)])
+        assert "bad.cfg" in err
+
+    def test_non_utf8_split(self, toy_dataset, tmp_path, capsys):
+        broken = tmp_path / "kg"
+        shutil.copytree(toy_dataset, broken)
+        split = broken / "train.txt"
+        split.write_bytes(b"\xff" + split.read_bytes())
+        err = self.run(capsys, ["train", *small_args(str(broken), str(tmp_path / "o"))])
+        assert "train.txt:1: not valid UTF-8" in err
+
+    def test_empty_train_split(self, toy_dataset, tmp_path, capsys):
+        broken = tmp_path / "kg"
+        shutil.copytree(toy_dataset, broken)
+        (broken / "train.txt").write_text("")
+        out = tmp_path / "o"
+        err = self.run(capsys, ["train", *small_args(str(broken), str(out))])
+        assert "train split must be a nonempty" in err
+        assert not (out / "checkpoint.mkge").exists()
+
     def test_nonpositive_lr(self, toy_dataset, tmp_path, capsys):
         err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o"),
                                                      ["--lr", "0"])])

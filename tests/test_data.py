@@ -35,6 +35,12 @@ class TestLoadSplit:
         with pytest.raises(ParseError, match=":2:"):
             data.load_split(path)
 
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\tr\tb\nc\tr\t\xffd\n")
+        with pytest.raises(ParseError, match=r"t\.txt:2: not valid UTF-8"):
+            data.load_split(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             data.load_split(tmp_path / "nope.txt")

@@ -68,6 +68,23 @@ class TestInit:
             assert n_free["scalar"] + n_free["vector"] == n_free["both"]
 
 
+class TestEntityForward:
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    @pytest.mark.parametrize("rows", [1, 17], ids=["one_row_blocks", "one_block"])
+    def test_whole_table_equals_gather(self, name, ablation, rows, monkeypatch, pool_runs):
+        """The row-blocked whole-table forward gives the bytes of the gather
+        path, for any block size and pool size."""
+        store = model.init_model(name, 3, 17, 2, seed=5, ablation=ablation)
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.vector.width)
+        _, ev = store.entity_parts()
+        want = b"".join(a.tobytes() for a in (
+            model.materialize_vector(ev, store.variant),
+            model.combined_embeddings(store, np.arange(store.n_entities))))
+        assert pool_runs(lambda: (model.entity_forward(store)[0],
+                                  model.combined_embeddings(store))) == [want] * 3
+
+
 class TestCombineTransform:
     def test_combine_with_unit_scalars(self):
         store = model.init_model("module_rc", 4, 3, 2, seed=1)

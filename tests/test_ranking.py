@@ -162,13 +162,16 @@ class TestEvaluate:
         assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
         assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
 
-    def test_rotate_ranks_equal_across_pools(self, monkeypatch, pool_runs):
-        # three queries of k=2 per score call: the 20 candidates of each call
-        # fall into distance chunks [0, 7), [7, 14) and [14, 20)
+    @pytest.mark.parametrize("variant", ["rotate", "module_hh", "module_rc"])
+    def test_ranks_equal_across_pools(self, variant, monkeypatch, pool_runs):
+        # one-row blocks of the entity forward; three queries of k=2 per score
+        # call, so the 20 candidates of each rotate call fall into distance
+        # chunks [0, 7), [7, 14) and [14, 20)
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", 1)
         monkeypatch.setattr(ranking, "EVAL_CHUNK_QUERIES", 3)
         monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
         vocab, store_data, _, index = self.make_setup()
-        store = model.init_model("rotate", 2, vocab.n_entities, vocab.n_relations, seed=4)
+        store = model.init_model(variant, 2, vocab.n_entities, vocab.n_relations, seed=4)
 
         def run():
             return (np.array([rec.rank for rec in ranking.evaluate(store_data.test, store,

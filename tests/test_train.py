@@ -356,6 +356,13 @@ class TestFit:
                 store.entity, store.relation, opt.acc_entity, opt.acc_relation)))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("split", [np.empty((0, 3), np.int64), np.zeros((4, 2), np.int64),
+                                       np.zeros(3, np.int64)], ids=["empty", "two_columns", "flat"])
+    def test_bad_train_split_raises(self, split):
+        store = model.init_model("module_rc", 2, 4, 2, seed=0)
+        with pytest.raises(ShapeMismatch, match="train split"):
+            train.fit(store, split, train.FitConfig(epochs=1))
+
     @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh", "rotate"])
     def test_first_epoch_decreases_objective(self, name):
         vocab, store_data = data.generate_synthetic_kg(seed=1, n_entities=20)
@@ -390,7 +397,7 @@ def _block_runs(monkeypatch, name, run, configs):
     width = BLOCK_K * model.VARIANTS[name].vector.width  # combined elements per row
     results = []
     for rows, pool in configs:
-        monkeypatch.setattr(train, "ROW_BLOCK_ELEMENTS", rows * width)
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
         monkeypatch.setattr(mkge, "_pool", pool)
         results.append(b"".join(np.ascontiguousarray(a).tobytes() for a in run()))
     return results
@@ -457,6 +464,37 @@ class TestRowBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert many == one
+
+    @pytest.mark.parametrize("n, bounds", [(0, []), (1, [(0, 1)]), (3, [(0, 3)]),
+                                           (4, [(0, 3), (3, 4)]),
+                                           (10, [(0, 3), (3, 6), (6, 9), (9, 10)])])
+    def test_map_blocks_covers_range_once_in_order(self, n, bounds, pool_runs):
+        def run():
+            calls = np.zeros(n, dtype=np.int64)
+
+            def block(rows):
+                calls[rows] += 1
+                return rows.start, rows.stop
+
+            return np.array(list(mkge.map_blocks(block, n, 3)), dtype=np.int64), calls
+
+        want = np.array(bounds, dtype=np.int64).tobytes() + np.ones(n, np.int64).tobytes()
+        assert pool_runs(run) == [want] * 3
+
+    def test_map_blocks_reraises_block_error(self, pool_runs):
+        def block(rows):
+            if rows.start == 3:
+                raise KeyError(rows.start)
+            return rows.start
+
+        def run():
+            results = mkge.map_blocks(block, 8, 3)
+            assert next(results) == 0
+            with pytest.raises(KeyError):
+                next(results)
+            return ()
+
+        pool_runs(run)
 
     def test_pool_capped_by_mkge_threads(self, monkeypatch):
         monkeypatch.setenv("MKGE_THREADS", "1")
