@@ -126,11 +126,15 @@ _SMALL_ANGLE = 1e-4
 
 
 def _sinc(theta):
+    """sin(theta) / theta, by its series below _SMALL_ANGLE, with the terms
+    the exp_map backward reuses: (sinc, small, theta^2, safe, sin(safe)),
+    where safe is theta, or 1 where the series is used."""
     small = theta < _SMALL_ANGLE
     t2 = theta * theta
     series = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
     safe = np.where(small, 1.0, theta)
-    return np.where(small, series, np.sin(safe) / safe)
+    sin = np.sin(safe)
+    return np.where(small, series, sin / safe), small, t2, safe, sin
 
 
 def exp_map(omega):
@@ -140,25 +144,24 @@ def exp_map(omega):
     """
     omega = np.asarray(omega, dtype=np.float64)
     theta = np.sqrt(np.sum(omega * omega, axis=-1))
-    s = _sinc(theta)
+    s = _sinc(theta)[0]
     return np.concatenate([np.cos(theta)[..., None], s[..., None] * omega], axis=-1)
 
 
-def exp_map_backward(omega, grad_q):
-    """Pull a gradient on exp_map(omega) back to a gradient on omega.
+def exp_map_backward(omega, q, grad_q):
+    """Pull a gradient on q = exp_map(omega) back to a gradient on omega.
 
-    grad_q has shape (..., 4); the result has shape (..., 3).
+    q and grad_q have shape (..., 4); the result has shape (..., 3). cos|w|
+    is read from q, so one sine is the only transcendental evaluated.
     """
     omega = np.asarray(omega, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     grad_q = np.asarray(grad_q, dtype=np.float64)
     theta = np.sqrt(np.sum(omega * omega, axis=-1))
-    s = _sinc(theta)
+    s, small, t2, safe, sin = _sinc(theta)
     # c2 = d(sinc)/dtheta / theta = (theta cos - sin) / theta^3
-    small = theta < _SMALL_ANGLE
-    t2 = theta * theta
     series = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    safe = np.where(small, 1.0, theta)
-    c2 = np.where(small, series, (safe * np.cos(safe) - np.sin(safe)) / safe**3)
+    c2 = np.where(small, series, (safe * q[..., 0] - sin) / safe**3)
     g0 = grad_q[..., 0]
     gv = grad_q[..., 1:]
     # d cos|w| / dw = -sinc * w ; d (sinc * w_a) / dw_b = sinc d_ab + c2 w_a w_b

@@ -74,7 +74,10 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text, base=None):
+def parse_config_text(text, base=None, path=None):
+    """Apply the key=value lines of a config text to `base` (default: the
+    defaults). A bad line raises ParseError naming `<path>:<line>`, or
+    `config line <line>` when no path is given."""
     cfg = base or ExperimentConfig()
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     casts = {"int": int, "float": float, "str": str}
@@ -83,20 +86,22 @@ def parse_config_text(text, base=None):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"config line {lineno}" if path is None else f"{path}:{lineno}"
         if "=" not in line:
-            raise ParseError(f"config line {lineno}: expected key=value")
+            raise ParseError(f"{where}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in types:
-            raise ParseError(f"config line {lineno}: unknown key {key!r}")
+            raise ParseError(f"{where}: unknown key {key!r}")
         try:
             updates[key] = casts[types[key]](value)
         except ValueError as exc:
-            raise ParseError(f"config line {lineno}: bad value {value!r} for key {key!r}") from exc
+            raise ParseError(f"{where}: bad value {value!r} for key {key!r}") from exc
     return replace(cfg, **updates)
 
 
 def load_config_file(path, base=None):
+    """`parse_config_text` of a UTF-8 file, without a leading byte-order mark."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -104,7 +109,8 @@ def load_config_file(path, base=None):
         raise MissingFile(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"config file {path}: not valid UTF-8 at byte {exc.start}") from None
-    return parse_config_text(text, base=base)
+    # decoded as plain UTF-8, so a byte-order mark counts in the byte offset above
+    return parse_config_text(text.removeprefix("\ufeff"), base=base, path=path)
 
 
 def resolve_config(args):

@@ -76,10 +76,11 @@ class TripleStore:
 
 def load_split(path):
     """Parse one TSV split into a list of (head, relation, tail) strings. A
-    malformed line, or one that is not valid UTF-8, raises ParseError."""
+    leading UTF-8 byte-order mark is dropped. A malformed line, or one that
+    is not valid UTF-8, raises ParseError."""
     try:
         # undecodable bytes become lone surrogates, which fail to encode below
-        fh = open(path, encoding="utf-8", errors="surrogateescape")
+        fh = open(path, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:  # missing, a directory, unreadable
         raise MissingFile(f"cannot read split file {path}: {exc.strerror}") from exc
     triples = []

@@ -30,13 +30,14 @@ of entity rows (`rows_per_block`) on the process's thread pool.
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
 the scores (B, E), or, given the true tail of each head row, the 1-vs-all
-logistic loss and its gradients on h and c. Both kernels apply the objective
-through `logistic_loss`: `cosine_kernel` to its one score matmul and
-`distance_kernel` to each chunk of its pass over component planes.
-`distance_kernel` runs its chunks on the process's thread pool and folds
-their losses and head gradients in chunk order, so its results do not depend
-on the pool size; it must not be called from a task on that pool, which
-would deadlock.
+logistic loss and its gradients on h and c. The objective is written once,
+in `logistic_terms`: `cosine_kernel` applies it to row blocks of its one
+score matmul and sums the terms once, `distance_kernel` applies it (through
+`logistic_loss`) to each chunk of its pass over component planes. Both run
+those blocks on the process's thread pool, and neither result depends on the
+pool size: the cosine kernel's blocks write disjoint rows, and the distance
+kernel folds its chunks' losses and head gradients in chunk order. Neither
+kernel may be called from a task on that pool, which would deadlock.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ DISTANCE_CHUNK_ELEMENTS = 100_000
 
 # elements of one row block's combined entities (rows, k, w), ~1 MB of
 # float64, which sets the rows per block of the entity forward, the entity
-# backward and Adagrad
+# backward and Adagrad, and of one row block of the cosine kernel's scores
 ROW_BLOCK_ELEMENTS = 131_072
 
 
@@ -96,7 +97,7 @@ GROUPS = {
                     lambda p, z, g: algebra.angle_backward(z, g)[..., None]),
     GROUP_UQ: Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
                     lambda p: algebra.exp_map(p),
-                    lambda p, z, g: algebra.exp_map_backward(p, g)),
+                    lambda p, z, g: algebra.exp_map_backward(p, z, g)),
 }
 
 # group whose unit elements are the entity vector parts of each space
@@ -340,40 +341,61 @@ def score(store, h_id, r_id, t_id):
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), without overflow for large |x|."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function 1 / (1 + exp(-x)) from one exp(-|x|), which cannot
+    overflow: 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def logistic_terms(x, pos, b):
+    """Elementwise 1-vs-all logistic objective of a block of scores x (rows,
+    candidates).
+
+    Every candidate contributes log(1 + exp(-y * score)) with y = +1 at the
+    true tails, indexed by `pos`, and y = -1 elsewhere. x is overwritten with
+    those terms; the return value is d (term / b) / d score.
+    """
+    x[pos] = -x[pos]
+    d_s = sigmoid(x) / b  # -y * sigmoid(x) / b
+    d_s[pos] = -d_s[pos]
+    np.logaddexp(0.0, x, out=x)
+    return d_s
 
 
 def logistic_loss(x, pos, b):
-    """1-vs-all logistic loss of a block of scores x (rows, candidates).
-
-    Every candidate contributes log(1 + exp(-y * score)) with y = +1 at the
-    true tails, indexed by `pos`, and y = -1 elsewhere. Returns the block's
-    summed loss and d (loss / b) / d score; x is overwritten with -y * score.
-    """
-    x[pos] = -x[pos]
-    loss = float(np.sum(np.logaddexp(0.0, x)))
-    d_s = sigmoid(x) / b  # -y * sigmoid(x) / b
-    d_s[pos] = -d_s[pos]
-    return loss, d_s
+    """`logistic_terms` of a block of scores x, summed: returns the block's
+    loss and d (loss / b) / d score. x is overwritten with the terms."""
+    d_s = logistic_terms(x, pos, b)
+    return float(np.sum(x)), d_s
 
 
 def cosine_kernel(h, c, tails=None):
     """Inner-product scores of heads h (B, k, w) against every entity
     c (E, k, w): one matmul to the scores (B, E). Given the true tail id of
     each head row it returns instead (loss, grad_h, grad_c), the summed
-    logistic loss and the gradients of loss / B, by two more matmuls."""
+    logistic loss and the gradients of loss / B, by two more matmuls.
+
+    The objective runs between the matmuls, per block of score rows (about
+    ROW_BLOCK_ELEMENTS scores each) on the process's thread pool: a block
+    turns its scores into loss terms in place and writes its rows of the
+    score gradient. The loss is one sum over all terms, so no result depends
+    on the pool size or the block size. The caller waits on the pool, so the
+    kernel must not be called from a task on that pool.
+    """
     b, k, w = h.shape
     h_flat, c_flat = h.reshape(b, k * w), c.reshape(-1, k * w)
     scores = h_flat @ c_flat.T
     if tails is None:
         return scores
-    loss, d_s = logistic_loss(scores, (np.arange(b), tails), b)
+    d_s = np.empty_like(scores)
+
+    def objective(rows):
+        block = scores[rows]
+        d_s[rows] = logistic_terms(block, (np.arange(len(block)), tails[rows]), b)
+
+    for _ in map_blocks(objective, b, max(1, ROW_BLOCK_ELEMENTS // scores.shape[1])):
+        pass
+    loss = float(np.sum(scores))
     return loss, (d_s @ c_flat).reshape(h.shape), (d_s.T @ h_flat).reshape(c.shape)
 
 

@@ -27,6 +27,20 @@ class RankRecord:
     rank: int
 
 
+@dataclass(frozen=True)
+class RankMetrics:
+    mrr: float
+    hits1: float
+    hits3: float
+    hits10: float
+
+    @classmethod
+    def of(cls, ranks):
+        """MRR and Hits@1/3/10 of an array of ranks."""
+        return cls(float(np.mean(1.0 / ranks)),
+                   *(float(np.mean(ranks <= n)) for n in (1, 3, 10)))
+
+
 @dataclass
 class MetricsReport:
     mrr: float
@@ -34,6 +48,8 @@ class MetricsReport:
     hits3: float
     hits10: float
     per_relation: dict  # base relation id -> (mrr, count)
+    tail: RankMetrics  # tail queries (h, r, ?) alone
+    head: RankMetrics  # head queries (?, r, t) alone
     ranks: list = field(default_factory=list)
 
     def to_csv(self, path):
@@ -71,11 +87,12 @@ def evaluate(split, store, filter_index):
     """Filtered MRR / Hits@K over both directions of every triple.
 
     The metrics average the tail-direction and head-direction (reciprocal)
-    ranks; per-relation MRR aggregates both directions under the base
-    relation id. filter_index is None for raw ranking. A split that is not a
-    nonempty (n, 3) id array, or a filter index built for other entity or
-    relation counts, raises ShapeMismatch; an entity id outside [0, E) or a
-    relation id outside [0, R / 2) raises IndexError.
+    ranks, and `tail` and `head` hold each direction's own; per-relation MRR
+    aggregates both directions under the base relation id. filter_index is
+    None for raw ranking. A split that is not a nonempty (n, 3) id array, or
+    a filter index built for other entity or relation counts, raises
+    ShapeMismatch; an entity id outside [0, E) or a relation id outside
+    [0, R / 2) raises IndexError.
     """
     split = np.asarray(split, dtype=np.int64)
     if split.ndim != 2 or split.shape[1] != 3 or len(split) == 0:
@@ -104,12 +121,15 @@ def evaluate(split, store, filter_index):
     counts = np.bincount(split[:, 1]).tolist()  # triples; mrr still averages both directions
     records = [RankRecord(*triple, direction, rank) for triple, direction, rank in zip(
         np.repeat(split, 2, axis=0).tolist(), ("tail", "head") * len(split), ranks.tolist())]
+    both = RankMetrics.of(ranks)
     return MetricsReport(
-        mrr=float(np.mean(inverse)),
-        hits1=float(np.mean(ranks <= 1)),
-        hits3=float(np.mean(ranks <= 3)),
-        hits10=float(np.mean(ranks <= 10)),
+        mrr=both.mrr,
+        hits1=both.hits1,
+        hits3=both.hits3,
+        hits10=both.hits10,
         per_relation={rid: (sums[rid] / (2 * c), c) for rid, c in enumerate(counts) if c},
+        tail=RankMetrics.of(ranks[0::2]),
+        head=RankMetrics.of(ranks[1::2]),
         ranks=records,
     )
 

@@ -220,7 +220,7 @@ class TestBackwardHelpers:
         for scale in (1.0, 1e-6):
             omega = rng.normal(size=3) * scale
             grad_q = rng.normal(size=4)
-            analytic = algebra.exp_map_backward(omega, grad_q)
+            analytic = algebra.exp_map_backward(omega, algebra.exp_map(omega), grad_q)
             eps = 1e-6
             fd = np.empty(3)
             for i in range(3):

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -167,6 +168,12 @@ class TestConfig:
                                    schedule="exp", seed=4)
         assert cli.parse_config_text(cfg.to_text()) == cfg
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed=7\nk=16\n")
+        cfg = cli.load_config_file(str(path))
+        assert (cfg.seed, cfg.k) == (7, 16)
+
     def test_preset_expansion(self):
         parser = cli.build_parser()
         args = parser.parse_args(["train", "--preset", "wn18rr", "--dataset", "/d"])
@@ -225,10 +232,11 @@ class TestBadInput:
     def test_config_value_fails_cast(self, toy_dataset, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("seed=1\nk=abc\n")
-        with pytest.raises(ParseError, match=r"line 2: bad value 'abc' for key 'k'"):
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: bad value 'abc' for key 'k'")):
             cli.load_config_file(str(path))
-        self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o")),
-                          "--config", str(path)])
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o")),
+                                "--config", str(path)])
+        assert f"{path}:2:" in err
 
     def test_checkpoint_is_directory(self, toy_dataset, tmp_path, capsys):
         self.run(capsys, ["eval", "--dataset", toy_dataset, "--checkpoint", str(tmp_path),

@@ -41,6 +41,11 @@ class TestLoadSplit:
         with pytest.raises(ParseError, match=r"t\.txt:2: not valid UTF-8"):
             data.load_split(path)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\tr\tb\nb\tr\ta\n")
+        assert data.load_split(path) == [("a", "r", "b"), ("b", "r", "a")]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             data.load_split(tmp_path / "nope.txt")

@@ -118,15 +118,21 @@ def reference_evaluate(split, store, known=None):
     for h, r, t in (() if known is None else np.concatenate(list(known.splits().values()))):
         tails.setdefault((int(h), int(r)), set()).add(int(t))
         tails.setdefault((int(t), int(r) + n_base), set()).add(int(h))
-    ranks = []
+    ranks, by_direction = [], {"tail": [], "head": []}
     for h, r, t in split:
-        for sh, sr, true_e in (((int(h)), int(r), int(t)), (int(t), int(r) + n_base, int(h))):
+        for direction, (sh, sr, true_e) in zip(by_direction, (
+                (int(h), int(r), int(t)), (int(t), int(r) + n_base, int(h)))):
             scores = model.score_all_tails(store, sh, sr)[0]
             filtered = tails.get((sh, sr), set()) - {true_e}
             ranks.append(brute_force_rank(scores, true_e, filtered))
+            by_direction[direction].append(ranks[-1])
     ranks = np.array(ranks, dtype=float)
+    return {"ranks": ranks, **summarize(ranks),
+            **{d: summarize(np.array(rs, dtype=float)) for d, rs in by_direction.items()}}
+
+
+def summarize(ranks):
     return {
-        "ranks": ranks,
         "mrr": float(np.mean(1.0 / ranks)),
         "hits1": float(np.mean(ranks <= 1)),
         "hits3": float(np.mean(ranks <= 3)),
@@ -149,6 +155,22 @@ class TestEvaluate:
         assert report.hits1 == ref["hits1"]
         assert report.hits3 == ref["hits3"]
         assert report.hits10 == ref["hits10"]
+
+    @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
+    def test_direction_metrics_match_reference(self, variant):
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
+        store = model.init_model(variant, 3, vocab.n_entities, vocab.n_relations, seed=4)
+        index = data.build_filter_index(store_data, vocab)
+        split = store_data.train  # several eval chunks
+        report = ranking.evaluate(split, store, index)
+        ref = reference_evaluate(split, store, store_data)
+        for direction in ("tail", "head"):
+            got, want = getattr(report, direction), ref[direction]
+            assert got.mrr == pytest.approx(want["mrr"], abs=1e-12)
+            assert (got.hits1, got.hits3, got.hits10) == (
+                want["hits1"], want["hits3"], want["hits10"])
+        assert report.tail != report.head  # the two directions rank differently here
+        assert (report.tail.mrr + report.head.mrr) / 2 == pytest.approx(report.mrr, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
     def test_multi_chunk_ranks_match_reference(self, variant):

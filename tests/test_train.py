@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,60 @@ class TestDistanceKernel:
         assert pooled == [one, one]
 
 
+class TestCosineKernel:
+    @pytest.mark.parametrize("rows", [1, 4])  # one-row blocks; 4-row blocks split 11 rows 4/4/3
+    def test_pool_size_bit_identical(self, rows, monkeypatch, pool_runs):
+        """Score-row blocks on pools of 1, 2 and 8 workers give the bytes of
+        the objective over the whole score matrix in one block."""
+        rng = np.random.default_rng(9)
+        h, c = rng.normal(size=(11, 2, 4)), rng.normal(size=(20, 2, 4))
+        tails = BLOCK_BATCH[:, 2]
+        h_flat, c_flat = h.reshape(11, -1), c.reshape(20, -1)
+        loss, d_s = model.logistic_loss(h_flat @ c_flat.T, (np.arange(11), tails), 11)
+        whole = b"".join(a.tobytes() for a in (np.float64(loss), d_s @ c_flat, d_s.T @ h_flat))
+
+        def run():
+            loss, grad_h, grad_c = model.cosine_kernel(h, c, tails)
+            return np.float64(loss), grad_h, grad_c
+
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 20)
+        assert pool_runs(run) == [whole] * 3
+
+
+def two_branch_sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestLoss:
+    def test_sigmoid_bits_match_two_branch_formula(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.normal(scale=30.0, size=2000),
+                            [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.sigmoid(x)
+            nan = model.sigmoid(np.array([np.nan, 1.0]))
+        assert got.tobytes() == two_branch_sigmoid(x).tobytes()
+        assert np.isnan(nan[0]) and nan[1] == two_branch_sigmoid(np.array([1.0]))[0]
+
+    def test_logistic_loss_matches_direct_oracle(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(scale=8.0, size=(5, 9))
+        x[0, 0], x[1, 1], x[2, 8] = 40.0, -40.0, 0.0
+        pos = (np.arange(5), np.array([0, 1, 8, 3, 3]))
+        y = -np.ones_like(x)
+        y[pos] = 1.0
+        loss, d_s = model.logistic_loss(x.copy(), pos, 5)
+        assert loss == pytest.approx(np.sum(np.logaddexp(0.0, -y * x)), rel=1e-14)
+        # d log(1 + exp(-y s)) / ds = -y / (1 + exp(y s))
+        np.testing.assert_allclose(d_s, -y / (1.0 + np.exp(y * x)) / 5, rtol=1e-14, atol=0)
+
     def test_single_entity_softplus(self):
         store = model.init_model("module_rc", 2, 1, 1, seed=0)
         cfg = train.LossConfig(p=2, lam=0.0)
