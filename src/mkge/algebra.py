@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateElement, EmptyTuple, TagMismatch
+from .errors import EmptyTuple, TagMismatch
 
 REAL, COMPLEX, QUAT = 1, 2, 4
-
-# Below this squared norm an element cannot be normalized meaningfully.
-DEGENERATE_EPS = 1e-24
 
 # coordinate signs of the conjugate, per non-real element width
 _CONJ_SIGNS = {COMPLEX: np.array([1.0, -1.0]), QUAT: np.array([1.0, -1.0, -1.0, -1.0])}
@@ -100,24 +97,6 @@ def field_norm(x):
     squares for quaternions. Multiplicative over elem_mul."""
     x = np.asarray(x, dtype=np.float64)
     return np.sum(x * x, axis=-1)
-
-
-def inner_product(x, y):
-    """Real dot product of the coordinate tuples; <x, x> equals field_norm(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[-1] != y.shape[-1]:
-        raise TagMismatch(f"element widths differ: {x.shape[-1]} vs {y.shape[-1]}")
-    return np.sum(x * y, axis=-1)
-
-
-def normalize(q):
-    """Scale an element to unit norm; rejects degenerate input."""
-    q = np.asarray(q, dtype=np.float64)
-    n = field_norm(q)
-    if np.any(n <= DEGENERATE_EPS):
-        raise DegenerateElement(f"cannot normalize element with squared norm {np.min(n)}")
-    return q / np.sqrt(n)[..., None]
 
 
 # sin(theta)/theta and its related Jacobian coefficient switch to series

@@ -99,6 +99,8 @@ def load_checkpoint(path):
         if name not in model.VARIANTS:
             raise BadMagic(f"unknown model variant {name!r}")
         k, ablation_code, n_ent, n_rel = struct.unpack("<IIQQ", _read_exact(fh, 24, "shape"))
+        if k < 1:
+            raise BadMagic(f"checkpoint header declares k = {k}; k must be >= 1")
         if ablation_code not in _ABLATION_NAMES:
             raise BadMagic(f"unknown ablation code {ablation_code}")
         digest = _read_exact(fh, 32, "digest")

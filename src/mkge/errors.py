@@ -5,10 +5,6 @@ class MkgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateElement(MkgeError):
-    """Normalization requested for an element with (near-)zero norm."""
-
-
 class TagMismatch(MkgeError):
     """Binary operation on module elements of different kinds."""
 

@@ -1,13 +1,13 @@
 """Model variants, parameter storage, the combine/transform pipeline, and
 the 1-vs-all score kernels.
 
-A variant is a pair of entries of the group table `GROUPS`: a scaling group
-acting on the entity scalars and a rotation group acting on the entity unit
-vectors. The unit vector parts are themselves elements of a table entry
-(`VECTOR_GROUPS`: real -> fixed, complex -> U(1), quaternion -> unit
-quaternion). Every action, and the combination s_i * v_i of an entity's two
-parts, is the one ring product `algebra.elem_mul`, whose reverse mode is
-`algebra.elem_mul_backward`.
+A variant is four entries of the group table `GROUPS`: the groups of the
+entity scalars, the entity unit vectors, the relation scalings (acting on the
+scalars) and the relation rotations (acting on the vectors). Entity scalars
+are free ring elements, real (`gl1`, whose ops are those of a free real) or
+quaternion (`quaternion`). Every action, and the combination s_i * v_i of an
+entity's two parts, is the one ring product `algebra.elem_mul`, whose reverse
+mode is `algebra.elem_mul_backward`.
 
 A new group entry must provide its parameter and element widths, the
 parameters of its identity element (held by frozen ablation blocks), whether
@@ -16,12 +16,13 @@ uniform init draw, `materialize` from free parameters to elements and
 `param_backward`, which pulls a gradient on elements back to the parameters
 given both.
 
-Entity row layout: [scalar params (k * scalar_width), vector free params
-(k * vector.param_width)]. Relation row layout: [scaling params
-(k * scaling.param_width), rotation params (k * rotation.param_width)].
-Unit group elements are stored by their free parameters (a phase angle for
-U(1), a 3-vector rotation parameter for unit quaternions) and materialized on
-use, so unitarity holds by construction.
+Both parameter tables have one layout: a row holds two column blocks of k
+group parameters each, the first group's then the second's (entity rows:
+scalars, vectors; relation rows: scalings, rotations). The ablations freeze
+the first or the second block of both tables at the group identity. Unit
+group elements are stored by their free parameters (a phase angle for U(1), a
+3-vector rotation parameter for unit quaternions) and materialized on use, so
+unitarity holds by construction.
 
 Training and evaluation build the whole entity table's unit vectors and
 combined entities s_e * v_e through one function, `entity_forward`, per block
@@ -52,11 +53,6 @@ from .errors import LengthMismatch, ShapeMismatch
 
 ABLATION_MODES = ("scalar", "vector", "both")
 
-GROUP_FIXED = "fixed"
-GROUP_GL1 = "gl1"
-GROUP_U1 = "u1"
-GROUP_UQ = "unit_quaternion"
-
 # elements of one (B, C, k) float64 plane of the distance kernel (~0.8 MB),
 # which sets its chunk of C candidates
 DISTANCE_CHUNK_ELEMENTS = 100_000
@@ -68,7 +64,7 @@ ROW_BLOCK_ELEMENTS = 131_072
 
 
 def _coordinate_half_width(k):
-    """Init half-width of free ring coordinates (entity scalars, GL(1))."""
+    """Init half-width of free ring coordinates (real and quaternion scalars, GL(1))."""
     return 0.5 / np.sqrt(k)
 
 
@@ -88,76 +84,62 @@ class Group:
 # The algebra calls go through the module so that wrappers installed on it
 # (the benchmark's tracer) see them.
 GROUPS = {
-    GROUP_FIXED: Group(0, 1, (), True, lambda k: 0.0,
-                       lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, z, g: np.zeros_like(p)),
-    GROUP_GL1: Group(1, 1, (1.0,), False, _coordinate_half_width,
-                     lambda p: p, lambda p, z, g: g),
-    GROUP_U1: Group(1, 2, (0.0,), True, lambda k: np.pi,
-                    lambda p: algebra.angle_to_complex(p[..., 0]),
-                    lambda p, z, g: algebra.angle_backward(z, g)[..., None]),
-    GROUP_UQ: Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
-                    lambda p: algebra.exp_map(p),
-                    lambda p, z, g: algebra.exp_map_backward(p, z, g)),
+    "fixed": Group(0, 1, (), True, lambda k: 0.0,
+                   lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, z, g: np.zeros_like(p)),
+    "gl1": Group(1, 1, (1.0,), False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
+    "quaternion": Group(4, 4, (1.0, 0.0, 0.0, 0.0), False, _coordinate_half_width,
+                        lambda p: p, lambda p, z, g: g),
+    "u1": Group(1, 2, (0.0,), True, lambda k: np.pi,
+                lambda p: algebra.angle_to_complex(p[..., 0]),
+                lambda p, z, g: algebra.angle_backward(z, g)[..., None]),
+    "unit_quaternion": Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
+                             lambda p: algebra.exp_map(p),
+                             lambda p, z, g: algebra.exp_map_backward(p, z, g)),
 }
-
-# group whose unit elements are the entity vector parts of each space
-VECTOR_GROUPS = {"real": GROUP_FIXED, "complex": GROUP_U1, "quaternion": GROUP_UQ}
-SCALAR_WIDTHS = {"real": 1, "quaternion": 4}
 
 
 @dataclass(frozen=True)
 class ModelVariant:
     name: str
-    scalar_group: str  # ring housing entity scalars: 'real' | 'quaternion'
-    vector_group: str  # space housing entity vectors: 'real' | 'complex' | 'quaternion'
-    scaling_group: str  # GROUP_GL1 | GROUP_UQ | GROUP_FIXED
-    rotation_group: str  # GROUP_U1 | GROUP_UQ | GROUP_FIXED
+    scalar: Group  # entity scalars
+    vector: Group  # entity unit vectors
+    scaling: Group  # relation action on the scalars
+    rotation: Group  # relation action on the vectors
     score_kind: str  # 'cosine' | 'distance'
-
-    @property
-    def scaling(self):
-        return GROUPS[self.scaling_group]
-
-    @property
-    def rotation(self):
-        return GROUPS[self.rotation_group]
-
-    @property
-    def vector(self):
-        return GROUPS[VECTOR_GROUPS[self.vector_group]]
-
-    @property
-    def scalar_width(self):
-        return SCALAR_WIDTHS[self.scalar_group]
 
     @property
     def kernel(self):
         return SCORE_KERNELS[self.score_kind]
 
     def entity_row_width(self, k):
-        return k * (self.scalar_width + self.vector.param_width)
+        return k * (self.scalar.param_width + self.vector.param_width)
 
     def relation_row_width(self, k):
         return k * (self.scaling.param_width + self.rotation.param_width)
 
 
 VARIANTS = {
-    "distmult": ModelVariant("distmult", "real", "real", GROUP_GL1, GROUP_FIXED, "cosine"),
-    "rotate": ModelVariant("rotate", "real", "complex", GROUP_FIXED, GROUP_U1, "distance"),
-    "module_rc": ModelVariant("module_rc", "real", "complex", GROUP_GL1, GROUP_U1, "cosine"),
-    "module_rh": ModelVariant("module_rh", "real", "quaternion", GROUP_GL1, GROUP_UQ, "cosine"),
-    "module_hh": ModelVariant(
-        "module_hh", "quaternion", "quaternion", GROUP_UQ, GROUP_UQ, "cosine"
-    ),
+    name: ModelVariant(name, *(GROUPS[group] for group in groups), kind)
+    for name, *groups, kind in (
+        # name, then the groups of the entity scalars, the entity vectors, the
+        # relation scalings and the relation rotations, then the score kind
+        ("distmult", "gl1", "fixed", "gl1", "fixed", "cosine"),
+        ("rotate", "gl1", "u1", "fixed", "u1", "distance"),
+        ("module_rc", "gl1", "u1", "gl1", "u1", "cosine"),
+        ("module_rh", "gl1", "unit_quaternion", "gl1", "unit_quaternion", "cosine"),
+        ("module_hh", "quaternion", "unit_quaternion", "unit_quaternion", "unit_quaternion",
+         "cosine"),
+    )
 }
 
 
-def _blocks(table, k, first_width, second_width):
-    """Views (n, k, first_width) and (n, k, second_width) of a table's two
-    column blocks."""
-    n, split = table.shape[0], k * first_width
-    return (table[:, :split].reshape(n, k, first_width),
-            table[:, split:].reshape(n, k, second_width))
+def _blocks(table, k, first, second):
+    """Views (n, k, first.param_width) and (n, k, second.param_width) of the
+    two column blocks of a table whose rows hold k parameters of group
+    `first`, then k of group `second`."""
+    n, split = table.shape[0], k * first.param_width
+    return (table[:, :split].reshape(n, k, first.param_width),
+            table[:, split:].reshape(n, k, second.param_width))
 
 
 @dataclass
@@ -176,52 +158,46 @@ class ParameterStore:
     def n_relations(self):
         return self.relation.shape[0]
 
-    def entity_parts(self):
-        """Views (E, k, scalar_width) and (E, k, vector.param_width)."""
+    def entity_parts(self, table=None):
+        """Views (E, k, scalar.param_width) and (E, k, vector.param_width) of
+        the entity table, or of a table shaped like it."""
         v = self.variant
-        return _blocks(self.entity, self.k, v.scalar_width, v.vector.param_width)
+        table = self.entity if table is None else table
+        return _blocks(table, self.k, v.scalar, v.vector)
 
     def relation_parts(self, table=None):
         """Views (R, k, scaling.param_width) and (R, k, rotation.param_width)
         of the relation table, or of a table shaped like it."""
         v = self.variant
         table = self.relation if table is None else table
-        return _blocks(table, self.k, v.scaling.param_width, v.rotation.param_width)
+        return _blocks(table, self.k, v.scaling, v.rotation)
 
     def free_masks(self):
         """Boolean masks over entity/relation row columns; frozen ablation
         blocks are False."""
         v = self.variant
-        ent = np.ones(v.entity_row_width(self.k), dtype=bool)
-        rel = np.ones(v.relation_row_width(self.k), dtype=bool)
-        es_w = self.k * v.scalar_width
-        rs_w = self.k * v.scaling.param_width
-        if self.ablation == "scalar":
-            ent[es_w:] = False
-            rel[rs_w:] = False
-        elif self.ablation == "vector":
-            ent[:es_w] = False
-            rel[:rs_w] = False
-        return ent, rel
+        free = (self.ablation != "vector", self.ablation != "scalar")
+        return tuple(np.repeat(free, [self.k * group.param_width for group in groups])
+                     for groups in ((v.scalar, v.vector), (v.scaling, v.rotation)))
 
 
-def _draw_table(rng, n, k, blocks):
-    """Parameter table of consecutive column blocks, each given as
-    (param_width, half_width, identity params, free). A free block draws
-    uniform(-half_width, half_width); a frozen block holds the identity and
-    draws nothing."""
+def _draw_table(rng, n, k, groups, free):
+    """Parameter table of one column block per group, k parameters wide each.
+    A free block draws uniform(-h, h), h the group's half-width; a frozen
+    block holds the group identity and draws nothing."""
     return np.concatenate([
-        rng.uniform(-half, half, size=(n, k * width)) if free else np.tile(identity, (n, k))
-        for width, half, identity, free in blocks
+        rng.uniform(-group.half_width(k), group.half_width(k), size=(n, k * group.param_width))
+        if is_free else np.tile(group.identity, (n, k))
+        for group, is_free in zip(groups, free)
     ], axis=1)
 
 
 def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     """Seed-deterministic initialization.
 
-    Real scalar coordinates are drawn uniform(-0.5/sqrt(k), 0.5/sqrt(k));
-    group parameters uniform(-h, h) with h the group's half-width (the same
-    bound for GL(1), pi for unit groups). Blocks are drawn in row order,
+    Free ring coordinates (real and quaternion scalars, GL(1) scalings) are
+    drawn uniform(-0.5/sqrt(k), 0.5/sqrt(k)), the parameters of unit groups
+    uniform(-pi, pi): each group's half-width. Blocks are drawn in row order,
     entity scalars, entity vectors, relation scalings, relation rotations.
     Frozen ablation blocks are set to the group identity and consume no
     random draws, so e.g. a scalar-only module_rc run shares its scalar draws
@@ -234,16 +210,9 @@ def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     if ablation not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {ablation!r}")
     rng = np.random.default_rng(seed)
-    scalar_free, vector_free = ablation != "vector", ablation != "scalar"
-    sw, vector = variant.scalar_width, variant.vector
-    entity = _draw_table(rng, n_entities, k, [
-        (sw, _coordinate_half_width(k), np.eye(1, sw), scalar_free),  # ring identity 1
-        (vector.param_width, vector.half_width(k), vector.identity, vector_free),
-    ])
-    relation = _draw_table(rng, n_relations, k, [
-        (group.param_width, group.half_width(k), group.identity, free)
-        for group, free in ((variant.scaling, scalar_free), (variant.rotation, vector_free))
-    ])
+    free = (ablation != "vector", ablation != "scalar")
+    entity = _draw_table(rng, n_entities, k, (variant.scalar, variant.vector), free)
+    relation = _draw_table(rng, n_relations, k, (variant.scaling, variant.rotation), free)
     return ParameterStore(variant, k, entity, relation, ablation)
 
 
@@ -280,13 +249,14 @@ def entity_forward(store):
     """Unit vector elements and combined entities s_e * v_e of the whole
     entity table, (E, k, vector.width) each, built per row block on the
     process's thread pool. Must not be called from a task on that pool."""
+    variant = store.variant
     es, ev = store.entity_parts()
-    vec_all = np.empty((store.n_entities, store.k, store.variant.vector.width))
+    vec_all = np.empty((store.n_entities, store.k, variant.vector.width))
     c_all = np.empty_like(vec_all)
 
     def forward(rows):
-        vec_all[rows] = materialize_vector(ev[rows], store.variant)
-        c_all[rows] = combine(es[rows], vec_all[rows])
+        vec_all[rows] = materialize_vector(ev[rows], variant)
+        c_all[rows] = combine(variant.scalar.materialize(es[rows]), vec_all[rows])
 
     for _ in map_blocks(forward, store.n_entities, rows_per_block(store)):
         pass
@@ -299,8 +269,9 @@ def combined_embeddings(store, ids=None):
     if ids is None:
         return entity_forward(store)[1]
     _check_ids(ids, store.n_entities)
+    variant = store.variant
     es, ev = store.entity_parts()
-    return combine(es[ids], materialize_vector(ev[ids], store.variant))
+    return combine(variant.scalar.materialize(es[ids]), materialize_vector(ev[ids], variant))
 
 
 def head_forward(s_h, v_h, g_s, g_v):
@@ -319,7 +290,8 @@ def transformed_heads(store, h_ids, r_ids):
     variant = store.variant
     es, ev = store.entity_parts()
     rs, rv = store.relation_parts()
-    return head_forward(es[h_ids], materialize_vector(ev[h_ids], variant),
+    return head_forward(variant.scalar.materialize(es[h_ids]),
+                        materialize_vector(ev[h_ids], variant),
                         variant.scaling.materialize(rs[r_ids]),
                         variant.rotation.materialize(rv[r_ids]))[2]
 

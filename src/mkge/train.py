@@ -17,11 +17,13 @@ one worker per usable core, at most MKGE_THREADS). Forward,
 `model.entity_forward` builds the unit vectors and the combined entities; the
 score kernel then runs on the whole combined table and the regularizer
 scatters its terms into that table's gradient; backward, each block pulls its
-rows of that gradient through `combine` and the unit parameterization, adds
-the head-transform gradients of its rows and writes its rows of the entity
-gradient. `adagrad_step` updates the entity table in the same blocks. Blocks
-write disjoint rows, and a row's repeated heads are added in batch order, so
-results do not depend on the pool size or the block size.
+rows of that gradient through `combine`, adds the head-transform gradients of
+its rows, and writes each part's gradient through its group's
+`param_backward` into that part's column block of the entity gradient
+(`ParameterStore.entity_parts`), as the relation backward does for the
+relation table. `adagrad_step` updates the entity table in the same blocks.
+Blocks write disjoint rows, and a row's repeated heads are added in batch
+order, so results do not depend on the pool size or the block size.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class LossConfig:
     def __post_init__(self):
         if self.p not in (2, 3):
             raise ValueError("norm exponent p must be 2 or 3")
-        if min(self.lam, self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ValueError("regularization rates must be nonnegative")
+        rates = (self.lam, self.lambda1, self.lambda2, self.lambda3)
+        if not all(rate >= 0 and math.isfinite(rate) for rate in rates):
+            raise ValueError(f"regularization rates must be finite and >= 0, got {rates}")
 
 
 @dataclass
@@ -146,7 +149,7 @@ def batch_loss_and_grads(store, triples, cfg):
 
     es, ev = store.entity_parts()
     vec_all, c_all = model.entity_forward(store)  # (E, k, w) each
-    parts = (es[heads], vec_all[heads])
+    parts = (variant.scalar.materialize(es[heads]), vec_all[heads])
     params = [p[rels] for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
     s2, v2, h_prime = model.head_forward(*parts, *elems)  # h_prime: (B, k, w)
@@ -193,20 +196,21 @@ def batch_loss_and_grads(store, triples, cfg):
     by_head = np.argsort(heads, kind="stable")
     sorted_heads = heads[by_head]
     grad_entity = np.empty_like(store.entity)
+    grad_blocks = store.entity_parts(grad_entity)
     ent_mask, rel_mask = store.free_masks()
-    split = es.shape[1] * es.shape[2]  # scalar columns
 
     def backward(rows):
-        grad_s, grad_v = algebra.elem_mul_backward(grad_c[rows], es[rows], vec_all[rows])
+        params = (es[rows], ev[rows])
+        elems = (variant.scalar.materialize(params[0]), vec_all[rows])
         lo, hi = np.searchsorted(sorted_heads, (rows.start, rows.stop))
         mine = by_head[lo:hi]
-        np.add.at(grad_s, heads[mine] - rows.start, grad_heads[0][mine])
-        np.add.at(grad_v, heads[mine] - rows.start, grad_heads[1][mine])
-        grad_ev = variant.vector.param_backward(ev[rows], vec_all[rows], grad_v)
-        out = grad_entity[rows]
-        out[:, :split] = grad_s.reshape(len(out), -1)
-        out[:, split:] = grad_ev.reshape(len(out), -1)
-        out *= ent_mask
+        for group, param, elem, grad, grad_head, grad_block in zip(
+            (variant.scalar, variant.vector), params, elems,
+            algebra.elem_mul_backward(grad_c[rows], *elems), grad_heads, grad_blocks,
+        ):
+            np.add.at(grad, heads[mine] - rows.start, grad_head[mine])
+            grad_block[rows] = group.param_backward(param, elem, grad)
+        grad_entity[rows] *= ent_mask
 
     for _ in map_blocks(backward, n_ent, model.rows_per_block(store)):
         pass

@@ -139,6 +139,24 @@ class TestCheckpoint:
                          "--out", str(tmp_path / "eval")])
         assert code == 1
 
+    def test_zero_dimension_header(self, toy_dataset, tmp_path, capsys):
+        """A k = 0 store saved with the dataset's digest: loading it would
+        reach a division by zero in evaluation's row blocks."""
+        vocab, _ = data.build_dataset(toy_dataset)
+        n_ent, n_rel = vocab.n_entities, vocab.n_relations
+        store = model.ParameterStore(model.VARIANTS["module_rc"], 0,
+                                     np.empty((n_ent, 0)), np.empty((n_rel, 0)))
+        path = tmp_path / "k0.mkge"
+        ckpt.save_checkpoint(path, store,
+                             digest=ckpt.config_digest("module_rc", 0, "both", n_ent, n_rel))
+        with pytest.raises(BadMagic, match="k = 0"):
+            ckpt.load_checkpoint(path)
+        capsys.readouterr()
+        code = cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", str(path),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_magic_and_version(self, tmp_path):
         path = tmp_path / "d.mkge"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -282,6 +300,14 @@ class TestBadInput:
         err = self.run(capsys, ["train", *small_args(toy_dataset, str(tmp_path / "o"),
                                                      ["--lr", "0"])])
         assert "learning rate" in err
+
+    @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda2", "inf"),
+                                            ("--lambda3", "-1")])
+    def test_bad_regularization_rate(self, flag, value, toy_dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(out), [flag, value])])
+        assert "regularization rates" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap(self, value, toy_dataset, tmp_path, capsys, monkeypatch):

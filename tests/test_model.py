@@ -6,15 +6,15 @@ from mkge import algebra, model
 
 class TestVariantTable:
     def test_module_hh_row(self):
-        v = model.VARIANTS["module_hh"]
-        assert v.scalar_group == "quaternion" and v.vector_group == "quaternion"
-        assert v.scaling_group == model.GROUP_UQ and v.rotation_group == model.GROUP_UQ
+        v, groups = model.VARIANTS["module_hh"], model.GROUPS
+        assert v.scalar == groups["quaternion"] and v.vector == groups["unit_quaternion"]
+        assert v.scaling == groups["unit_quaternion"] and v.rotation == groups["unit_quaternion"]
         assert v.score_kind == "cosine"
 
     def test_rotate_row(self):
-        v = model.VARIANTS["rotate"]
-        assert v.vector_group == "complex" and v.rotation_group == model.GROUP_U1
-        assert v.scaling_group == model.GROUP_FIXED and v.score_kind == "distance"
+        v, groups = model.VARIANTS["rotate"], model.GROUPS
+        assert v.vector == groups["u1"] and v.rotation == groups["u1"]
+        assert v.scaling == groups["fixed"] and v.score_kind == "distance"
 
     def test_param_accounting_module_hh(self):
         v = model.VARIANTS["module_hh"]
@@ -29,7 +29,43 @@ class TestVariantTable:
         assert model.VARIANTS["rotate"].relation_row_width(1) == 1
 
 
+# Per variant, the parameter width per dimension and the kind of the entity
+# scalar, entity vector, relation scaling and relation rotation blocks: "ring"
+# for free ring coordinates, "unit" for the parameters of a unit group.
+INIT_BLOCKS = {
+    "distmult": ((1, "ring"), (0, "unit"), (1, "ring"), (0, "unit")),
+    "rotate": ((1, "ring"), (1, "unit"), (0, "unit"), (1, "unit")),
+    "module_rc": ((1, "ring"), (1, "unit"), (1, "ring"), (1, "unit")),
+    "module_rh": ((1, "ring"), (3, "unit"), (1, "ring"), (3, "unit")),
+    "module_hh": ((4, "ring"), (3, "unit"), (3, "unit"), (3, "unit")),
+}
+
+
 class TestInit:
+    @pytest.mark.parametrize("name", sorted(INIT_BLOCKS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    def test_documented_draw_order(self, name, ablation):
+        """The tables are the blocks drawn in row order from one generator:
+        free ring coordinates uniform(+-0.5/sqrt(k)), unit group parameters
+        uniform(+-pi); a frozen block holds the identity (ring one, zero
+        parameters) and draws nothing."""
+        k, n_ent, n_rel, seed = 3, 5, 4, 19
+        rng = np.random.default_rng(seed)
+        free = (ablation != "vector", ablation != "scalar") * 2
+        blocks = []
+        for (width, kind), is_free, n in zip(INIT_BLOCKS[name], free,
+                                             (n_ent, n_ent, n_rel, n_rel)):
+            if is_free:
+                half = 0.5 / np.sqrt(k) if kind == "ring" else np.pi
+                blocks.append(rng.uniform(-half, half, size=(n, k * width)))
+            else:
+                identity = np.eye(1, width)[0] if kind == "ring" else np.zeros(width)
+                blocks.append(np.tile(identity, (n, k)))
+        store = model.init_model(name, k, n_ent, n_rel, seed, ablation)
+        for table, want in ((store.entity, np.hstack(blocks[:2])),
+                            (store.relation, np.hstack(blocks[2:]))):
+            assert table.shape == want.shape and table.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         a = model.init_model("module_hh", 4, 5, 6, seed=11)
         b = model.init_model("module_hh", 4, 5, 6, seed=11)
@@ -190,9 +226,10 @@ class TestScore:
     def test_rotation_invariance_of_inner_product(self):
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=4), rng.normal(size=4)
-        g = algebra.normalize(rng.normal(size=4))
-        lhs = algebra.inner_product(algebra.elem_mul(x, g), algebra.elem_mul(y, g))
-        assert lhs == pytest.approx(algebra.inner_product(x, y), abs=1e-9)
+        g = rng.normal(size=4)
+        g = g / np.sqrt(np.sum(g * g))
+        lhs = np.sum(algebra.elem_mul(x, g) * algebra.elem_mul(y, g))
+        assert lhs == pytest.approx(np.sum(x * y), abs=1e-9)
 
     def test_out_of_range(self):
         store = model.init_model("module_rc", 2, 3, 2, seed=0)
@@ -269,10 +306,13 @@ def central_difference(f, x, step=1e-6):
 
 
 class TestGroupTable:
-    """Every entry of model.GROUPS, which also serves the entity unit vectors."""
+    """Every entry of model.GROUPS, which also serves the entity scalars and
+    unit vectors."""
 
     def test_vector_groups_are_table_entries(self):
-        assert set(model.VECTOR_GROUPS.values()) <= set(model.GROUPS)
+        for v in model.VARIANTS.values():
+            for group in (v.scalar, v.vector, v.scaling, v.rotation):
+                assert any(group is entry for entry in model.GROUPS.values())
 
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_identity_params_materialize_to_identity(self, name):

@@ -1,8 +1,8 @@
-"""Smoke test of the benchmark harness and the demos: each script runs to
-completion in a fresh interpreter. The harness self-test drives the public
-calls the benchmark makes (init_model, fit, checkpoints, evaluate and its
-per-query ranks) on a tiny generated KG. The benchmark's per-function metric
-names are checked against the program's functions."""
+"""Smoke test of the benchmark harness, the digest tool and the demos: each
+script runs to completion in a fresh interpreter. The harness self-test
+drives the public calls the benchmark makes (init_model, fit, checkpoints,
+evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
+per-function metric names are checked against the program's functions."""
 
 import importlib
 import inspect
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCRIPTS = ["perfbench/selftest.py"] + sorted(
+SCRIPTS = ["perfbench/selftest.py", "tools/digests.py"] + sorted(
     f"demos/{name}" for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py")
 )
 

@@ -368,6 +368,18 @@ class TestFitConfig:
                         lr=1e-300)
 
 
+class TestLossConfig:
+    @pytest.mark.parametrize("field", ["lam", "lambda1", "lambda2", "lambda3"])
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"), float("-inf")])
+    def test_bad_rate_raises(self, field, value):
+        with pytest.raises(ValueError, match="regularization rates"):
+            train.LossConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        train.LossConfig(p=2, lam=0.0, lambda1=0.0, lambda2=0.0, lambda3=0.0)
+        train.LossConfig(lam=1e300, lambda1=5e-324)
+
+
 class TestFit:
     def test_zero_epochs(self):
         store = model.init_model("module_rc", 2, 4, 2, seed=0)

@@ -1,0 +1,69 @@
+"""Bit-identity digests of the model and the trainer: one line per variant x
+ablation.
+
+Each line hashes, for one case on a small synthetic KG: the initial
+parameter tables, the free-column masks, one training step (its loss as a
+float hex, both gradient tables, both tables after Adagrad), the scores of
+the batch's (head, relation) rows against every entity, a 3-epoch `fit`
+(its epoch losses and final tables), and the filtered test MRR. Row blocks
+and distance chunks are set small, so the entity work and the distance
+kernel run in several blocks, as they do at full scale.
+
+Two trees give the same output exactly when they compute the same bits, so a
+refactor is checked by diffing the output of the parent and of the change:
+
+    PYTHONPATH=src python tools/digests.py > after.txt
+    MKGE_THREADS=1 PYTHONPATH=src python tools/digests.py > after_1.txt
+"""
+
+import hashlib
+
+import numpy as np
+
+from mkge import data, model, ranking, train
+
+K, SEED = 3, 7
+LOSS = train.LossConfig(p=3, lam=0.05)
+FIT = train.FitConfig(epochs=3, batch_size=64, lr=0.1, seed=SEED, loss=LOSS)
+
+model.ROW_BLOCK_ELEMENTS = 8 * K * 4  # 8-row blocks of quaternion elements
+model.DISTANCE_CHUNK_ELEMENTS = 128
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def case(name, ablation, vocab, triples, aug, index):
+    store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
+    fields = [f"init={digest(store.entity, store.relation)}",
+              f"masks={digest(*store.free_masks())}"]
+    batch = aug[:48]
+    loss, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
+    fields += [f"loss={float(loss).hex()}", f"grads={digest(g_e, g_r)}"]
+    train.adagrad_step(store, train.OptimizerState.for_store(store), g_e, g_r)
+    fields.append(f"adagrad={digest(store.entity, store.relation)}")
+    fields.append(f"scores={digest(model.score_all_tails(store, batch[:, 0], batch[:, 1]))}")
+
+    store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
+    report, _ = train.fit(store, aug, FIT)
+    losses = np.array([rec.loss for rec in report.epochs])
+    fields.append(f"fit={digest(losses, store.entity, store.relation)}")
+    fields.append(f"mrr={ranking.evaluate(triples.test, store, index).mrr.hex()}")
+    return " ".join([f"{name}/{ablation}"] + fields)
+
+
+def main():
+    vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=30)
+    aug = data.augment_reciprocal(triples.train, vocab)
+    index = data.build_filter_index(triples, vocab)
+    for name in sorted(model.VARIANTS):
+        for ablation in model.ABLATION_MODES:
+            print(case(name, ablation, vocab, triples, aug, index))
+
+
+if __name__ == "__main__":
+    main()
