@@ -1,6 +1,7 @@
 """A tour of the ring layer: real, complex, and quaternion elements all
-live in numpy arrays whose trailing axis is the coordinate width (1, 2, or 4),
-and one product, `elem_mul`, dispatches on that width."""
+live in numpy arrays whose first axis is the coordinate width (1, 2, or 4),
+so an array (w, n) holds n elements as w component planes, and one product,
+`elem_mul`, dispatches on that width."""
 
 import numpy as np
 
@@ -37,7 +38,8 @@ z = algebra.angle_to_complex(np.pi / 3)
 w = algebra.angle_to_complex(np.pi / 6)
 print("unit complex product:", algebra.elem_mul(z, w), "(expect cos/sin of pi/2)")
 
-# tuple norms generalize the N3 regularizer: G_p over a tuple of elements
-xs = rng.standard_normal((5, 4))
+# tuple norms generalize the N3 regularizer: G_p over a tuple of elements,
+# here 5 quaternions as planes (4, 5)
+xs = rng.standard_normal((5, 4)).T
 for p_exp in (1, 2, 3):
     print(f"G_{p_exp}(xs) =", algebra.g_p_norm(xs, p_exp))

@@ -1,10 +1,16 @@
 """The ring layer: real, complex and quaternion arithmetic on coordinate arrays.
 
-Module elements are numpy arrays whose last axis holds the real coordinates
+Module elements are numpy arrays whose first axis holds the real coordinates
 of the element: width 1 for reals, 2 for complex numbers (re, im), 4 for
-quaternions (a, b, c, d) in the basis 1, i, j, k. All functions broadcast
-over leading axes, so the same code serves scalar sanity checks and the
-vectorized model hot path.
+quaternions (a, b, c, d) in the basis 1, i, j, k. An array (w, ...) is thus
+w component planes, one per coordinate, and a 1-D array of length w is one
+element. All functions broadcast over the axes after the first, so the same
+code serves scalar sanity checks and the vectorized model hot path, where
+each plane is a contiguous (rows, k) block.
+
+Products write each coordinate into one preallocated output, adding their
+terms in a fixed order, so a result has the same bits whether its operands
+are contiguous planes or strided views of element-last arrays.
 
 Every group action of the model (GL(1) scaling, U(1) and unit-quaternion
 rotation) and the combination s * v of an entity's two parts is the one ring
@@ -25,31 +31,74 @@ REAL, COMPLEX, QUAT = 1, 2, 4
 # coordinate signs of the conjugate, per non-real element width
 _CONJ_SIGNS = {COMPLEX: np.array([1.0, -1.0]), QUAT: np.array([1.0, -1.0, -1.0, -1.0])}
 
+# Products by their terms: coordinate i of x * y is the sum of sign * x_j * y_l
+# over the terms (sign, j, l) of row i, added in this order.
+_PRODUCT_TERMS = {
+    COMPLEX: (((1, 0, 0), (-1, 1, 1)),
+              ((1, 0, 1), (1, 1, 0))),
+    QUAT: (((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (-1, 3, 3)),
+           ((1, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 3, 2)),
+           ((1, 0, 2), (-1, 1, 3), (1, 2, 0), (1, 3, 1)),
+           ((1, 0, 3), (1, 1, 2), (-1, 2, 1), (1, 3, 0))),
+}
+
+
+def _conjugated(terms, side):
+    """Terms of the product with its left (side 0) or right (side 1) operand
+    conjugated: a term's sign flips where that operand's coordinate is not
+    the real one. Negation is exact, so the folded product has the bits of
+    the product of the conjugate."""
+    return tuple(tuple((sign * (-1 if (j, l)[side] else 1), j, l) for sign, j, l in row)
+                 for row in terms)
+
+
+# the products (conj(x) * y, x * conj(y)) of elem_mul_backward, per width
+_BACKWARD_TERMS = {w: (_conjugated(terms, 0), _conjugated(terms, 1))
+                   for w, terms in _PRODUCT_TERMS.items()}
+
+
+def _coords(x):
+    """Views x[0], x[1], ... of the coordinates of an element array (w, ...);
+    each is an array, also when x is one element."""
+    return [x[i, ...] for i in range(x.shape[0])]
+
+
+def _bilinear(terms, x, y):
+    """Sum of signed coordinate products by a term table (see _PRODUCT_TERMS),
+    written coordinate by coordinate into one output (len(terms), ...)."""
+    xs, ys = _coords(x), _coords(y)
+    out = np.empty((len(terms),) + np.broadcast_shapes(xs[0].shape, ys[0].shape))
+    tmp = np.empty(out.shape[1:])
+    for acc, ((sign, j, l), *rest) in zip(_coords(out), terms):
+        np.multiply(xs[j], ys[l], out=acc)
+        if sign < 0:
+            np.negative(acc, out=acc)
+        for sign, j, l in rest:
+            np.multiply(xs[j], ys[l], out=tmp)
+            (np.add if sign > 0 else np.subtract)(acc, tmp, out=acc)
+    return out
+
+
+def _coordinate_sum(x, y):
+    """sum_i x_i * y_i over the coordinate axis, added in coordinate order."""
+    total = x[0] * y[0]
+    for i in range(1, x.shape[0]):
+        total += x[i] * y[i]
+    return total
+
 
 def quat_mul(p, q):
-    """Hamilton product of quaternion arrays (..., 4). Non-commutative."""
+    """Hamilton product of quaternion arrays (4, ...). Non-commutative."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    a1, b1, c1, d1 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    a2, b2, c2, d2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ],
-        axis=-1,
-    )
+    return _bilinear(_PRODUCT_TERMS[QUAT], p, q)
 
 
 def complex_mul(x, y):
-    """Product of complex arrays (..., 2)."""
+    """Product of complex arrays (2, ...)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    re = x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1]
-    im = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]
-    return np.stack([re, im], axis=-1)
+    return _bilinear(_PRODUCT_TERMS[COMPLEX], x, y)
 
 
 def elem_conj(x):
@@ -57,46 +106,55 @@ def elem_conj(x):
     for quaternions; a real element is returned as it is. An
     anti-homomorphism over elem_mul: conj(x * y) = conj(y) * conj(x)."""
     x = np.asarray(x, dtype=np.float64)
-    w = x.shape[-1]
+    w = x.shape[0]
     if w == REAL:
         return x
     if w not in _CONJ_SIGNS:
         raise TagMismatch(f"unsupported element width {w}")
-    return x * _CONJ_SIGNS[w]
+    return x * _CONJ_SIGNS[w].reshape((w,) + (1,) * (x.ndim - 1))
+
+
+def _check_widths(x, y):
+    """The common width of two element arrays of a non-real product."""
+    w = x.shape[0]
+    if w != y.shape[0]:
+        raise TagMismatch(f"element widths differ: {w} vs {y.shape[0]}")
+    if w not in _PRODUCT_TERMS:
+        raise TagMismatch(f"unsupported element width {w}")
+    return w
 
 
 def elem_mul(x, y):
-    """Ring product x * y of element arrays (..., w): real, complex or
+    """Ring product x * y of element arrays (w, ...): real, complex or
     Hamilton, dispatched on the element width. A width-1 left operand is a
     real scalar and broadcasts over the coordinates of y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = x.shape[-1]
-    if w == REAL:
+    if x.shape[0] == REAL:
         return x * y
-    if w != y.shape[-1]:
-        raise TagMismatch(f"element widths differ: {w} vs {y.shape[-1]}")
-    if w == COMPLEX:
+    if _check_widths(x, y) == COMPLEX:
         return complex_mul(x, y)
-    if w == QUAT:
-        return quat_mul(x, y)
-    raise TagMismatch(f"unsupported element width {w}")
+    return quat_mul(x, y)
 
 
 def elem_mul_backward(grad, x, y):
     """Gradients (grad * conj(y), conj(x) * grad) of elem_mul(x, y); for a
-    width-1 left operand the first is summed over the broadcast axis."""
-    grad_y = elem_mul(elem_conj(x), grad)
-    if x.shape[-1] == REAL:
-        return np.sum(grad * y, axis=-1, keepdims=True), grad_y
-    return elem_mul(grad, elem_conj(y)), grad_y
+    width-1 left operand the first is summed over the broadcast coordinate
+    axis. The conjugates are folded into the products' term signs."""
+    grad = np.asarray(grad, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape[0] == REAL:
+        return _coordinate_sum(grad, y)[None], x * grad
+    conj_left, conj_right = _BACKWARD_TERMS[_check_widths(x, y)]
+    return _bilinear(conj_right, grad, y), _bilinear(conj_left, x, grad)
 
 
 def field_norm(x):
     """Squared-modulus norm: r^2 for reals, a^2+b^2 for complex, sum of four
     squares for quaternions. Multiplicative over elem_mul."""
     x = np.asarray(x, dtype=np.float64)
-    return np.sum(x * x, axis=-1)
+    return _coordinate_sum(x, x)
 
 
 # sin(theta)/theta and its related Jacobian coefficient switch to series
@@ -117,41 +175,47 @@ def _sinc(theta):
 
 
 def exp_map(omega):
-    """Rotation-vector (..., 3) to unit quaternion (cos|w|, sin|w| * w/|w|).
+    """Rotation-vector (3, ...) to unit quaternion (cos|w|, sin|w| * w/|w|),
+    shape (4, ...).
 
     Smooth at |w| = 0 where it returns the identity quaternion.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    theta = np.sqrt(np.sum(omega * omega, axis=-1))
-    s = _sinc(theta)[0]
-    return np.concatenate([np.cos(theta)[..., None], s[..., None] * omega], axis=-1)
+    theta = np.sqrt(_coordinate_sum(omega, omega))
+    out = np.empty((4,) + omega.shape[1:])
+    np.cos(theta, out=out[0, ...])
+    np.multiply(_sinc(theta)[0], omega, out=out[1:])
+    return out
 
 
 def exp_map_backward(omega, q, grad_q):
     """Pull a gradient on q = exp_map(omega) back to a gradient on omega.
 
-    q and grad_q have shape (..., 4); the result has shape (..., 3). cos|w|
+    q and grad_q have shape (4, ...); the result has shape (3, ...). cos|w|
     is read from q, so one sine is the only transcendental evaluated.
     """
     omega = np.asarray(omega, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     grad_q = np.asarray(grad_q, dtype=np.float64)
-    theta = np.sqrt(np.sum(omega * omega, axis=-1))
+    theta = np.sqrt(_coordinate_sum(omega, omega))
     s, small, t2, safe, sin = _sinc(theta)
     # c2 = d(sinc)/dtheta / theta = (theta cos - sin) / theta^3
     series = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    c2 = np.where(small, series, (safe * q[..., 0] - sin) / safe**3)
-    g0 = grad_q[..., 0]
-    gv = grad_q[..., 1:]
+    c2 = np.where(small, series, (safe * q[0] - sin) / safe**3)
+    gv = grad_q[1:]
     # d cos|w| / dw = -sinc * w ; d (sinc * w_a) / dw_b = sinc d_ab + c2 w_a w_b
-    dot = np.sum(gv * omega, axis=-1)
-    return (-g0 * s + c2 * dot)[..., None] * omega + s[..., None] * gv
+    out = (-grad_q[0] * s + c2 * _coordinate_sum(gv, omega)) * omega
+    out += s * gv
+    return out
 
 
 def angle_to_complex(theta):
-    """Phase angle to the unit complex number (cos t, sin t)."""
+    """Phase angle (...) to the unit complex number (cos t, sin t), shape (2, ...)."""
     theta = np.asarray(theta, dtype=np.float64)
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    out = np.empty((2,) + theta.shape)
+    np.cos(theta, out=out[0, ...])
+    np.sin(theta, out=out[1, ...])
+    return out
 
 
 def angle_backward(z, grad_z):
@@ -159,15 +223,15 @@ def angle_backward(z, grad_z):
     z = (cos t, sin t): grad . (-sin t, cos t)."""
     z = np.asarray(z, dtype=np.float64)
     grad_z = np.asarray(grad_z, dtype=np.float64)
-    return -grad_z[..., 0] * z[..., 1] + grad_z[..., 1] * z[..., 0]
+    return -grad_z[0] * z[1] + grad_z[1] * z[0]
 
 
 def g_p_norm(xs, p):
-    """General tuple norm (sum_i field_norm(x_i)^p)^(1/p) over xs of shape (n, w)."""
+    """General tuple norm (sum_i field_norm(x_i)^p)^(1/p) over the n elements
+    of xs, shape (w, n)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim < 2 or xs.shape[-2] == 0:
+    if xs.ndim < 2 or xs.shape[-1] == 0:
         raise EmptyTuple("g_p_norm needs at least one element")
     if p < 1 or int(p) != p:
         raise ValueError(f"p must be a positive integer, got {p}")
     return np.sum(field_norm(xs) ** p, axis=-1) ** (1.0 / p)
-

@@ -24,9 +24,19 @@ group elements are stored by their free parameters (a phase angle for U(1), a
 3-vector rotation parameter for unit quaternions) and materialized on use, so
 unitarity holds by construction.
 
+Two layouts of element arrays meet here. The ring arithmetic (`combine`,
+`head_forward`, each group's `materialize` and `param_backward`) works on
+component planes (w, ..., k), the element axis first, as `algebra` does; the
+score kernels read element-last arrays (..., k, w), which `planes` and
+`element_last` convert from and to. The parameter tables keep their column
+blocks, so checkpoints and init draws do not depend on the compute layout.
+
 Training and evaluation build the whole entity table's unit vectors and
 combined entities s_e * v_e through one function, `entity_forward`, per block
-of entity rows (`rows_per_block`) on the process's thread pool.
+of entity rows (`rows_per_block`) on the process's thread pool. A block copies
+its parameter rows to contiguous planes once and computes on those; the unit
+vectors stay planes (w, E, k), the combined entities are written in the
+kernels' layout (E, k, w).
 
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
@@ -57,10 +67,12 @@ ABLATION_MODES = ("scalar", "vector", "both")
 # which sets its chunk of C candidates
 DISTANCE_CHUNK_ELEMENTS = 100_000
 
-# elements of one row block's combined entities (rows, k, w), ~1 MB of
-# float64, which sets the rows per block of the entity forward, the entity
-# backward and Adagrad, and of one row block of the cosine kernel's scores
-ROW_BLOCK_ELEMENTS = 131_072
+# elements of one row block's combined entities (rows, k, w), 0.5 MB of
+# float64 (one 128 KB plane per quaternion coordinate at k = 128), which sets
+# the rows per block of the entity forward, the entity backward and Adagrad,
+# and of one row block of the cosine kernel's scores. It splits work only; no
+# result depends on it.
+ROW_BLOCK_ELEMENTS = 65_536
 
 
 def _coordinate_half_width(k):
@@ -77,21 +89,21 @@ class Group:
     identity: tuple  # parameters of the identity element
     unit: bool  # every element has field norm 1
     half_width: Callable  # k -> half-width of the uniform init draw
-    materialize: Callable  # params (..., k, param_width) -> elements (..., k, width)
-    param_backward: Callable  # (params, elements, grad on elements) -> grad on params
+    materialize: Callable  # param planes (param_width, ..., k) -> element planes (width, ..., k)
+    param_backward: Callable  # (params, elements, grad on elements) -> grad on params, as planes
 
 
 # The algebra calls go through the module so that wrappers installed on it
 # (the benchmark's tracer) see them.
 GROUPS = {
     "fixed": Group(0, 1, (), True, lambda k: 0.0,
-                   lambda p: np.ones(p.shape[:-1] + (1,)), lambda p, z, g: np.zeros_like(p)),
+                   lambda p: np.ones((1,) + p.shape[1:]), lambda p, z, g: np.zeros_like(p)),
     "gl1": Group(1, 1, (1.0,), False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
     "quaternion": Group(4, 4, (1.0, 0.0, 0.0, 0.0), False, _coordinate_half_width,
                         lambda p: p, lambda p, z, g: g),
     "u1": Group(1, 2, (0.0,), True, lambda k: np.pi,
-                lambda p: algebra.angle_to_complex(p[..., 0]),
-                lambda p, z, g: algebra.angle_backward(z, g)[..., None]),
+                lambda p: algebra.angle_to_complex(p[0]),
+                lambda p, z, g: algebra.angle_backward(z, g)[None]),
     "unit_quaternion": Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
                              lambda p: algebra.exp_map(p),
                              lambda p, z, g: algebra.exp_map_backward(p, z, g)),
@@ -216,17 +228,30 @@ def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     return ParameterStore(variant, k, entity, relation, ablation)
 
 
+def planes(a):
+    """Contiguous component planes (w, ...) of an element-last array (..., w)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def element_last(x):
+    """The contiguous element-last array (..., w) of component planes (w, ...),
+    the layout the score kernels read."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
 def materialize_vector(ev, variant):
-    """Free vector params (..., k, vpw) -> unit elements (..., k, vector.width)."""
+    """Free vector param planes (vpw, ..., k) -> unit element planes
+    (vector.width, ..., k)."""
     return variant.vector.materialize(ev)
 
 
 def combine(scalar, vector):
-    """Element-wise scalar multiplication s_i * v_i (Hamilton product when the
-    scalar ring is the quaternions). The operand widths select the product."""
+    """Element-wise scalar multiplication s_i * v_i of element planes (w, ..., k)
+    (Hamilton product when the scalar ring is the quaternions). The operand
+    widths select the product."""
     scalar = np.asarray(scalar, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
-    if scalar.shape[-2] != vector.shape[-2]:
+    if scalar.shape[-1] != vector.shape[-1]:
         raise LengthMismatch("scalar and vector tuples differ in length")
     return algebra.elem_mul(scalar, vector)
 
@@ -247,16 +272,21 @@ def rows_per_block(store):
 
 def entity_forward(store):
     """Unit vector elements and combined entities s_e * v_e of the whole
-    entity table, (E, k, vector.width) each, built per row block on the
-    process's thread pool. Must not be called from a task on that pool."""
+    entity table, built per row block on the process's thread pool: the unit
+    vectors as planes (vector.width, E, k), which only the row blocks and
+    the head gather read, and the combined entities in the kernels' layout
+    (E, k, vector.width). Each block computes on contiguous planes of its
+    parameter rows. Must not be called from a task on that pool."""
     variant = store.variant
     es, ev = store.entity_parts()
-    vec_all = np.empty((store.n_entities, store.k, variant.vector.width))
-    c_all = np.empty_like(vec_all)
+    vec_all = np.empty((variant.vector.width, store.n_entities, store.k))
+    c_all = np.empty((store.n_entities, store.k, variant.vector.width))
 
     def forward(rows):
-        vec_all[rows] = materialize_vector(ev[rows], variant)
-        c_all[rows] = combine(variant.scalar.materialize(es[rows]), vec_all[rows])
+        vec = materialize_vector(planes(ev[rows]), variant)
+        vec_all[:, rows] = vec
+        c_all[rows] = np.moveaxis(combine(variant.scalar.materialize(planes(es[rows])), vec),
+                                  0, -1)
 
     for _ in map_blocks(forward, store.n_entities, rows_per_block(store)):
         pass
@@ -265,35 +295,37 @@ def entity_forward(store):
 
 def combined_embeddings(store, ids=None):
     """Combined tuples s_e * v_e for all (`entity_forward`) or selected
-    entities: (N, k, w). An entity id outside [0, E) raises IndexError."""
+    entities, in the kernels' layout (N, k, w). An entity id outside [0, E)
+    raises IndexError."""
     if ids is None:
         return entity_forward(store)[1]
     _check_ids(ids, store.n_entities)
     variant = store.variant
     es, ev = store.entity_parts()
-    return combine(variant.scalar.materialize(es[ids]), materialize_vector(ev[ids], variant))
+    return element_last(combine(variant.scalar.materialize(planes(es[ids])),
+                                materialize_vector(planes(ev[ids]), variant)))
 
 
 def head_forward(s_h, v_h, g_s, g_v):
-    """Head transform with its intermediates: (s_h * g_s, v_h * g_v, h')
-    where h' combines the two."""
+    """Head transform of element planes with its intermediates:
+    (s_h * g_s, v_h * g_v, h') where h' combines the two."""
     s2, v2 = algebra.elem_mul(s_h, g_s), algebra.elem_mul(v_h, g_v)
     return s2, v2, algebra.elem_mul(s2, v2)
 
 
 def transformed_heads(store, h_ids, r_ids):
-    """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays:
-    (B, k, vector.width). A head id outside [0, E) or a relation id outside
-    [0, R) raises IndexError."""
+    """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays, in the
+    kernels' layout (B, k, vector.width). A head id outside [0, E) or a
+    relation id outside [0, R) raises IndexError."""
     _check_ids(h_ids, store.n_entities)
     _check_ids(r_ids, store.n_relations)
     variant = store.variant
     es, ev = store.entity_parts()
     rs, rv = store.relation_parts()
-    return head_forward(variant.scalar.materialize(es[h_ids]),
-                        materialize_vector(ev[h_ids], variant),
-                        variant.scaling.materialize(rs[r_ids]),
-                        variant.rotation.materialize(rv[r_ids]))[2]
+    return element_last(head_forward(variant.scalar.materialize(planes(es[h_ids])),
+                                     materialize_vector(planes(ev[h_ids]), variant),
+                                     variant.scaling.materialize(planes(rs[r_ids])),
+                                     variant.rotation.materialize(planes(rv[r_ids])))[2])
 
 
 def _pair_scores(h_prime, tails, kind):
@@ -314,8 +346,13 @@ def score(store, h_id, r_id, t_id):
 
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)) from one exp(-|x|), which cannot
-    overflow: 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
-    e = np.exp(-np.abs(x))
+    overflow (see `_sigmoid_of`)."""
+    return _sigmoid_of(x, np.exp(-np.abs(x)))
+
+
+def _sigmoid_of(x, e):
+    """sigmoid(x) given e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e)
+    below."""
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -325,12 +362,15 @@ def logistic_terms(x, pos, b):
 
     Every candidate contributes log(1 + exp(-y * score)) with y = +1 at the
     true tails, indexed by `pos`, and y = -1 elsewhere. x is overwritten with
-    those terms; the return value is d (term / b) / d score.
+    those terms; the return value is d (term / b) / d score. One exp per
+    score serves both: with e = exp(-|x|), the term is max(x, 0) + log1p(e).
     """
     x[pos] = -x[pos]
-    d_s = sigmoid(x) / b  # -y * sigmoid(x) / b
+    e = np.exp(-np.abs(x))
+    d_s = _sigmoid_of(x, e) / b  # -y * sigmoid(x) / b
     d_s[pos] = -d_s[pos]
-    np.logaddexp(0.0, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    x += np.log1p(e, out=e)
     return d_s
 
 
@@ -395,7 +435,7 @@ def distance_kernel(h, c, tails=None):
     pool, so the kernel must not be called from a task on that pool: with
     every worker waiting, nothing would run the chunks.
     """
-    h, c = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (h, c))
+    h, c = planes(h), planes(c)
     w, b, k = h.shape
     n = c.shape[1]
     if tails is None:

@@ -24,6 +24,14 @@ its rows, and writes each part's gradient through its group's
 relation table. `adagrad_step` updates the entity table in the same blocks.
 Blocks write disjoint rows, and a row's repeated heads are added in batch
 order, so results do not depend on the pool size or the block size.
+
+Layouts: the reverse mode computes on component planes (w, ..., k), as
+`algebra` does. The unit vectors of `entity_forward`, the head-side elements
+and their gradients, and each block's copies of its parameter rows and of
+its rows of the combined-table gradient are planes. The combined table and
+its gradient (E, k, w) and the transformed heads passed to the kernel
+(B, k, w) keep the kernels' element-last layout; the parameter and gradient
+tables keep their column blocks, written through planes views.
 """
 
 from __future__ import annotations
@@ -120,11 +128,11 @@ def regularizer(store, h_id, r_id, t_id, cfg):
     """lambda * (l1*G_p(h) + l2*G_p(r) + l3*G_p(t)) with h, t the combined
     entity tuples and r the materialized scaling tuple."""
     c = model.combined_embeddings(store, np.array([h_id, t_id]))
-    gp_h = algebra.g_p_norm(c[0], cfg.p)
-    gp_t = algebra.g_p_norm(c[1], cfg.p)
+    gp_h = algebra.g_p_norm(c[0].T, cfg.p)
+    gp_t = algebra.g_p_norm(c[1].T, cfg.p)
     rs, _ = store.relation_parts()
-    g_s = store.variant.scaling.materialize(rs[np.array([r_id])])
-    gp_r = algebra.g_p_norm(g_s[0], cfg.p)
+    g_s = store.variant.scaling.materialize(model.planes(rs[np.array([r_id])]))
+    gp_r = algebra.g_p_norm(g_s[:, 0], cfg.p)
     return float(cfg.lam * (cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t))
 
 
@@ -148,12 +156,12 @@ def batch_loss_and_grads(store, triples, cfg):
         raise IndexError("triple id out of range")
 
     es, ev = store.entity_parts()
-    vec_all, c_all = model.entity_forward(store)  # (E, k, w) each
-    parts = (variant.scalar.materialize(es[heads]), vec_all[heads])
-    params = [p[rels] for p in store.relation_parts()]
+    vec_all, c_all = model.entity_forward(store)  # planes (w, E, k); (E, k, w)
+    parts = (variant.scalar.materialize(model.planes(es[heads])), vec_all[:, heads])
+    params = [model.planes(p[rels]) for p in store.relation_parts()]
     elems = [g.materialize(p) for g, p in zip(groups, params)]
-    s2, v2, h_prime = model.head_forward(*parts, *elems)  # h_prime: (B, k, w)
-    data_loss, grad_h_prime, grad_c = variant.kernel(h_prime, c_all, tails)
+    s2, v2, h_prime = model.head_forward(*parts, *elems)  # planes (w, B, k)
+    data_loss, grad_h_prime, grad_c = variant.kernel(model.element_last(h_prime), c_all, tails)
 
     scale = cfg.lam / b
     c_h, c_t = c_all[heads], c_all[tails]
@@ -166,8 +174,8 @@ def batch_loss_and_grads(store, triples, cfg):
         gp_r, reg_r = np.full(b, float(k) ** (1.0 / cfg.p)), 0.0
     else:
         g_s = elems[0]
-        gp_r, coeff_r = _gp_pieces(np.sum(g_s * g_s, axis=-1), cfg.p)
-        reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r[..., None]
+        gp_r, coeff_r = _gp_pieces(algebra.field_norm(g_s), cfg.p)
+        reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r
     reg_loss = cfg.lam * np.sum(
         cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t
     )
@@ -182,12 +190,13 @@ def batch_loss_and_grads(store, triples, cfg):
     grad_heads = []
     for group, part, elem, param, grad_out, reg, grad_block in zip(
         groups, parts, elems, params,
-        algebra.elem_mul_backward(grad_h_prime, s2, v2), (reg_r, 0.0),
+        algebra.elem_mul_backward(model.planes(grad_h_prime), s2, v2), (reg_r, 0.0),
         store.relation_parts(grad_relation),
     ):
         grad_part, grad_elem = algebra.elem_mul_backward(grad_out, part, elem)
         grad_heads.append(grad_part)
-        np.add.at(grad_block, rels, group.param_backward(param, elem, grad_elem + reg))
+        np.add.at(grad_block, rels,
+                  np.moveaxis(group.param_backward(param, elem, grad_elem + reg), 0, -1))
 
     # entity-side backward, per row block: through combine and the unit
     # parameterization, plus the head gradients of the block's rows. The
@@ -196,25 +205,30 @@ def batch_loss_and_grads(store, triples, cfg):
     by_head = np.argsort(heads, kind="stable")
     sorted_heads = heads[by_head]
     grad_entity = np.empty_like(store.entity)
-    grad_blocks = store.entity_parts(grad_entity)
-    ent_mask, rel_mask = store.free_masks()
+    grad_blocks = [np.moveaxis(block, -1, 0) for block in store.entity_parts(grad_entity)]
+    # the masks of the "both" ablation are all True, and x * True is x
+    masks = store.free_masks() if store.ablation != "both" else None
 
     def backward(rows):
-        params = (es[rows], ev[rows])
-        elems = (variant.scalar.materialize(params[0]), vec_all[rows])
+        params = (model.planes(es[rows]), model.planes(ev[rows]))
+        elems = (variant.scalar.materialize(params[0]), vec_all[:, rows])
         lo, hi = np.searchsorted(sorted_heads, (rows.start, rows.stop))
         mine = by_head[lo:hi]
+        at = (slice(None), heads[mine] - rows.start)
         for group, param, elem, grad, grad_head, grad_block in zip(
             (variant.scalar, variant.vector), params, elems,
-            algebra.elem_mul_backward(grad_c[rows], *elems), grad_heads, grad_blocks,
+            algebra.elem_mul_backward(model.planes(grad_c[rows]), *elems), grad_heads,
+            grad_blocks,
         ):
-            np.add.at(grad, heads[mine] - rows.start, grad_head[mine])
-            grad_block[rows] = group.param_backward(param, elem, grad)
-        grad_entity[rows] *= ent_mask
+            np.add.at(grad, at, grad_head[:, mine])
+            grad_block[:, rows] = group.param_backward(param, elem, grad)
+        if masks is not None:
+            grad_entity[rows] *= masks[0]
 
     for _ in map_blocks(backward, n_ent, model.rows_per_block(store)):
         pass
-    grad_relation *= rel_mask
+    if masks is not None:
+        grad_relation *= masks[1]
     return float(loss), grad_entity, grad_relation
 
 

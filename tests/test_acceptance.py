@@ -19,8 +19,9 @@ def report(criterion, detail):
 class TestCriterion1Algebra:
     def test_algebra_property_suite(self):
         rng = np.random.default_rng(11)
-        p = rng.uniform(-2.0, 2.0, size=(N_ALGEBRA_PAIRS, 4))
-        q = rng.uniform(-2.0, 2.0, size=(N_ALGEBRA_PAIRS, 4))
+        # element planes (4, N): the draws of (N, 4) arrays, transposed
+        p = rng.uniform(-2.0, 2.0, size=(N_ALGEBRA_PAIRS, 4)).T
+        q = rng.uniform(-2.0, 2.0, size=(N_ALGEBRA_PAIRS, 4)).T
 
         pq = algebra.elem_mul(p, q)
         lhs = algebra.field_norm(pq)
@@ -28,7 +29,7 @@ class TestCriterion1Algebra:
         rel = np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)
         assert rel.max() <= 1e-9
 
-        units = algebra.exp_map(rng.uniform(-3.0, 3.0, size=(N_ALGEBRA_PAIRS, 3)))
+        units = algebra.exp_map(rng.uniform(-3.0, 3.0, size=(N_ALGEBRA_PAIRS, 3)).T)
         rotated = algebra.elem_mul(p, units)
         rel = np.abs(algebra.field_norm(rotated) - algebra.field_norm(p))
         rel /= np.maximum(algebra.field_norm(p), 1e-300)
@@ -41,7 +42,7 @@ class TestCriterion1Algebra:
         scales = np.concatenate([[0.0, 1e-14, 1e-12, 1e-8], np.geomspace(1e-6, 10.0, 60)])
         omega = rng.standard_normal((len(scales), 64, 3))
         omega *= (scales / np.maximum(np.linalg.norm(omega, axis=-1), 1e-300))[..., None]
-        err = np.abs(algebra.field_norm(algebra.exp_map(omega)) - 1.0)
+        err = np.abs(algebra.field_norm(algebra.exp_map(np.moveaxis(omega, -1, 0))) - 1.0)
         assert err.max() <= 1e-12
 
         report(1, f"{N_ALGEBRA_PAIRS} operand pairs, worst-case within tolerance")

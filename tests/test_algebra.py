@@ -68,9 +68,9 @@ class TestConjugate:
 
 class TestRingProduct:
     def test_width_one_left_operand_broadcasts(self):
-        s = RNG.normal(size=(3, 1))
+        s = RNG.normal(size=(3, 1)).T
         for w in (1, 2, 4):
-            y = RNG.normal(size=(3, w))
+            y = RNG.normal(size=(3, w)).T
             assert np.array_equal(algebra.elem_mul(s, y), s * y)
 
     def test_width_mismatch_raises(self):
@@ -85,7 +85,7 @@ class TestRingProduct:
                 op(np.zeros(3))
 
     def test_conjugate_per_width(self):
-        x = np.array([[1.0], [-2.0]])
+        x = np.array([[1.0], [-2.0]]).T
         assert algebra.elem_conj(x) is x  # reals are their own conjugate
         assert np.array_equal(algebra.elem_conj([3.0, 4.0]), [3.0, -4.0])
         assert np.array_equal(algebra.elem_conj([1.0, 2.0, 3.0, 4.0]), [1.0, -2.0, -3.0, -4.0])
@@ -124,33 +124,33 @@ class TestExpMap:
     def test_unit_including_tiny_angles(self):
         omegas = np.concatenate(
             [RNG.normal(size=(100, 3)), RNG.normal(size=(100, 3)) * 1e-13]
-        )
+        ).T
         norms = algebra.field_norm(algebra.exp_map(omegas))
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
 class TestGpNorm:
     def test_quaternion_units_p2(self):
-        xs = np.tile([1.0, 0, 0, 0], (4, 1))
+        xs = np.tile([1.0, 0, 0, 0], (4, 1)).T
         assert algebra.g_p_norm(xs, 2) == pytest.approx(2.0)
 
     def test_single_element_any_p(self):
-        x = RNG.normal(size=(1, 4))
+        x = RNG.normal(size=(1, 4)).T
         for p in (1, 2, 3):
-            assert algebra.g_p_norm(x, p) == pytest.approx(float(algebra.field_norm(x[0])))
+            assert algebra.g_p_norm(x, p) == pytest.approx(float(algebra.field_norm(x[:, 0])))
 
     def test_complex_p1(self):
-        xs = np.array([[3.0, 4.0], [0.0, 0.0]])
+        xs = np.array([[3.0, 4.0], [0.0, 0.0]]).T
         assert algebra.g_p_norm(xs, 1) == pytest.approx(25.0)
 
     def test_real_p2_against_direct_sum(self):
         xs = RNG.normal(size=(6, 1))
         direct = sum(float(v[0]) ** 4 for v in xs) ** 0.5
-        assert algebra.g_p_norm(xs, 2) == pytest.approx(direct, rel=1e-12)
+        assert algebra.g_p_norm(xs.T, 2) == pytest.approx(direct, rel=1e-12)
 
     def test_empty(self):
         with pytest.raises(EmptyTuple):
-            algebra.g_p_norm(np.zeros((0, 4)), 2)
+            algebra.g_p_norm(np.zeros((4, 0)), 2)
 
 
 class TestRotationScaling:
@@ -209,3 +209,98 @@ class TestBackwardHelpers:
         fd = grad @ (algebra.angle_to_complex(theta + eps) - algebra.angle_to_complex(theta - eps)) / (2 * eps)
         z = algebra.angle_to_complex(theta)
         assert algebra.angle_backward(z, grad) == pytest.approx(fd, rel=1e-6)
+
+
+def _operand(width, seed=0, n=6, m=3):
+    """An element-last array (n, m, width), or (n, m) angles for width None:
+    random values, with rows of +0.0, of -0.0 and of mixed signed zeros, and
+    rows of magnitude ~1e-5 and ~1e-3, on both sides of the exp map's series
+    switch at _SMALL_ANGLE."""
+    rng = np.random.default_rng((seed, width or 0))
+    shape = (n, m) if width is None else (n, m, width)
+    a = rng.normal(size=shape)
+    a[0], a[1] = 0.0, -0.0
+    a[2] = np.where(np.arange(shape[-1]) % 2, -0.0, 0.0)
+    a[3] *= 1e-5
+    a[4] *= 1e-3
+    return a
+
+
+def _byte_strings(result):
+    return [np.ascontiguousarray(r).tobytes()
+            for r in (result if isinstance(result, tuple) else (result,))]
+
+
+class TestPlanesLayout:
+    """Every function gives the same bytes on contiguous component planes, on
+    strided planes views of element-last arrays, and element by element."""
+
+    @pytest.mark.parametrize("name,widths", [
+        ("quat_mul", (4, 4)), ("complex_mul", (2, 2)),
+        ("elem_conj", (1,)), ("elem_conj", (2,)), ("elem_conj", (4,)),
+        ("elem_mul", (1, 1)), ("elem_mul", (1, 2)), ("elem_mul", (1, 4)),
+        ("elem_mul", (2, 2)), ("elem_mul", (4, 4)),
+        ("elem_mul_backward", (1, 1, 1)), ("elem_mul_backward", (2, 1, 2)),
+        ("elem_mul_backward", (4, 1, 4)), ("elem_mul_backward", (2, 2, 2)),
+        ("elem_mul_backward", (4, 4, 4)),
+        ("field_norm", (1,)), ("field_norm", (2,)), ("field_norm", (4,)),
+        ("exp_map", (3,)), ("exp_map_backward", (3, 4, 4)),
+        ("angle_to_complex", (None,)), ("angle_backward", (2, 2)),
+    ])
+    def test_planes_views_and_elements_agree(self, name, widths):
+        fn = getattr(algebra, name)
+        lasts = [_operand(w, seed) for seed, w in enumerate(widths)]
+        views = [a if w is None else np.moveaxis(a, -1, 0) for a, w in zip(lasts, widths)]
+        if widths == (None,):
+            views = [np.asfortranarray(lasts[0])]  # strided angles
+        # a width-1 view is contiguous: one plane has no coordinate stride
+        assert not any(v.flags.c_contiguous for v, w in zip(views, widths) if w != 1)
+        want = fn(*(np.ascontiguousarray(v) for v in views))
+        assert _byte_strings(fn(*views)) == _byte_strings(want)
+        wants = want if isinstance(want, tuple) else (want,)
+        n, m = lasts[0].shape[:2]
+        for i in range(n):
+            for j in range(m):
+                got = fn(*(a[i, j] for a in lasts))
+                assert _byte_strings(got) == _byte_strings(tuple(r[..., i, j] for r in wants))
+
+    def test_exp_map_operands_straddle_series_switch(self):
+        theta = np.sqrt(np.sum(_operand(3) ** 2, axis=-1))
+        assert np.any((theta > 0) & (theta < algebra._SMALL_ANGLE))
+        assert np.any(theta > algebra._SMALL_ANGLE)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_g_p_norm_planes_and_views_agree(self, p):
+        """For m tuples of n quaternions at once, and for each tuple alone (a
+        numpy scalar result, whose power may round differently from the
+        batched one's)."""
+        last = _operand(4)
+        for view in [np.moveaxis(last, -1, 0).swapaxes(1, 2)] + [t.T for t in last.swapaxes(0, 1)]:
+            want = algebra.g_p_norm(np.ascontiguousarray(view), p)
+            assert np.asarray(algebra.g_p_norm(view, p)).tobytes() == np.asarray(want).tobytes()
+
+    def test_products_match_written_out_formulas(self):
+        """The term order of the products is that of the expanded formulas
+        below, evaluated left to right; another order changes the bits."""
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = (np.moveaxis(_operand(4, seed), -1, 0)
+                                              for seed in (0, 1))
+        want = np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                         a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                         a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                         a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2])
+        got = algebra.quat_mul(np.stack([a1, b1, c1, d1]), np.stack([a2, b2, c2, d2]))
+        assert got.tobytes() == want.tobytes()
+        want = np.stack([a1 * a2 - b1 * b2, a1 * b2 + b1 * a2])
+        got = algebra.complex_mul(np.stack([a1, b1]), np.stack([a2, b2]))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_folded_backward_equals_products_of_conjugates(self, width):
+        """elem_mul_backward folds the conjugates into its products' term
+        signs; it must give the bytes of the products of the conjugates, which
+        only the exact term order of elem_mul does."""
+        grad, x, y = (np.moveaxis(_operand(width, seed), -1, 0) for seed in range(3))
+        grad_x, grad_y = algebra.elem_mul_backward(grad, x, y)
+        assert grad_y.tobytes() == algebra.elem_mul(algebra.elem_conj(x), grad).tobytes()
+        if width > 1:
+            assert grad_x.tobytes() == algebra.elem_mul(grad, algebra.elem_conj(y)).tobytes()

@@ -80,7 +80,7 @@ class TestInit:
     def test_materialized_vectors_unit(self):
         store = model.init_model("module_rh", 8, 10, 4, seed=3)
         _, ev = store.entity_parts()
-        norms = algebra.field_norm(model.materialize_vector(ev, store.variant))
+        norms = algebra.field_norm(model.materialize_vector(model.planes(ev), store.variant))
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_ablation_freezes_identity(self):
@@ -115,7 +115,7 @@ class TestEntityForward:
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.vector.width)
         _, ev = store.entity_parts()
         want = b"".join(a.tobytes() for a in (
-            model.materialize_vector(ev, store.variant),
+            model.materialize_vector(model.planes(ev), store.variant),
             model.combined_embeddings(store, np.arange(store.n_entities))))
         assert pool_runs(lambda: (model.entity_forward(store)[0],
                                   model.combined_embeddings(store))) == [want] * 3
@@ -125,20 +125,20 @@ class TestCombineTransform:
     def test_combine_with_unit_scalars(self):
         store = model.init_model("module_rc", 4, 3, 2, seed=1)
         _, ev = store.entity_parts()
-        vec = model.materialize_vector(ev, store.variant)
-        out = model.combine(np.ones((3, 4, 1)), vec)
+        vec = model.materialize_vector(model.planes(ev), store.variant)
+        out = model.combine(model.planes(np.ones((3, 4, 1))), vec)
         assert np.allclose(out, vec)
 
     def test_combine_complex_value(self):
         s = np.array([[[2.0]]])
         v = algebra.angle_to_complex(np.array([[np.pi / 2]]))
         out = model.combine(s, v)
-        assert np.allclose(out, [[[0.0, 2.0]]], atol=1e-12)
+        assert np.allclose(out, model.planes(np.array([[[0.0, 2.0]]])), atol=1e-12)
 
     def test_combine_norm_multiplicative_hh(self):
         rng = np.random.default_rng(5)
-        s = rng.normal(size=(4, 3, 4))
-        v = algebra.exp_map(rng.normal(size=(4, 3, 3)))
+        s = model.planes(rng.normal(size=(4, 3, 4)))
+        v = algebra.exp_map(model.planes(rng.normal(size=(4, 3, 3))))
         out = model.combine(s, v)
         assert np.allclose(algebra.field_norm(out), algebra.field_norm(s), rtol=1e-9)
 
@@ -154,16 +154,16 @@ class TestCombineTransform:
         g_s = np.array([[[3.0]]])
         g_v = algebra.angle_to_complex(np.array([[np.pi]]))
         out = model.head_forward(s_h, v_h, g_s, g_v)[2]
-        assert np.allclose(out, [[[-3.0, 0.0]]], atol=1e-12)
+        assert np.allclose(out, model.planes(np.array([[[-3.0, 0.0]]])), atol=1e-12)
 
     def test_hh_relation_inverse_recovers(self):
         store = model.init_model("module_hh", 3, 4, 1, seed=9)
         es, ev = store.entity_parts()
         rs, rv = store.relation_parts()
         variant = store.variant
-        s_h, v_h = es[[2]], model.materialize_vector(ev[[2]], variant)
-        g_s = variant.scaling.materialize(rs[[0]])
-        g_v = variant.rotation.materialize(rv[[0]])
+        s_h, v_h = model.planes(es[[2]]), model.materialize_vector(model.planes(ev[[2]]), variant)
+        g_s = variant.scaling.materialize(model.planes(rs[[0]]))
+        g_v = variant.rotation.materialize(model.planes(rv[[0]]))
         fwd_s = algebra.quat_mul(s_h, g_s)
         fwd_v = algebra.quat_mul(v_h, g_v)
         back_s = algebra.quat_mul(fwd_s, algebra.elem_conj(g_s))
@@ -177,7 +177,7 @@ class TestScore:
         store = model.init_model("module_hh", 4, 5, 2, seed=0)
         c = model.combined_embeddings(store)
         t = c[3]
-        expected = float(np.sum(algebra.field_norm(t)))
+        expected = float(np.sum(algebra.field_norm(t.T)))
         got = float(np.sum(t * t))
         assert got == pytest.approx(expected)
 
@@ -284,9 +284,9 @@ class TestDegenerations:
         for _ in range(30):
             h, t = rng.integers(n_e, size=2)
             r = rng.integers(n_r)
-            vh = algebra.exp_map(ev[h])
-            vt = algebra.exp_map(ev[t])
-            qr = algebra.exp_map(rv[r])
+            vh = algebra.exp_map(ev[h].T)
+            vt = algebra.exp_map(ev[t].T)
+            qr = algebra.exp_map(rv[r].T)
             ref = float(np.sum(algebra.quat_mul(vh, qr) * vt))
             assert model.score(store, int(h), int(r), int(t)) == pytest.approx(ref, abs=1e-12)
 
@@ -317,17 +317,18 @@ class TestGroupTable:
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_identity_params_materialize_to_identity(self, name):
         group = model.GROUPS[name]
-        params = np.tile(group.identity, (2, 3, 1))
+        params = model.planes(np.tile(group.identity, (2, 3, 1)))
         elems = group.materialize(params)
-        assert elems.shape == (2, 3, group.width)
-        assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width), elems.shape))
+        assert elems.shape == (group.width, 2, 3)
+        assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width).T[..., None],
+                                                     elems.shape))
 
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_param_backward_matches_central_differences(self, name):
         group = model.GROUPS[name]
         rng = np.random.default_rng(4)
-        params = rng.uniform(-2.0, 2.0, size=(3, 2, group.param_width))
-        grad = rng.normal(size=(3, 2, group.width))
+        params = model.planes(rng.uniform(-2.0, 2.0, size=(3, 2, group.param_width)))
+        grad = model.planes(rng.normal(size=(3, 2, group.width)))
         analytic = group.param_backward(params, group.materialize(params), grad)
         assert analytic.shape == params.shape
         fd = central_difference(lambda p: np.sum(grad * group.materialize(p)), params)
@@ -336,9 +337,9 @@ class TestGroupTable:
     @pytest.mark.parametrize("widths", [(1, 1), (1, 2), (1, 4), (2, 2), (4, 4)])
     def test_product_backward_matches_central_differences(self, widths):
         rng = np.random.default_rng(sum(widths))
-        x = rng.normal(size=(3, 2, widths[0]))
-        y = rng.normal(size=(3, 2, widths[1]))
-        grad = rng.normal(size=(3, 2, widths[1]))
+        x = model.planes(rng.normal(size=(3, 2, widths[0])))
+        y = model.planes(rng.normal(size=(3, 2, widths[1])))
+        grad = model.planes(rng.normal(size=(3, 2, widths[1])))
         grad_x, grad_y = algebra.elem_mul_backward(grad, x, y)
         fd_x = central_difference(lambda a: np.sum(grad * algebra.elem_mul(a, y)), x)
         fd_y = central_difference(lambda a: np.sum(grad * algebra.elem_mul(x, a)), y)

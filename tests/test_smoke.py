@@ -1,5 +1,6 @@
 """Smoke test of the benchmark harness, the digest tool and the demos: each
-script runs to completion in a fresh interpreter. The harness self-test
+script runs to completion in a fresh interpreter, and the digests do not
+depend on the size of the thread pool. The harness self-test
 drives the public calls the benchmark makes (init_model, fit, checkpoints,
 evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
 per-function metric names are checked against the program's functions."""
@@ -19,14 +20,31 @@ SCRIPTS = ["perfbench/selftest.py", "tools/digests.py"] + sorted(
 )
 
 
-@pytest.mark.parametrize("script", SCRIPTS)
-def test_script_exits_cleanly(script):
+def _run(script, threads=None):
+    """Run a script of the repository in a fresh interpreter on `src/`, with
+    MKGE_THREADS set to `threads`, or unset for the default pool."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, script)], cwd=ROOT, env=env,
+    env.pop("MKGE_THREADS", None)
+    if threads is not None:
+        env["MKGE_THREADS"] = str(threads)
+    return subprocess.run([sys.executable, os.path.join(ROOT, script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_exits_cleanly(script):
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_digests_do_not_depend_on_pool_size():
+    """The bit digests of every variant and ablation are the same with one
+    pool worker as with the default pool."""
+    one, default = (_run("tools/digests.py", threads) for threads in (1, None))
+    assert one.returncode == 0 and default.returncode == 0, (one.stderr + default.stderr)[-4000:]
+    assert one.stdout and one.stdout == default.stdout
 
 
 def _traced_function_metrics():
