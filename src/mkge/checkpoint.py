@@ -85,12 +85,16 @@ def load_checkpoint(path):
     except OSError as exc:  # missing, a directory, unreadable
         raise MissingFile(str(exc)) from exc
     with fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise BadMagic("not a MKGE checkpoint")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != FORMAT_VERSION:
             raise VersionUnsupported(f"checkpoint format version {version}")
         (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "variant"))
+        if name_len > size - fh.tell():  # checked before the read allocates it
+            raise BadMagic(f"checkpoint header declares a {name_len}-byte variant name, "
+                           f"the file holds {size - fh.tell()} more bytes")
         raw_name = _read_exact(fh, name_len, "variant")
         try:
             name = raw_name.decode()
@@ -111,7 +115,7 @@ def load_checkpoint(path):
         # check the declared payload against the file before allocating it
         table_bytes = (n_ent * ew + n_rel * rw) * 8
         payload = table_bytes + (8 + table_bytes if has_opt else 0)
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        remaining = size - fh.tell()
         if payload != remaining:
             raise BadMagic(f"checkpoint header declares {payload} payload bytes, "
                            f"the file holds {remaining}")

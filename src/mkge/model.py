@@ -36,15 +36,16 @@ combined entities s_e * v_e through one function, `entity_forward`, per block
 of entity rows (`rows_per_block`) on the process's thread pool. A block copies
 its parameter rows to contiguous planes once and computes on those; the unit
 vectors stay planes (w, E, k), the combined entities are written in the
-kernels' layout (E, k, w).
+kernels' layout (E, k, w). Heads have one path too: `head_inputs` gathers
+the head transform's four factors as planes, and `head_forward` combines them.
 
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
 the scores (B, E), or, given the true tail of each head row, the 1-vs-all
 logistic loss and its gradients on h and c. The objective is written once,
 in `logistic_terms`: `cosine_kernel` applies it to row blocks of its one
-score matmul and sums the terms once, `distance_kernel` applies it (through
-`logistic_loss`) to each chunk of its pass over component planes. Both run
+score matmul and sums the terms once, `distance_kernel` applies it to each
+chunk of its pass over component planes and sums each chunk's terms. Both run
 those blocks on the process's thread pool, and neither result depends on the
 pool size: the cosine kernel's blocks write disjoint rows, and the distance
 kernel folds its chunks' losses and head gradients in chunk order. Neither
@@ -273,8 +274,8 @@ def rows_per_block(store):
 def entity_forward(store):
     """Unit vector elements and combined entities s_e * v_e of the whole
     entity table, built per row block on the process's thread pool: the unit
-    vectors as planes (vector.width, E, k), which only the row blocks and
-    the head gather read, and the combined entities in the kernels' layout
+    vectors as planes (vector.width, E, k), which only the training step's
+    backward row blocks read, and the combined entities in the kernels' layout
     (E, k, vector.width). Each block computes on contiguous planes of its
     parameter rows. Must not be called from a task on that pool."""
     variant = store.variant
@@ -313,19 +314,26 @@ def head_forward(s_h, v_h, g_s, g_v):
     return s2, v2, algebra.elem_mul(s2, v2)
 
 
+def head_inputs(store, h_ids, r_ids):
+    """(params, elems): parameters and elements, as planes (w, B, k), of the
+    head transform's four factors for id arrays: head scalars, head unit
+    vectors, relation scalings, relation rotations. A head id outside [0, E)
+    or a relation id outside [0, R) raises IndexError."""
+    _check_ids(h_ids, store.n_entities)
+    _check_ids(r_ids, store.n_relations)
+    variant = store.variant
+    params = ([planes(p[h_ids]) for p in store.entity_parts()]
+              + [planes(p[r_ids]) for p in store.relation_parts()])
+    elems = (variant.scalar.materialize(params[0]), materialize_vector(params[1], variant),
+             variant.scaling.materialize(params[2]), variant.rotation.materialize(params[3]))
+    return params, elems
+
+
 def transformed_heads(store, h_ids, r_ids):
     """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays, in the
     kernels' layout (B, k, vector.width). A head id outside [0, E) or a
     relation id outside [0, R) raises IndexError."""
-    _check_ids(h_ids, store.n_entities)
-    _check_ids(r_ids, store.n_relations)
-    variant = store.variant
-    es, ev = store.entity_parts()
-    rs, rv = store.relation_parts()
-    return element_last(head_forward(variant.scalar.materialize(planes(es[h_ids])),
-                                     materialize_vector(planes(ev[h_ids]), variant),
-                                     variant.scaling.materialize(planes(rs[r_ids])),
-                                     variant.rotation.materialize(planes(rv[r_ids])))[2])
+    return element_last(head_forward(*head_inputs(store, h_ids, r_ids)[1])[2])
 
 
 def _pair_scores(h_prime, tails, kind):
@@ -372,13 +380,6 @@ def logistic_terms(x, pos, b):
     np.maximum(x, 0.0, out=x)
     x += np.log1p(e, out=e)
     return d_s
-
-
-def logistic_loss(x, pos, b):
-    """`logistic_terms` of a block of scores x, summed: returns the block's
-    loss and d (loss / b) / d score. x is overwritten with the terms."""
-    d_s = logistic_terms(x, pos, b)
-    return float(np.sum(x)), d_s
 
 
 def cosine_kernel(h, c, tails=None):
@@ -442,29 +443,23 @@ def distance_kernel(h, c, tails=None):
         scores = np.empty((b, n))
     else:
         grad_c = np.empty_like(c)
-        rows = np.argsort(tails, kind="stable")  # head rows ordered by true tail
-        sorted_tails = tails[rows]
 
     def run_chunk(cols):
         d = h[:, :, None, :] - c[:, None, cols, :]  # (w, B, C, k)
-        # the coordinates' squares add in order, as np.sum over a last axis does
-        dist = d[0] * d[0]
-        for j in range(1, w):
-            dist += d[j] * d[j]
+        dist = algebra.field_norm(d)  # coordinates added in order, as np.sum does
         np.sqrt(dist, out=dist)
         x = -np.sum(dist, axis=-1)  # (B, C) scores
         if tails is None:
             scores[:, cols] = x
             return None
-        lo, hi = np.searchsorted(sorted_tails, (cols.start, cols.stop))
-        hit = rows[lo:hi]  # rows whose true tail is in this chunk
-        chunk_loss, d_s = logistic_loss(x, (hit, tails[hit] - cols.start), b)
+        hit = np.flatnonzero((tails >= cols.start) & (tails < cols.stop))
+        d_s = logistic_terms(x, (hit, tails[hit] - cols.start), b)
         # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
         # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
         weight = np.divide(d_s[..., None], dist, out=np.zeros_like(dist), where=dist > 0.0)
         for j in range(w):
             np.einsum("bck,bck->ck", weight, d[j], out=grad_c[j, cols])
-        return chunk_loss, [np.einsum("bck,bck->bk", weight, d[j]) for j in range(w)]
+        return float(np.sum(x)), [np.einsum("bck,bck->bk", weight, d[j]) for j in range(w)]
 
     # chunk results are folded as they arrive, so at most a few are held
     results = map_blocks(run_chunk, n, max(1, DISTANCE_CHUNK_ELEMENTS // (b * k)))

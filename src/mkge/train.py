@@ -16,14 +16,14 @@ The whole-table entity work runs per block of entity rows
 one worker per usable core, at most MKGE_THREADS). Forward,
 `model.entity_forward` builds the unit vectors and the combined entities; the
 score kernel then runs on the whole combined table and the regularizer
-scatters its terms into that table's gradient; backward, each block pulls its
-rows of that gradient through `combine`, adds the head-transform gradients of
-its rows, and writes each part's gradient through its group's
-`param_backward` into that part's column block of the entity gradient
-(`ParameterStore.entity_parts`), as the relation backward does for the
-relation table. `adagrad_step` updates the entity table in the same blocks.
-Blocks write disjoint rows, and a row's repeated heads are added in batch
-order, so results do not depend on the pool size or the block size.
+scatters its terms into that table's gradient. Backward mirrors forward: each
+block pulls only its rows of that gradient through `combine` and each part's
+group into that part's column block of the entity gradient
+(`ParameterStore.entity_parts`). The head transform's gradient is then pulled
+back through each factor pair, (scalar part, scaling) and (vector part,
+rotation), and scattered serially in batch order at the heads and the
+relations. `adagrad_step` updates the entity table in the same blocks. Blocks
+write disjoint rows, so no result depends on the pool size or block size.
 
 Layouts: the reverse mode computes on component planes (w, ..., k), as
 `algebra` does. The unit vectors of `entity_forward`, the head-side elements
@@ -147,20 +147,16 @@ def batch_loss_and_grads(store, triples, cfg):
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
         raise ShapeMismatch("batch must be a nonempty (n, 3) id array")
     variant = store.variant
-    b = len(triples)
-    heads, rels, tails = triples[:, 0], triples[:, 1], triples[:, 2]
-    groups = (variant.scaling, variant.rotation)
-    n_ent, k = store.n_entities, store.k
-    if (triples.min() < 0 or max(heads.max(), tails.max()) >= n_ent
-            or rels.max() >= store.n_relations):
-        raise IndexError("triple id out of range")
+    b, k = len(triples), store.k
+    heads, rels, tails = triples.T
+    if tails.min() < 0 or tails.max() >= store.n_entities:
+        raise IndexError("tail id out of range")
 
-    es, ev = store.entity_parts()
+    # the head transform's four factors, in the order of `model.head_inputs`
+    groups = (variant.scalar, variant.vector, variant.scaling, variant.rotation)
+    params, elems = model.head_inputs(store, heads, rels)  # planes (w, B, k)
+    s2, v2, h_prime = model.head_forward(*elems)
     vec_all, c_all = model.entity_forward(store)  # planes (w, E, k); (E, k, w)
-    parts = (variant.scalar.materialize(model.planes(es[heads])), vec_all[:, heads])
-    params = [model.planes(p[rels]) for p in store.relation_parts()]
-    elems = [g.materialize(p) for g, p in zip(groups, params)]
-    s2, v2, h_prime = model.head_forward(*parts, *elems)  # planes (w, B, k)
     data_loss, grad_h_prime, grad_c = variant.kernel(model.element_last(h_prime), c_all, tails)
 
     scale = cfg.lam / b
@@ -173,7 +169,7 @@ def batch_loss_and_grads(store, triples, cfg):
         # scatter into the zeroed gradient table below drops.
         gp_r, reg_r = np.full(b, float(k) ** (1.0 / cfg.p)), 0.0
     else:
-        g_s = elems[0]
+        g_s = elems[2]
         gp_r, coeff_r = _gp_pieces(algebra.field_norm(g_s), cfg.p)
         reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r
     reg_loss = cfg.lam * np.sum(
@@ -185,49 +181,42 @@ def batch_loss_and_grads(store, triples, cfg):
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_h * coeff_h[..., None])
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
-    # head transform backward, one pass per group: (scaling, rotation)
-    grad_relation = np.zeros_like(store.relation)
-    grad_heads = []
-    for group, part, elem, param, grad_out, reg, grad_block in zip(
-        groups, parts, elems, params,
-        algebra.elem_mul_backward(model.planes(grad_h_prime), s2, v2), (reg_r, 0.0),
-        store.relation_parts(grad_relation),
-    ):
-        grad_part, grad_elem = algebra.elem_mul_backward(grad_out, part, elem)
-        grad_heads.append(grad_part)
-        np.add.at(grad_block, rels,
-                  np.moveaxis(group.param_backward(param, elem, grad_elem + reg), 0, -1))
-
-    # entity-side backward, per row block: through combine and the unit
-    # parameterization, plus the head gradients of the block's rows. The
-    # stable sort keeps a row's repeated heads in batch order, the order in
-    # which a whole-table scatter adds them.
-    by_head = np.argsort(heads, kind="stable")
-    sorted_heads = heads[by_head]
+    # entity-side backward, per row block: the mirror of `model.entity_forward`,
+    # pulling the block's rows of grad_c through combine and the two part groups
+    es, ev = store.entity_parts()
     grad_entity = np.empty_like(store.entity)
     grad_blocks = [np.moveaxis(block, -1, 0) for block in store.entity_parts(grad_entity)]
-    # the masks of the "both" ablation are all True, and x * True is x
-    masks = store.free_masks() if store.ablation != "both" else None
 
     def backward(rows):
-        params = (model.planes(es[rows]), model.planes(ev[rows]))
-        elems = (variant.scalar.materialize(params[0]), vec_all[:, rows])
-        lo, hi = np.searchsorted(sorted_heads, (rows.start, rows.stop))
-        mine = by_head[lo:hi]
-        at = (slice(None), heads[mine] - rows.start)
-        for group, param, elem, grad, grad_head, grad_block in zip(
-            (variant.scalar, variant.vector), params, elems,
-            algebra.elem_mul_backward(model.planes(grad_c[rows]), *elems), grad_heads,
-            grad_blocks,
+        block_params = (model.planes(es[rows]), model.planes(ev[rows]))
+        block_elems = (variant.scalar.materialize(block_params[0]), vec_all[:, rows])
+        for group, param, elem, grad, grad_block in zip(
+            groups[:2], block_params, block_elems,
+            algebra.elem_mul_backward(model.planes(grad_c[rows]), *block_elems), grad_blocks,
         ):
-            np.add.at(grad, at, grad_head[:, mine])
             grad_block[:, rows] = group.param_backward(param, elem, grad)
-        if masks is not None:
-            grad_entity[rows] *= masks[0]
 
-    for _ in map_blocks(backward, n_ent, model.rows_per_block(store)):
+    for _ in map_blocks(backward, store.n_entities, model.rows_per_block(store)):
         pass
-    if masks is not None:
+
+    # head transform backward, one pass per factor pair: (scalar part,
+    # scaling), then (vector part, rotation). Each pulls its gradient back
+    # through both groups and scatters it, in batch order, at the heads into
+    # the entity gradient and at the relations into the relation gradient.
+    grad_relation = np.zeros_like(store.relation)
+    grad_tables = store.entity_parts(grad_entity) + store.relation_parts(grad_relation)
+    for part, (grad_out, reg) in enumerate(
+        zip(algebra.elem_mul_backward(model.planes(grad_h_prime), s2, v2), (reg_r, 0.0))
+    ):
+        act = part + 2  # the relation factor acting on this entity part
+        grad_part, grad_act = algebra.elem_mul_backward(grad_out, elems[part], elems[act])
+        for i, ids, grad in ((part, heads, grad_part), (act, rels, grad_act + reg)):
+            np.add.at(grad_tables[i], ids,
+                      np.moveaxis(groups[i].param_backward(params[i], elems[i], grad), 0, -1))
+
+    if store.ablation != "both":  # the masks of "both" are all True, and x * True is x
+        masks = store.free_masks()
+        grad_entity *= masks[0]
         grad_relation *= masks[1]
     return float(loss), grad_entity, grad_relation
 

@@ -119,8 +119,10 @@ class TestCheckpoint:
                 ckpt.load_checkpoint(path)
 
     @pytest.mark.parametrize("forgery", ["ablation_code", "n_entities", "variant_name",
-                                         "trailing_byte"])
-    def test_forged_header(self, forgery, toy_dataset, tmp_path):
+                                         "trailing_byte", "name_length"])
+    def test_forged_header(self, forgery, toy_dataset, tmp_path, monkeypatch):
+        """A forged header fails with BadMagic, and no read asks for more
+        bytes than the file holds (a 4 GiB name length would allocate 4 GiB)."""
         store, state = self.make_store()
         path = tmp_path / "g.mkge"
         ckpt.save_checkpoint(path, store, opt_state=state)
@@ -131,13 +133,23 @@ class TestCheckpoint:
             "n_entities": blob[:shape_at + 8] + struct.pack("<Q", 2**62) + blob[shape_at + 16:],
             "variant_name": blob[:12] + b"\xff" * 9 + blob[shape_at:],
             "trailing_byte": blob + b"\x00",
+            "name_length": blob[:8] + struct.pack("<I", 0xFFFFFFFF) + blob[12:],
         }[forgery]
         path.write_bytes(blob)
+        read_exact = ckpt._read_exact
+        requests = []
+
+        def spy(fh, n, what):
+            requests.append(n)
+            return read_exact(fh, n, what)
+
+        monkeypatch.setattr(ckpt, "_read_exact", spy)
         with pytest.raises(BadMagic):
             ckpt.load_checkpoint(path)
         code = cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", str(path),
                          "--out", str(tmp_path / "eval")])
         assert code == 1
+        assert requests and max(requests) <= len(blob)
 
     def test_zero_dimension_header(self, toy_dataset, tmp_path, capsys):
         """A k = 0 store saved with the dataset's digest: loading it would

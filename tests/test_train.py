@@ -44,6 +44,11 @@ def small_batch(seed=0):
     return np.stack([h, r, t], axis=1)
 
 
+# heads 1, 4 and 7 and every relation repeat; tails 1, 3, 4 and 7 are also heads
+REPEATED_BATCH = np.array([[1, 0, 4], [4, 2, 1], [1, 0, 7], [3, 1, 1], [4, 0, 9], [1, 2, 3],
+                           [7, 1, 0], [4, 0, 4], [2, 2, 8], [1, 1, 5], [3, 0, 2], [7, 2, 6]])
+
+
 class TestGradients:
     @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh", "distmult", "rotate"])
     @pytest.mark.parametrize("ablation", ["both", "scalar", "vector"])
@@ -60,6 +65,20 @@ class TestGradients:
         # frozen parameters get exactly zero gradient
         assert np.all(g_e[:, ~ent_mask] == 0.0)
         assert np.all(g_r[:, ~rel_mask] == 0.0)
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    def test_repeated_ids_add_as_mean_of_single_triples(self, name, ablation):
+        """The batch gradient is the mean of its triples' gradients, also when
+        heads and relations repeat and a tail is also a head: each repeated id
+        adds its terms (a `+=` on a fancy index would keep only one)."""
+        store = model.init_model(name, 2, 10, 3, seed=21, ablation=ablation)
+        _, g_e, g_r = train.batch_loss_and_grads(store, REPEATED_BATCH, LOSS)
+        singles = [train.batch_loss_and_grads(store, triple[None], LOSS)[1:]
+                   for triple in REPEATED_BATCH]
+        for got, tables in zip((g_e, g_r), zip(*singles)):
+            want = np.mean(tables, axis=0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_regularizer_gradient_isolated(self):
         store = model.init_model("module_rc", **SMALL, seed=5)
@@ -192,7 +211,9 @@ class TestCosineKernel:
         h, c = rng.normal(size=(11, 2, 4)), rng.normal(size=(20, 2, 4))
         tails = BLOCK_BATCH[:, 2]
         h_flat, c_flat = h.reshape(11, -1), c.reshape(20, -1)
-        loss, d_s = model.logistic_loss(h_flat @ c_flat.T, (np.arange(11), tails), 11)
+        x = h_flat @ c_flat.T
+        d_s = model.logistic_terms(x, (np.arange(11), tails), 11)
+        loss = float(np.sum(x))
         whole = b"".join(a.tobytes() for a in (np.float64(loss), d_s @ c_flat, d_s.T @ h_flat))
 
         def run():
@@ -232,7 +253,9 @@ class TestLoss:
         pos = (np.arange(5), np.array([0, 1, 8, 3, 3]))
         y = -np.ones_like(x)
         y[pos] = 1.0
-        loss, d_s = model.logistic_loss(x.copy(), pos, 5)
+        terms = x.copy()
+        d_s = model.logistic_terms(terms, pos, 5)
+        loss = float(np.sum(terms))
         assert loss == pytest.approx(np.sum(np.logaddexp(0.0, -y * x)), rel=1e-14)
         # d log(1 + exp(-y s)) / ds = -y / (1 + exp(y s))
         np.testing.assert_allclose(d_s, -y / (1.0 + np.exp(y * x)) / 5, rtol=1e-14, atol=0)
@@ -440,6 +463,30 @@ class TestFit:
         train.fit(store, triples, fit_cfg)
         after, _, _ = train.batch_loss_and_grads(store, triples, cfg)
         assert after < before
+
+    def test_early_stopping(self):
+        """Validated every epoch with patience 3, the run stops at the epoch
+        its own MRR sequence gives, well before `epochs`, and a rerun is the
+        same bytes. The toy KG is memorized, so its MRR rises, then stalls."""
+        vocab, kg = data.generate_synthetic_kg(seed=2, n_entities=40)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        index = data.build_filter_index(kg, vocab)
+        cfg = train.FitConfig(epochs=60, batch_size=32, lr=0.2, seed=3, eval_interval=1,
+                              patience=3, loss=train.LossConfig(p=3, lam=0.01))
+        runs = []
+        for _ in range(2):
+            store = model.init_model("module_rc", 8, vocab.n_entities, vocab.n_relations, seed=1)
+            report, _ = train.fit(store, triples, cfg, valid_triples=kg.valid,
+                                  filter_index=index)
+            mrrs = [rec.valid_mrr for rec in report.epochs]
+            runs.append(b"".join(np.asarray(a).tobytes() for a in (
+                store.entity, store.relation, [rec.loss for rec in report.epochs], mrrs)))
+        # the first epoch whose last `patience` MRRs all fail to beat the best before them
+        stop = next(i for i in range(cfg.patience + 1, len(mrrs) + 1)
+                    if max(mrrs[i - cfg.patience:i]) <= max(mrrs[:i - cfg.patience]) + 1e-12)
+        assert len(mrrs) == stop < cfg.epochs
+        assert max(mrrs) > 2 * mrrs[0]  # it learned before it stalled
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", ["module_rc", "rotate"])
     def test_nonfinite_aborts(self, name):
