@@ -163,15 +163,12 @@ _SMALL_ANGLE = 1e-4
 
 
 def _sinc(theta):
-    """sin(theta) / theta, by its series below _SMALL_ANGLE, with the terms
-    the exp_map backward reuses: (sinc, small, theta^2, safe, sin(safe)),
-    where safe is theta, or 1 where the series is used."""
+    """sin(theta) / theta, by its series 1 - theta^2/6 + theta^4/120 below
+    _SMALL_ANGLE."""
     small = theta < _SMALL_ANGLE
     t2 = theta * theta
-    series = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
     safe = np.where(small, 1.0, theta)
-    sin = np.sin(safe)
-    return np.where(small, series, sin / safe), small, t2, safe, sin
+    return np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
 
 
 def exp_map(omega):
@@ -184,27 +181,33 @@ def exp_map(omega):
     theta = np.sqrt(_coordinate_sum(omega, omega))
     out = np.empty((4,) + omega.shape[1:])
     np.cos(theta, out=out[0, ...])
-    np.multiply(_sinc(theta)[0], omega, out=out[1:])
+    np.multiply(_sinc(theta), omega, out=out[1:])
     return out
 
 
 def exp_map_backward(omega, q, grad_q):
     """Pull a gradient on q = exp_map(omega) back to a gradient on omega.
 
-    q and grad_q have shape (4, ...); the result has shape (3, ...). cos|w|
-    is read from q, so one sine is the only transcendental evaluated.
+    q and grad_q have shape (4, ...); the result has shape (3, ...). q must
+    be exp_map(omega): cos|w| = q_0 and sinc|w| = (q_v . w) / |w|^2 are read
+    from it, so no transcendental is evaluated. Below _SMALL_ANGLE, sinc and
+    the Jacobian coefficient c2 take their series instead.
     """
     omega = np.asarray(omega, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     grad_q = np.asarray(grad_q, dtype=np.float64)
-    theta = np.sqrt(_coordinate_sum(omega, omega))
-    s, small, t2, safe, sin = _sinc(theta)
-    # c2 = d(sinc)/dtheta / theta = (theta cos - sin) / theta^3
-    series = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    c2 = np.where(small, series, (safe * q[0] - sin) / safe**3)
+    t2 = _coordinate_sum(omega, omega)  # theta^2
+    small = t2 < _SMALL_ANGLE * _SMALL_ANGLE
+    safe = np.where(small, 1.0, t2)
+    s = _coordinate_sum(q[1:], omega) / safe
+    # c2 = d(sinc)/dtheta / theta = (cos - sinc) / theta^2
+    c2 = (q[0] - s) / safe
+    if np.any(small):  # rare at random init; a frozen ablation block is all zeros
+        s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s)
+        c2 = np.where(small, -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0, c2)
     gv = grad_q[1:]
     # d cos|w| / dw = -sinc * w ; d (sinc * w_a) / dw_b = sinc d_ab + c2 w_a w_b
-    out = (-grad_q[0] * s + c2 * _coordinate_sum(gv, omega)) * omega
+    out = (c2 * _coordinate_sum(gv, omega) - grad_q[0] * s) * omega
     out += s * gv
     return out
 

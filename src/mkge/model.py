@@ -31,13 +31,13 @@ score kernels read element-last arrays (..., k, w), which `planes` and
 `element_last` convert from and to. The parameter tables keep their column
 blocks, so checkpoints and init draws do not depend on the compute layout.
 
-Training and evaluation build the whole entity table's unit vectors and
-combined entities s_e * v_e through one function, `entity_forward`, per block
-of entity rows (`rows_per_block`) on the process's thread pool. A block copies
-its parameter rows to contiguous planes once and computes on those; the unit
-vectors stay planes (w, E, k), the combined entities are written in the
-kernels' layout (E, k, w). Heads have one path too: `head_inputs` gathers
-the head transform's four factors as planes, and `head_forward` combines them.
+Entity inputs have one path, `entity_inputs`: it copies the given entity rows
+(an id array or a slice) to contiguous parameter planes once and materializes
+both parts. The whole-table forward, `combined_embeddings(store)`, runs it per
+block of entity rows (`rows_per_block`) on the process's thread pool and keeps
+only the combined entities s_e * v_e, in the kernels' layout (E, k, w). The
+training backward rebuilds each block's inputs with it, and `head_inputs` adds
+the relation factors to the head rows' inputs for `head_forward`.
 
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
@@ -271,40 +271,34 @@ def rows_per_block(store):
     return max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
 
 
-def entity_forward(store):
-    """Unit vector elements and combined entities s_e * v_e of the whole
-    entity table, built per row block on the process's thread pool: the unit
-    vectors as planes (vector.width, E, k), which only the training step's
-    backward row blocks read, and the combined entities in the kernels' layout
-    (E, k, vector.width). Each block computes on contiguous planes of its
-    parameter rows. Must not be called from a task on that pool."""
+def entity_inputs(store, ids):
+    """(params, elems): the scalar and vector parameter planes (w, n, k) of the
+    entity rows `ids` (an id array or a slice) and their elements,
+    `scalar.materialize` and `materialize_vector` of those planes. The ids are
+    not checked here."""
     variant = store.variant
-    es, ev = store.entity_parts()
-    vec_all = np.empty((variant.vector.width, store.n_entities, store.k))
-    c_all = np.empty((store.n_entities, store.k, variant.vector.width))
-
-    def forward(rows):
-        vec = materialize_vector(planes(ev[rows]), variant)
-        vec_all[:, rows] = vec
-        c_all[rows] = np.moveaxis(combine(variant.scalar.materialize(planes(es[rows])), vec),
-                                  0, -1)
-
-    for _ in map_blocks(forward, store.n_entities, rows_per_block(store)):
-        pass
-    return vec_all, c_all
+    scalar, vector = (planes(part[ids]) for part in store.entity_parts())
+    return (scalar, vector), (variant.scalar.materialize(scalar),
+                              materialize_vector(vector, variant))
 
 
 def combined_embeddings(store, ids=None):
-    """Combined tuples s_e * v_e for all (`entity_forward`) or selected
-    entities, in the kernels' layout (N, k, w). An entity id outside [0, E)
-    raises IndexError."""
-    if ids is None:
-        return entity_forward(store)[1]
-    _check_ids(ids, store.n_entities)
-    variant = store.variant
-    es, ev = store.entity_parts()
-    return element_last(combine(variant.scalar.materialize(planes(es[ids])),
-                                materialize_vector(planes(ev[ids]), variant)))
+    """Combined tuples s_e * v_e of the entities `ids`, or of the whole
+    table, in the kernels' layout (N, k, w). An id outside [0, E) raises
+    IndexError. The whole table is built from `entity_inputs` per row block
+    on the process's thread pool, so it must not be called from a task on
+    that pool; its bytes equal the gather path's for any pool size."""
+    if ids is not None:
+        _check_ids(ids, store.n_entities)
+        return element_last(combine(*entity_inputs(store, ids)[1]))
+    c_all = np.empty((store.n_entities, store.k, store.variant.vector.width))
+
+    def forward(rows):
+        c_all[rows] = np.moveaxis(combine(*entity_inputs(store, rows)[1]), 0, -1)
+
+    for _ in map_blocks(forward, store.n_entities, rows_per_block(store)):
+        pass
+    return c_all
 
 
 def head_forward(s_h, v_h, g_s, g_v):
@@ -317,16 +311,15 @@ def head_forward(s_h, v_h, g_s, g_v):
 def head_inputs(store, h_ids, r_ids):
     """(params, elems): parameters and elements, as planes (w, B, k), of the
     head transform's four factors for id arrays: head scalars, head unit
-    vectors, relation scalings, relation rotations. A head id outside [0, E)
-    or a relation id outside [0, R) raises IndexError."""
+    vectors (`entity_inputs`), relation scalings, relation rotations. A head
+    id outside [0, E) or a relation id outside [0, R) raises IndexError."""
     _check_ids(h_ids, store.n_entities)
     _check_ids(r_ids, store.n_relations)
     variant = store.variant
-    params = ([planes(p[h_ids]) for p in store.entity_parts()]
-              + [planes(p[r_ids]) for p in store.relation_parts()])
-    elems = (variant.scalar.materialize(params[0]), materialize_vector(params[1], variant),
-             variant.scaling.materialize(params[2]), variant.rotation.materialize(params[3]))
-    return params, elems
+    params, elems = entity_inputs(store, h_ids)
+    scaling, rotation = (planes(part[r_ids]) for part in store.relation_parts())
+    return (params + (scaling, rotation),
+            elems + (variant.scaling.materialize(scaling), variant.rotation.materialize(rotation)))
 
 
 def transformed_heads(store, h_ids, r_ids):

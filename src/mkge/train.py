@@ -14,24 +14,26 @@ the quaternion exponential map).
 The whole-table entity work runs per block of entity rows
 (`model.rows_per_block`) on the process's one thread pool (`mkge.map_blocks`;
 one worker per usable core, at most MKGE_THREADS). Forward,
-`model.entity_forward` builds the unit vectors and the combined entities; the
-score kernel then runs on the whole combined table and the regularizer
-scatters its terms into that table's gradient. Backward mirrors forward: each
-block pulls only its rows of that gradient through `combine` and each part's
-group into that part's column block of the entity gradient
-(`ParameterStore.entity_parts`). The head transform's gradient is then pulled
-back through each factor pair, (scalar part, scaling) and (vector part,
-rotation), and scattered serially in batch order at the heads and the
-relations. `adagrad_step` updates the entity table in the same blocks. Blocks
-write disjoint rows, so no result depends on the pool size or block size.
+`model.combined_embeddings` builds the combined entities from each block's
+`model.entity_inputs`; the score kernel then runs on the whole combined table
+and the regularizer scatters its terms into that table's gradient. Backward
+mirrors forward: each block rebuilds its `model.entity_inputs`, which costs
+less than keeping them for the whole table, and pulls only its rows of that
+gradient through `combine` and each part's group into that part's column block
+of the entity gradient (`ParameterStore.entity_parts`). The head transform's
+gradient is then pulled back through each factor pair, (scalar part, scaling)
+and (vector part, rotation), and scattered serially in batch order at the
+heads and the relations. `adagrad_step` updates the entity table in the same
+blocks. Blocks write disjoint rows, so no result depends on the pool size or
+block size.
 
 Layouts: the reverse mode computes on component planes (w, ..., k), as
-`algebra` does. The unit vectors of `entity_forward`, the head-side elements
-and their gradients, and each block's copies of its parameter rows and of
-its rows of the combined-table gradient are planes. The combined table and
-its gradient (E, k, w) and the transformed heads passed to the kernel
-(B, k, w) keep the kernels' element-last layout; the parameter and gradient
-tables keep their column blocks, written through planes views.
+`algebra` does. Each block's parameter and element planes, its rows of the
+combined-table gradient, and the head-side elements and their gradients are
+planes. The combined table and its gradient (E, k, w) and the transformed
+heads passed to the kernel (B, k, w) keep the kernels' element-last layout;
+the parameter and gradient tables keep their column blocks, written through
+planes views.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def batch_loss_and_grads(store, triples, cfg):
     groups = (variant.scalar, variant.vector, variant.scaling, variant.rotation)
     params, elems = model.head_inputs(store, heads, rels)  # planes (w, B, k)
     s2, v2, h_prime = model.head_forward(*elems)
-    vec_all, c_all = model.entity_forward(store)  # planes (w, E, k); (E, k, w)
+    c_all = model.combined_embeddings(store)  # (E, k, w)
     data_loss, grad_h_prime, grad_c = variant.kernel(model.element_last(h_prime), c_all, tails)
 
     scale = cfg.lam / b
@@ -181,15 +183,13 @@ def batch_loss_and_grads(store, triples, cfg):
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_h * coeff_h[..., None])
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
-    # entity-side backward, per row block: the mirror of `model.entity_forward`,
-    # pulling the block's rows of grad_c through combine and the two part groups
-    es, ev = store.entity_parts()
+    # entity-side backward, per row block: the mirror of the forward of
+    # `model.combined_embeddings`, pulling grad_c through combine and both groups
     grad_entity = np.empty_like(store.entity)
     grad_blocks = [np.moveaxis(block, -1, 0) for block in store.entity_parts(grad_entity)]
 
     def backward(rows):
-        block_params = (model.planes(es[rows]), model.planes(ev[rows]))
-        block_elems = (variant.scalar.materialize(block_params[0]), vec_all[:, rows])
+        block_params, block_elems = model.entity_inputs(store, rows)
         for group, param, elem, grad, grad_block in zip(
             groups[:2], block_params, block_elems,
             algebra.elem_mul_backward(model.planes(grad_c[rows]), *block_elems), grad_blocks,
@@ -259,6 +259,8 @@ class FitConfig:
     def __post_init__(self):
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
         if self.schedule not in ("constant", "exp"):

@@ -189,19 +189,35 @@ class TestRotationScaling:
 
 class TestBackwardHelpers:
     def test_exp_map_backward_finite_difference(self):
+        """Central differences of exp_map at |w| near 0, on both sides of the
+        series switch at _SMALL_ANGLE, near 1.6, at pi (sinc ~ 0) and in
+        (pi, pi sqrt 3] (sin < 0); then a planes input (3, n, k) of those
+        angles, which gives the bytes of per-element calls."""
         rng = np.random.default_rng(3)
-        for scale in (1.0, 1e-6):
+        omegas, eps = [], 1e-5
+        for scale, norm in ((1.0, None), (1e-6, None), (1.0, 5e-5), (1.0, 2e-4),
+                            (1.0, np.pi), (1.0, 4.2), (1.0, np.pi * np.sqrt(3))):
             omega = rng.normal(size=3) * scale
+            if norm is not None:
+                omega *= norm / np.linalg.norm(omega)
+            omegas.append(omega)
             grad_q = rng.normal(size=4)
             analytic = algebra.exp_map_backward(omega, algebra.exp_map(omega), grad_q)
-            eps = 1e-6
             fd = np.empty(3)
             for i in range(3):
                 up, dn = omega.copy(), omega.copy()
                 up[i] += eps
                 dn[i] -= eps
                 fd[i] = grad_q @ (algebra.exp_map(up) - algebra.exp_map(dn)) / (2 * eps)
-            assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-8)
+            # rounding leaves about 1e-10; the c2 term at |w| = 2e-4 is about 1e-8
+            assert np.allclose(analytic, fd, rtol=0.0, atol=1e-9), np.linalg.norm(omega)
+
+        omega = np.stack(omegas + [np.zeros(3)], axis=1).reshape(3, 2, 4)
+        q, grad_q = algebra.exp_map(omega), rng.normal(size=(4, 2, 4))
+        planes = algebra.exp_map_backward(omega, q, grad_q)
+        for i, j in np.ndindex(2, 4):
+            element = algebra.exp_map_backward(omega[:, i, j], q[:, i, j], grad_q[:, i, j])
+            assert planes[:, i, j].tobytes() == element.tobytes()
 
     def test_angle_backward_finite_difference(self):
         theta, grad = 0.7, np.array([0.3, -1.1])

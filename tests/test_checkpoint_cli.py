@@ -313,6 +313,21 @@ class TestBadInput:
                                                      ["--lr", "0"])])
         assert "learning rate" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed(self, source, toy_dataset, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = small_args(toy_dataset, str(out))
+        if source == "config":  # a flag would override the file's seed
+            del argv[argv.index("--seed"):argv.index("--seed") + 2]
+            path = tmp_path / "seed.cfg"
+            path.write_text("seed=-1\n")
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--seed", "-1"]  # the last flag wins
+        err = self.run(capsys, ["train", *argv])
+        assert "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda2", "inf"),
                                             ("--lambda3", "-1")])
     def test_bad_regularization_rate(self, flag, value, toy_dataset, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,22 @@ class TestEntityForward:
         path, for any block size and pool size."""
         store = model.init_model(name, 3, 17, 2, seed=5, ablation=ablation)
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.vector.width)
-        _, ev = store.entity_parts()
-        want = b"".join(a.tobytes() for a in (
-            model.materialize_vector(model.planes(ev), store.variant),
-            model.combined_embeddings(store, np.arange(store.n_entities))))
-        assert pool_runs(lambda: (model.entity_forward(store)[0],
-                                  model.combined_embeddings(store))) == [want] * 3
+        want = model.combined_embeddings(store, np.arange(store.n_entities)).tobytes()
+        assert pool_runs(lambda: (model.combined_embeddings(store),)) == [want] * 3
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    def test_whole_table_peak_memory(self, name):
+        """The whole-table forward allocates its result and per-block
+        temporaries only: no second whole-table array."""
+        store = model.init_model(name, 32, 20_000, 2, seed=0)
+        model.combined_embeddings(store)  # warm the pool
+        tracemalloc.start()
+        try:
+            c_all = model.combined_embeddings(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * c_all.nbytes
 
 
 class TestCombineTransform:

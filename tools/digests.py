@@ -2,7 +2,8 @@
 ablation.
 
 Each line hashes, for one case on a small synthetic KG: the initial
-parameter tables, the free-column masks, one training step (its loss as a
+parameter tables, the free-column masks, the whole-table combined entities
+of those tables (`combined_embeddings`), one training step (its loss as a
 float hex, both gradient tables, both tables after Adagrad), the scores of
 the batch's (head, relation) rows against every entity, a 3-epoch `fit`
 (its epoch losses and final tables), and the filtered test MRR. Row blocks
@@ -40,7 +41,8 @@ def digest(*arrays):
 def case(name, ablation, vocab, triples, aug, index):
     store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
     fields = [f"init={digest(store.entity, store.relation)}",
-              f"masks={digest(*store.free_masks())}"]
+              f"masks={digest(*store.free_masks())}",
+              f"combined={digest(model.combined_embeddings(store))}"]
     batch = aug[:48]
     loss, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
     fields += [f"loss={float(loss).hex()}", f"grads={digest(g_e, g_r)}"]
