@@ -110,6 +110,8 @@ def load_checkpoint(path):
         digest = _read_exact(fh, 32, "digest")
         (epoch,) = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "flags"))
+        if has_opt not in (0, 1):
+            raise BadMagic(f"checkpoint optimizer-state flag is {has_opt}; it must be 0 or 1")
         variant = model.VARIANTS[name]
         ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
         # check the declared payload against the file before allocating it

@@ -29,8 +29,8 @@ PRESETS = {
                      schedule="constant"),
 }
 
-MODEL_ALIASES = {"rc": "module_rc", "rh": "module_rh", "hh": "module_hh",
-                 "distmult": "distmult", "rotate": "rotate"}
+MODEL_ALIASES = {"rc": "module_rc", "rh": "module_rh", "hh": "module_hh"}
+_CASTS = {"int": int, "float": float, "str": str}  # by field type, for config lines and flags
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ def parse_config_text(text, base=None, path=None):
     `config line <line>` when no path is given."""
     cfg = base or ExperimentConfig()
     types = {f.name: f.type for f in fields(ExperimentConfig)}
-    casts = {"int": int, "float": float, "str": str}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -94,7 +93,7 @@ def parse_config_text(text, base=None, path=None):
         if key not in types:
             raise ParseError(f"{where}: unknown key {key!r}")
         try:
-            updates[key] = casts[types[key]](value)
+            updates[key] = _CASTS[types[key]](value)
         except ValueError as exc:
             raise ParseError(f"{where}: bad value {value!r} for key {key!r}") from exc
     return replace(cfg, **updates)
@@ -119,30 +118,19 @@ def resolve_config(args):
         cfg = replace(cfg, **PRESETS[args.preset])
     if getattr(args, "config", None):
         cfg = load_config_file(args.config, base=cfg)
-    overrides = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if "model" in overrides:
-        overrides["model"] = MODEL_ALIASES.get(overrides["model"], overrides["model"])
-    return replace(cfg, **overrides).validate()
-
-
-def _loss_config(cfg):
-    from .train import LossConfig
-
-    return LossConfig(p=cfg.p, lam=cfg.lam, lambda1=cfg.lambda1,
-                      lambda2=cfg.lambda2, lambda3=cfg.lambda3)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    return replace(cfg, model=MODEL_ALIASES.get(cfg.model, cfg.model)).validate()
 
 
 def _fit_config(cfg):
-    from .train import FitConfig
+    """The trainer's configs, from the settings of the same names."""
+    from .train import FitConfig, LossConfig
 
-    return FitConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                     schedule=cfg.schedule, seed=cfg.seed,
-                     eval_interval=cfg.eval_interval, patience=cfg.patience,
-                     loss=_loss_config(cfg))
+    def settings(cls):
+        return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name != "loss"}
+
+    return FitConfig(**settings(FitConfig), loss=LossConfig(**settings(LossConfig)))
 
 
 def _prepare(cfg):
@@ -161,15 +149,12 @@ def _digest(cfg, vocab):
                          vocab.n_entities, vocab.n_relations)
 
 
-def _write_outputs(out_dir, cfg, vocab, triples, index, store, report=None):
+def _evaluate(split, store, index, vocab, out_dir):
+    """Rank `split` and write metrics.csv and per_relation.csv to out_dir."""
     from . import ranking
 
+    metrics = ranking.evaluate(split, store, index)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
-    if report is not None:
-        report.to_csv(os.path.join(out_dir, "train_report.csv"))
-    metrics = ranking.evaluate(triples.test, store, index)
     metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     ranking.per_relation_csv(metrics, os.path.join(out_dir, "per_relation.csv"), vocab)
     return metrics
@@ -198,8 +183,10 @@ def run_training(cfg, out_dir=None, resume=None):
     final_epoch = report.epochs[-1].epoch + 1 if report.epochs else start_epoch
     ckpt.save_checkpoint(os.path.join(out_dir, "checkpoint.mkge"), store,
                          opt_state=opt_state, epoch=final_epoch, digest=digest)
-    metrics = _write_outputs(out_dir, cfg, vocab, triples, index, store, report)
-    return store, report, metrics
+    with open(os.path.join(out_dir, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(cfg.to_text())
+    report.to_csv(os.path.join(out_dir, "train_report.csv"))
+    return store, report, _evaluate(triples.test, store, index, vocab, out_dir)
 
 
 def cmd_train(args):
@@ -211,7 +198,6 @@ def cmd_train(args):
 
 def cmd_eval(args):
     from . import checkpoint as ckpt
-    from . import ranking
 
     cfg = resolve_config(args)
     vocab, triples, index, _ = _prepare(cfg)
@@ -219,11 +205,7 @@ def cmd_eval(args):
     store = loaded.store
     loaded.verify_digest(_digest(replace(cfg, model=store.variant.name, k=store.k,
                                          ablation=store.ablation), vocab))
-    split = triples.splits()[args.split]
-    metrics = ranking.evaluate(split, store, index)
-    os.makedirs(cfg.out, exist_ok=True)
-    metrics.to_csv(os.path.join(cfg.out, "metrics.csv"))
-    ranking.per_relation_csv(metrics, os.path.join(cfg.out, "per_relation.csv"), vocab)
+    metrics = _evaluate(triples.splits()[args.split], store, index, vocab, cfg.out)
     print(metrics.format_table())
     return 0
 
@@ -266,26 +248,17 @@ def cmd_sweep(args):
     return 0
 
 
+_HELP = {"dataset": "directory with train.txt/valid.txt/test.txt", "out": "output directory"}
+
+
 def _add_common_flags(parser):
-    parser.add_argument("--dataset", help="directory with train.txt/valid.txt/test.txt")
-    parser.add_argument("--model", choices=sorted(set(MODEL_ALIASES) | set(MODEL_ALIASES.values())))
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--p", type=int, choices=(2, 3))
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--lambda1", type=float)
-    parser.add_argument("--lambda2", type=float)
-    parser.add_argument("--lambda3", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--schedule", choices=("constant", "exp"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--ablation", choices=("scalar", "vector", "both"))
-    parser.add_argument("--eval-interval", dest="eval_interval", type=int)
-    parser.add_argument("--patience", type=int)
+    """One flag per ExperimentConfig field, `--lambda` for lam; values are
+    checked by ExperimentConfig.validate, as those of config files are."""
+    for f in fields(ExperimentConfig):
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, type=_CASTS[f.type], help=_HELP.get(f.name))
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--out", help="output directory")
 
 
 def build_parser():

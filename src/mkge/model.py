@@ -345,15 +345,9 @@ def score(store, h_id, r_id, t_id):
     return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
 
 
-def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)) from one exp(-|x|), which cannot
-    overflow (see `_sigmoid_of`)."""
-    return _sigmoid_of(x, np.exp(-np.abs(x)))
-
-
 def _sigmoid_of(x, e):
-    """sigmoid(x) given e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e)
-    below."""
+    """The logistic function 1 / (1 + exp(-x)) given e = exp(-|x|), which
+    cannot overflow: 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mkge import algebra, data, model, ranking, train
+from oracles import brute_force_rank, finite_difference_grads
 
 N_ALGEBRA_PAIRS = 100_000
 
@@ -61,22 +62,6 @@ def grad_instance(name, ablation, seed=17):
     return store, batch
 
 
-def finite_difference_grads(store, triples, cfg, step=1e-5):
-    fd_e = np.zeros_like(store.entity)
-    fd_r = np.zeros_like(store.relation)
-    for table, fd in ((store.entity, fd_e), (store.relation, fd_r)):
-        flat, out = table.ravel(), fd.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up, _, _ = train.batch_loss_and_grads(store, triples, cfg)
-            flat[i] = orig - step
-            dn, _, _ = train.batch_loss_and_grads(store, triples, cfg)
-            flat[i] = orig
-            out[i] = (up - dn) / (2 * step)
-    return fd_e, fd_r
-
-
 def gradient_artifact():
     """Analytic gradients for every variant x ablation, as one byte string."""
     chunks = []
@@ -123,12 +108,6 @@ class TestCriterion3Degeneration:
             worst = max(worst, abs(model.score(store, int(h), r, int(t)) - direct))
         assert worst <= 1e-12
         report(3, f"1000 triples, max |score difference| = {worst:.2e}")
-
-
-def brute_force_rank(scores, true_idx, filtered_out):
-    candidates = [i for i in range(len(scores)) if i == true_idx or i not in filtered_out]
-    ordered = sorted(candidates, key=lambda i: (-scores[i], i == true_idx))
-    return ordered.index(true_idx) + 1
 
 
 def ranking_artifact():

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import os
 import re
@@ -5,7 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ class TestCheckpoint:
                 ckpt.load_checkpoint(path)
 
     @pytest.mark.parametrize("forgery", ["ablation_code", "n_entities", "variant_name",
-                                         "trailing_byte", "name_length"])
+                                         "trailing_byte", "name_length", "opt_flag"])
     def test_forged_header(self, forgery, toy_dataset, tmp_path, monkeypatch):
         """A forged header fails with BadMagic, and no read asks for more
         bytes than the file holds (a 4 GiB name length would allocate 4 GiB)."""
@@ -134,6 +135,8 @@ class TestCheckpoint:
             "variant_name": blob[:12] + b"\xff" * 9 + blob[shape_at:],
             "trailing_byte": blob + b"\x00",
             "name_length": blob[:8] + struct.pack("<I", 0xFFFFFFFF) + blob[12:],
+            # shape, digest and epoch precede the optimizer-state flag byte
+            "opt_flag": blob[:shape_at + 64] + b"\x07" + blob[shape_at + 65:],
         }[forgery]
         path.write_bytes(blob)
         read_exact = ckpt._read_exact
@@ -229,6 +232,19 @@ class TestConfig:
         assert cfg.k == 4 and cfg.batch_size == 500  # the file's key wins, the preset's rest stays
         cfg = cli.resolve_config(parser.parse_args([*base, "--config", str(path), "--k", "8"]))
         assert cfg.k == 8
+
+    def test_flags_are_the_config_fields(self):
+        """Each setting flag is derived from its ExperimentConfig field: cast
+        like a config line and checked like one, so it lists no choices."""
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in subparsers.choices["train"]._actions
+                   if a.dest != "help"}
+        casts = {"int": int, "float": float, "str": str}
+        settings = {f.name: f for f in fields(cli.ExperimentConfig)}
+        assert set(actions) == set(settings) | {"preset", "config", "resume"}
+        for name, f in settings.items():
+            assert actions[name].type is casts[f.type] and actions[name].choices is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -328,6 +344,20 @@ class TestBadInput:
         assert "seed must be >= 0, got -1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--p", "4", "norm exponent p must be 2 or 3"),
+        ("--schedule", "x", "unknown schedule 'x'"),
+        ("--ablation", "x", "unknown ablation mode 'x'"),
+        ("--model", "foo", "unknown model 'foo'"),
+    ], ids=["p", "schedule", "ablation", "model"])
+    def test_bad_setting_value(self, flag, value, message, toy_dataset, tmp_path, capsys):
+        """A flag's value is checked where a config file's is, so a bad one
+        ends with one `error:` line and exit 1, not argparse's usage and exit 2."""
+        out = tmp_path / "o"
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(out), [flag, value])])
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda2", "inf"),
                                             ("--lambda3", "-1")])
     def test_bad_regularization_rate(self, flag, value, toy_dataset, tmp_path, capsys):
@@ -394,6 +424,22 @@ class TestCmdTrain:
         cli.main(["train", *small_args(toy_dataset, out)])
         cfg = cli.load_config_file(os.path.join(out, "resolved_config.cfg"))
         assert cfg.model == "module_rc" and cfg.k == 2 and cfg.out == out
+
+    def test_config_file_model_alias(self, toy_dataset, tmp_path):
+        """`model=hh` in a config file trains like `--model hh`."""
+        path = tmp_path / "hh.cfg"
+        path.write_text("model=hh\n")
+        runs = []
+        for source in ("flag", "config"):
+            out = tmp_path / source
+            argv = small_args(toy_dataset, str(out))
+            del argv[argv.index("--model"):argv.index("--model") + 2]
+            argv += ["--model", "hh"] if source == "flag" else ["--config", str(path)]
+            assert cli.main(["train", *argv]) == 0
+            assert cli.load_config_file(str(out / "resolved_config.cfg")).model == "module_hh"
+            runs.append([(out / name).read_bytes() for name in
+                         ("checkpoint.mkge", "metrics.csv", "per_relation.csv")])
+        assert runs[0] == runs[1]
 
     def test_zero_epochs_checkpoints_init(self, toy_dataset, tmp_path):
         out = str(tmp_path / "zero")

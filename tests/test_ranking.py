@@ -6,14 +6,7 @@ import pytest
 
 from mkge import data, model, ranking
 from mkge.errors import ShapeMismatch
-
-
-def brute_force_rank(scores, true_idx, filtered_out):
-    """Reference: materialize candidates, stable-sort descending with the true
-    triple ordered last among equal scores, report its 1-based position."""
-    candidates = [i for i in range(len(scores)) if i == true_idx or i not in filtered_out]
-    ordered = sorted(candidates, key=lambda i: (-scores[i], i == true_idx))
-    return ordered.index(true_idx) + 1
+from oracles import brute_force_rank
 
 
 def as_mask(n, ids):

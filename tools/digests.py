@@ -3,12 +3,14 @@ ablation.
 
 Each line hashes, for one case on a small synthetic KG: the initial
 parameter tables, the free-column masks, the whole-table combined entities
-of those tables (`combined_embeddings`), one training step (its loss as a
-float hex, both gradient tables, both tables after Adagrad), the scores of
-the batch's (head, relation) rows against every entity, a 3-epoch `fit`
-(its epoch losses and final tables), and the filtered test MRR. Row blocks
-and distance chunks are set small, so the entity work and the distance
-kernel run in several blocks, as they do at full scale.
+of those tables (`combined_embeddings`), the scores of a batch's (head,
+relation) rows against every entity, one training step on that batch (its
+loss as a float hex, both gradient tables, both tables after Adagrad), a
+3-epoch `fit` (its epoch losses and final tables), and the filtered test
+MRR. The fields up to `loss` are computed by the forward alone, from the
+initial tables, so a change to the backward or to Adagrad leaves them as
+they are. Row blocks and distance chunks are set small, so the entity work
+and the distance kernel run in several blocks, as they do at full scale.
 
 Two trees give the same output exactly when they compute the same bits, so a
 refactor is checked by diffing the output of the parent and of the change:
@@ -44,11 +46,11 @@ def case(name, ablation, vocab, triples, aug, index):
               f"masks={digest(*store.free_masks())}",
               f"combined={digest(model.combined_embeddings(store))}"]
     batch = aug[:48]
+    fields.append(f"scores={digest(model.score_all_tails(store, batch[:, 0], batch[:, 1]))}")
     loss, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
     fields += [f"loss={float(loss).hex()}", f"grads={digest(g_e, g_r)}"]
     train.adagrad_step(store, train.OptimizerState.for_store(store), g_e, g_r)
     fields.append(f"adagrad={digest(store.entity, store.relation)}")
-    fields.append(f"scores={digest(model.score_all_tails(store, batch[:, 0], batch[:, 1]))}")
 
     store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
     report, _ = train.fit(store, aug, FIT)
