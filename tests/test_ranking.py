@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -154,7 +155,7 @@ class TestEvaluate:
         vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
         store = model.init_model(variant, 3, vocab.n_entities, vocab.n_relations, seed=4)
         index = data.build_filter_index(store_data, vocab)
-        split = store_data.train  # several eval chunks
+        split = store_data.train  # the largest split
         report = ranking.evaluate(split, store, index)
         ref = reference_evaluate(split, store, store_data)
         for direction in ("tail", "head"):
@@ -166,12 +167,14 @@ class TestEvaluate:
         assert (report.tail.mrr + report.head.mrr) / 2 == pytest.approx(report.mrr, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
-    def test_multi_chunk_ranks_match_reference(self, variant):
+    def test_multi_chunk_ranks_match_reference(self, variant, monkeypatch):
+        monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", 64 * 50)  # 64 queries per block
         vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=50)
         store = model.init_model(variant, 3, vocab.n_entities, vocab.n_relations, seed=4)
         index = data.build_filter_index(store_data, vocab)
         split = store_data.train
-        assert 2 * len(split) > 2 * ranking.EVAL_CHUNK_QUERIES  # at least 3 chunks
+        per_block = ranking.EVAL_BLOCK_ELEMENTS // store.n_entities
+        assert 2 * len(split) > 2 * per_block  # at least 3 blocks
         report = ranking.evaluate(split, store, index)
         ref = reference_evaluate(split, store, store_data)
         assert [rec.rank for rec in report.ranks] == ref["ranks"].tolist()
@@ -179,11 +182,11 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("variant", ["rotate", "module_hh", "module_rc"])
     def test_ranks_equal_across_pools(self, variant, monkeypatch, pool_runs):
-        # one-row blocks of the entity forward; three queries of k=2 per score
-        # call, so the 20 candidates of each rotate call fall into distance
-        # chunks [0, 7), [7, 14) and [14, 20)
+        # one-row blocks of the entity forward; blocks of three queries of k=2
+        # over the 20 entities, whose keys differ, so the 20 candidates of each
+        # rotate call fall into distance chunks [0, 7), [7, 14) and [14, 20)
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", 1)
-        monkeypatch.setattr(ranking, "EVAL_CHUNK_QUERIES", 3)
+        monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", 3 * 20)
         monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
         vocab, store_data, _, index = self.make_setup()
         store = model.init_model(variant, 2, vocab.n_entities, vocab.n_relations, seed=4)
@@ -273,6 +276,108 @@ class TestEvaluate:
         head_scores = model.score_all_tails(store, 1, vocab.n_base_relations)[0]
         if tail_scores.argmax() == 1 and head_scores.argmax() == 0:
             assert full.mrr == 1.0  # only meaningful when the random store agrees
+
+
+def ranks_of(report):
+    return np.array([rec.rank for rec in report.ranks])
+
+
+def query_keys(split, n_relations):
+    """The (head, relation) key of each query of evaluate, in its query order."""
+    split = np.asarray(split)
+    n_base = n_relations // 2
+    heads = np.stack([split[:, 0], split[:, 2]], axis=1).ravel()
+    rels = np.stack([split[:, 1], split[:, 1] + n_base], axis=1).ravel()
+    return heads * n_relations + rels
+
+
+class TestRepeatedKeys:
+    """Queries that share a (head, relation) key share its score row."""
+
+    def make_setup(self, variant="module_rc"):
+        """A test split whose queries repeat keys: 7 tails of (0, precedes)
+        and 6 heads of (contains, 3), shuffled among the synthetic test
+        triples, and the TripleStore it belongs to."""
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=20)
+        fan_out = [(0, 1, t) for t in range(2, 9)]
+        fan_in = [(h, 2, 3) for h in range(10, 16)]
+        test = np.concatenate([store_data.test, fan_out, fan_in])
+        test = test[np.random.default_rng(0).permutation(len(test))]
+        known = data.TripleStore(store_data.train, store_data.valid, test)
+        store = model.init_model(variant, 3, vocab.n_entities, vocab.n_relations, seed=4)
+        _, counts = np.unique(query_keys(test, store.n_relations), return_counts=True)
+        assert counts.max() >= 7 and np.count_nonzero(counts >= 6) >= 2
+        return vocab, known, store
+
+    @pytest.mark.parametrize("variant", ["module_rc", "rotate"])
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_match_reference(self, variant, filtered):
+        vocab, known, store = self.make_setup(variant)
+        index = data.build_filter_index(known, vocab) if filtered else None
+        report = ranking.evaluate(known.test, store, index)
+        ref = reference_evaluate(known.test, store, known if filtered else None)
+        assert ranks_of(report).tolist() == ref["ranks"].tolist()
+        assert report.mrr == pytest.approx(ref["mrr"], abs=1e-12)
+
+    def test_key_across_block_boundary(self, monkeypatch):
+        # sorted by key, the 7 queries of (0, precedes) fill more than two
+        # 3-query blocks, so the key's row is scored in each of them
+        vocab, known, store = self.make_setup()
+        index = data.build_filter_index(known, vocab)
+        monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", 3 * store.n_entities)
+        three = ranks_of(ranking.evaluate(known.test, store, index))
+        monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", 1)  # one query per block
+        one = ranks_of(ranking.evaluate(known.test, store, index))
+        assert three.tolist() == one.tolist()
+
+    def test_shuffled_split_permutes_ranks(self):
+        vocab, known, store = self.make_setup()
+        index = data.build_filter_index(known, vocab)
+        perm = np.random.default_rng(1).permutation(len(known.test))
+        ranks = ranks_of(ranking.evaluate(known.test, store, index)).reshape(-1, 2)
+        shuffled = ranks_of(ranking.evaluate(known.test[perm], store, index)).reshape(-1, 2)
+        assert shuffled.tolist() == ranks[perm].tolist()
+
+    @pytest.mark.parametrize("per_block", [3, None])
+    def test_score_rows_number_distinct_keys(self, per_block, monkeypatch):
+        # each key is scored once per block it spans: the distinct keys, plus
+        # at most one row per boundary between blocks
+        vocab, known, store = self.make_setup()
+        index = data.build_filter_index(known, vocab)
+        if per_block is not None:
+            monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", per_block * store.n_entities)
+        rows, score = [], model.score_all_tails
+
+        def counting(store, h_ids, r_ids, tails_combined=None):
+            rows.append(len(h_ids))
+            return score(store, h_ids, r_ids, tails_combined=tails_combined)
+
+        monkeypatch.setattr(model, "score_all_tails", counting)
+        ranking.evaluate(known.test, store, index)
+        n_queries = 2 * len(known.test)
+        distinct = len(np.unique(query_keys(known.test, store.n_relations)))
+        assert distinct < n_queries
+        assert len(rows) == -(-n_queries // (per_block or n_queries))
+        assert distinct <= sum(rows) <= distinct + len(rows) - 1
+
+    def test_block_memory_with_one_large_key(self, monkeypatch):
+        # 400 tail queries of one key: a block holds 16 queries whatever their
+        # keys, so no block gathers the key's 400 score and mask rows
+        vocab, store_data = data.generate_synthetic_kg(seed=0, n_entities=4000)
+        test = np.array([(0, 1, t) for t in range(1, 401)])
+        known = data.TripleStore(store_data.train, store_data.valid, test)
+        index = data.build_filter_index(known, vocab)
+        store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
+        monkeypatch.setattr(ranking, "EVAL_BLOCK_ELEMENTS", 16 * store.n_entities)
+        c_all = model.combined_embeddings(store)
+        ranking.evaluate(test[:8], store, index)  # warm the pool
+        tracemalloc.start()
+        try:
+            ranking.evaluate(test, store, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c_all.nbytes + 4 * ranking.EVAL_BLOCK_ELEMENTS * 8
 
 
 class TestPerRelation:

@@ -7,10 +7,11 @@ of those tables (`combined_embeddings`), the scores of a batch's (head,
 relation) rows against every entity, one training step on that batch (its
 loss as a float hex, both gradient tables, both tables after Adagrad), a
 3-epoch `fit` (its epoch losses and final tables), and the filtered test
-MRR. The fields up to `loss` are computed by the forward alone, from the
-initial tables, so a change to the backward or to Adagrad leaves them as
-they are. Row blocks and distance chunks are set small, so the entity work
-and the distance kernel run in several blocks, as they do at full scale.
+MRR and ranks array of the fitted tables. The fields up to `loss` are
+computed by the forward alone, from the initial tables, so a change to the
+backward or to Adagrad leaves them as they are. Row blocks, distance chunks
+and evaluation blocks are set small, so the entity work, the distance kernel
+and the ranking run in several blocks, as they do at full scale.
 
 Two trees give the same output exactly when they compute the same bits, so a
 refactor is checked by diffing the output of the parent and of the change:
@@ -25,12 +26,13 @@ import numpy as np
 
 from mkge import data, model, ranking, train
 
-K, SEED = 3, 7
+K, SEED, N_ENTITIES = 3, 7, 30
 LOSS = train.LossConfig(p=3, lam=0.05)
 FIT = train.FitConfig(epochs=3, batch_size=64, lr=0.1, seed=SEED, loss=LOSS)
 
 model.ROW_BLOCK_ELEMENTS = 8 * K * 4  # 8-row blocks of quaternion elements
 model.DISTANCE_CHUNK_ELEMENTS = 128
+ranking.EVAL_BLOCK_ELEMENTS = 4 * N_ENTITIES  # 4-query blocks
 
 
 def digest(*arrays):
@@ -56,12 +58,14 @@ def case(name, ablation, vocab, triples, aug, index):
     report, _ = train.fit(store, aug, FIT)
     losses = np.array([rec.loss for rec in report.epochs])
     fields.append(f"fit={digest(losses, store.entity, store.relation)}")
-    fields.append(f"mrr={ranking.evaluate(triples.test, store, index).mrr.hex()}")
+    report = ranking.evaluate(triples.test, store, index)
+    fields.append(f"mrr={report.mrr.hex()}")
+    fields.append(f"ranks={digest(np.array([rec.rank for rec in report.ranks]))}")
     return " ".join([f"{name}/{ablation}"] + fields)
 
 
 def main():
-    vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=30)
+    vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=N_ENTITIES)
     aug = data.augment_reciprocal(triples.train, vocab)
     index = data.build_filter_index(triples, vocab)
     for name in sorted(model.VARIANTS):
