@@ -1,16 +1,16 @@
-"""Experiment harness: train / eval / ablate / sweep subcommands.
+"""Experiment harness: train / eval / grid subcommands.
 
-Configuration is resolved as defaults < preset < config file < command-line
-flags; the resolved key=value form is written next to the outputs and
-reparses to an equal config. All outputs are CSV with a header row.
+Settings resolve as defaults < preset < config file < flags < a grid point's
+`--set` values; the resolved key=value form is written next to the outputs
+and reparses to an equal config. All outputs are CSV with a header row.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-import time
 from dataclasses import dataclass, fields, replace
 
 from . import thread_cap
@@ -79,7 +79,6 @@ def parse_config_text(text, base=None, path=None):
     defaults). A bad line raises ParseError naming `<path>:<line>`, or
     `config line <line>` when no path is given."""
     cfg = base or ExperimentConfig()
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -90,13 +89,19 @@ def parse_config_text(text, base=None, path=None):
             raise ParseError(f"{where}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in types:
-            raise ParseError(f"{where}: unknown key {key!r}")
-        try:
-            updates[key] = _CASTS[types[key]](value)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad value {value!r} for key {key!r}") from exc
+        updates[key] = _cast_setting(key, value, where)
     return replace(cfg, **updates)
+
+
+def _cast_setting(key, value, where):
+    """`value` cast to the type of setting `key`; ParseError names `where`."""
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    if key not in types:
+        raise ParseError(f"{where}: unknown key {key!r}")
+    try:
+        return _CASTS[types[key]](value)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad value {value!r} for key {key!r}") from exc
 
 
 def load_config_file(path, base=None):
@@ -149,24 +154,30 @@ def _digest(cfg, vocab):
                          vocab.n_entities, vocab.n_relations)
 
 
+def _make_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise MissingFile(f"cannot create output directory {path!r}: {exc.strerror}") from exc
+
+
 def _evaluate(split, store, index, vocab, out_dir):
     """Rank `split` and write metrics.csv and per_relation.csv to out_dir."""
     from . import ranking
 
     metrics = ranking.evaluate(split, store, index)
-    os.makedirs(out_dir, exist_ok=True)
     metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
     ranking.per_relation_csv(metrics, os.path.join(out_dir, "per_relation.csv"), vocab)
     return metrics
 
 
-def run_training(cfg, out_dir=None, resume=None):
-    """Shared train pipeline; returns (store, report, metrics)."""
+def run_training(cfg, resume=None):
+    """Shared train pipeline into cfg.out; returns (store, report, metrics)."""
     from . import checkpoint as ckpt
     from . import model, train
 
-    out_dir = out_dir or cfg.out
     vocab, triples, index, train_aug = _prepare(cfg)
+    _make_dir(cfg.out)
     digest = _digest(cfg, vocab)
     start_epoch, opt_state = 0, None
     if resume:
@@ -179,14 +190,13 @@ def run_training(cfg, out_dir=None, resume=None):
     report, opt_state = train.fit(store, train_aug, _fit_config(cfg),
                                   valid_triples=triples.valid, filter_index=index,
                                   opt_state=opt_state, start_epoch=start_epoch)
-    os.makedirs(out_dir, exist_ok=True)
     final_epoch = report.epochs[-1].epoch + 1 if report.epochs else start_epoch
-    ckpt.save_checkpoint(os.path.join(out_dir, "checkpoint.mkge"), store,
+    ckpt.save_checkpoint(os.path.join(cfg.out, "checkpoint.mkge"), store,
                          opt_state=opt_state, epoch=final_epoch, digest=digest)
-    with open(os.path.join(out_dir, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg.out, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
-    report.to_csv(os.path.join(out_dir, "train_report.csv"))
-    return store, report, _evaluate(triples.test, store, index, vocab, out_dir)
+    report.to_csv(os.path.join(cfg.out, "train_report.csv"))
+    return store, report, _evaluate(triples.test, store, index, vocab, cfg.out)
 
 
 def cmd_train(args):
@@ -201,6 +211,7 @@ def cmd_eval(args):
 
     cfg = resolve_config(args)
     vocab, triples, index, _ = _prepare(cfg)
+    _make_dir(cfg.out)
     loaded = ckpt.load_checkpoint(args.checkpoint)
     store = loaded.store
     loaded.verify_digest(_digest(replace(cfg, model=store.variant.name, k=store.k,
@@ -210,41 +221,32 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_ablate(args):
-    from .model import ABLATION_MODES
-
-    cfg = resolve_config(args)
-    rows = []
-    for mode in ABLATION_MODES:
-        mode_cfg = replace(cfg, ablation=mode)
-        out_dir = os.path.join(cfg.out, mode)
-        _, _, metrics = run_training(mode_cfg, out_dir=out_dir)
-        rows.append((mode, metrics))
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "ablation.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mode,mrr,hits1,hits3,hits10\n")
-        for mode, m in rows:
-            fh.write(f"{mode},{m.mrr:.6f},{m.hits1:.6f},{m.hits3:.6f},{m.hits10:.6f}\n")
-    for mode, m in rows:
-        print(f"{mode:<7} mrr={m.mrr:.4f} h@1={m.hits1:.4f}")
-    return 0
-
-
-def cmd_sweep(args):
-    cfg = resolve_config(args)
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "sweep.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,mrr,hits1,hits3,hits10,seconds\n")
-        for k in args.k_list:
-            t0 = time.perf_counter()
-            k_cfg = replace(cfg, k=k)
-            _, _, metrics = run_training(k_cfg, out_dir=os.path.join(cfg.out, f"k{k}"))
-            seconds = time.perf_counter() - t0
-            fh.write(f"{k},{metrics.mrr:.6f},{metrics.hits1:.6f},{metrics.hits3:.6f},"
-                     f"{metrics.hits10:.6f},{seconds:.3f}\n")
-            print(f"k={k} mrr={metrics.mrr:.4f} ({seconds:.1f}s)")
+def cmd_grid(args):
+    """Train each point of the `--set` product, last key fastest, into
+    `<out>/<key>=<value>,...`, after resolving every point as `train` does."""
+    axes = {}
+    for item in args.set:
+        key, _, values = item.partition("=")
+        if key in axes or key in ("dataset", "out"):
+            raise ParseError(f"--set {item}: each grid key must be new, not dataset or out")
+        axes[key] = [_cast_setting(key, value, f"--set {item}") for value in values.split(",")]
+    cfgs = [resolve_config(argparse.Namespace(**{**vars(args), **dict(zip(axes, values))}))
+            for values in itertools.product(*axes.values())]
+    root = cfgs[0].out
+    points = [replace(cfg, out=os.path.join(root, ",".join(
+        f"{key}={getattr(cfg, key)}" for key in axes))) for cfg in cfgs]
+    _make_dir(root)
+    rows = [[*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"]]
+    for cfg in points:
+        _, report, m = run_training(cfg)
+        best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
+                   key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
+        valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]
+        rows.append([getattr(cfg, key) for key in axes] + valid
+                    + [f"{v:.6f}" for v in (m.mrr, m.hits1, m.hits3, m.hits10)])
+        print(f"{os.path.basename(cfg.out)} mrr={m.mrr:.4f} h@1={m.hits1:.4f}")
+    with open(os.path.join(root, "grid.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     return 0
 
 
@@ -277,14 +279,11 @@ def build_parser():
     p_eval.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_ablate = sub.add_parser("ablate", help="train scalar/vector/both with one seed")
-    _add_common_flags(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
-
-    p_sweep = sub.add_parser("sweep", help="train and evaluate for several k")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--k-list", dest="k_list", type=int, nargs="+", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_grid = sub.add_parser("grid", help="train every point of a settings grid")
+    _add_common_flags(p_grid)
+    p_grid.add_argument("--set", action="append", required=True, metavar="KEY=V1,V2,...",
+                        help="grid values of one setting; repeat for more keys")
+    p_grid.set_defaults(func=cmd_grid)
     return parser
 
 

@@ -30,7 +30,7 @@ class ParseError(MkgeError):
 
 
 class MissingFile(MkgeError):
-    """Expected dataset, checkpoint or config file not found or not readable."""
+    """Dataset, checkpoint or config file not readable, or output directory not creatable."""
 
 
 class DuplicateTriple(MkgeError):

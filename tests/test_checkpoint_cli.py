@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mkge import checkpoint as ckpt
-from mkge import cli, data, model, train
+from mkge import cli, data, model, ranking, train
 from mkge.errors import BadMagic, DigestMismatch, MissingFile, ParseError, VersionUnsupported
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -31,6 +31,10 @@ def toy_dataset(tmp_path_factory):
 def small_args(toy_dataset, out, extra=()):
     return ["--dataset", toy_dataset, "--model", "rc", "--k", "2", "--epochs", "2",
             "--batch-size", "32", "--seed", "1", "--lambda", "0.01", "--out", out, *extra]
+
+
+def never(*args, **kwargs):
+    raise AssertionError("the work started before the failing check")
 
 
 class TestCheckpoint:
@@ -238,13 +242,21 @@ class TestConfig:
         like a config line and checked like one, so it lists no choices."""
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in subparsers.choices["train"]._actions
-                   if a.dest != "help"}
         casts = {"int": int, "float": float, "str": str}
         settings = {f.name: f for f in fields(cli.ExperimentConfig)}
-        assert set(actions) == set(settings) | {"preset", "config", "resume"}
-        for name, f in settings.items():
-            assert actions[name].type is casts[f.type] and actions[name].choices is None
+        own_flags = {"train": {"resume"}, "eval": {"checkpoint", "split"}, "grid": {"set"}}
+        assert set(subparsers.choices) == set(own_flags)
+        for command, own in own_flags.items():
+            actions = {a.dest: a for a in subparsers.choices[command]._actions
+                       if a.dest != "help"}
+            assert set(actions) == set(settings) | {"preset", "config"} | own
+            for name, f in settings.items():
+                assert actions[name].type is casts[f.type] and actions[name].choices is None
+
+    def test_fit_defaults_agree(self):
+        """The trainer's defaults are declared twice, so that importing cli
+        loads no numpy; the two declarations must agree."""
+        assert cli._fit_config(cli.ExperimentConfig()) == train.FitConfig()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -364,6 +376,35 @@ class TestBadInput:
         out = tmp_path / "o"
         err = self.run(capsys, ["train", *small_args(toy_dataset, str(out), [flag, value])])
         assert "regularization rates" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "grid"])
+    @pytest.mark.parametrize("where", ["under_file", "empty"])
+    def test_output_directory_not_creatable(self, command, where, toy_dataset, tmp_path,
+                                            capsys, monkeypatch):
+        """The output directory is made before training or ranking starts."""
+        trained = str(tmp_path / "trained")
+        assert cli.main(["train", *small_args(toy_dataset, trained)]) == 0
+        monkeypatch.setattr(train, "fit", never)
+        monkeypatch.setattr(ranking, "evaluate", never)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "run") if where == "under_file" else ""
+        own = {"train": [], "grid": ["--set", "k=2,3"],
+               "eval": ["--checkpoint", os.path.join(trained, "checkpoint.mkge")]}[command]
+        err = self.run(capsys, [command, *small_args(toy_dataset, out), *own])
+        assert err.startswith(f"error: cannot create output directory {out!r}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("sets", [["k=3,0"], ["foo=1"], ["k=2", "k=3"], ["out=x"]],
+                             ids=["invalid_value", "unknown_key", "repeated_key", "out_key"])
+    def test_bad_grid(self, sets, toy_dataset, tmp_path, capsys, monkeypatch):
+        """Every grid point is checked before the first one trains."""
+        monkeypatch.setattr(train, "fit", never)
+        out = tmp_path / "grid"
+        argv = ["grid", *small_args(toy_dataset, str(out))]
+        for item in sets:
+            argv += ["--set", item]
+        assert self.run(capsys, argv).count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
@@ -546,29 +587,80 @@ class TestCmdEval:
         assert "error: split must be a nonempty (n, 3) id array" in capsys.readouterr().err
 
 
-class TestCmdAblate:
-    def test_rows_and_distmult_agreement(self, toy_dataset, tmp_path):
+def grid_rows(out):
+    with open(os.path.join(out, "grid.csv")) as fh:
+        lines = fh.read().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+class TestCmdGrid:
+    def test_ablation_rows_and_distmult_agreement(self, toy_dataset, tmp_path):
         out = str(tmp_path / "ablate")
-        assert cli.main(["ablate", *small_args(toy_dataset, out)]) == 0
-        with open(os.path.join(out, "ablation.csv")) as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "mode,mrr,hits1,hits3,hits10"
-        assert [line.split(",")[0] for line in lines[1:]] == ["scalar", "vector", "both"]
+        assert cli.main(["grid", *small_args(toy_dataset, out),
+                         "--set", "ablation=scalar,vector,both"]) == 0
+        header, rows = grid_rows(out)
+        assert header == ["ablation", "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3",
+                          "hits10"]
+        assert [row[0] for row in rows] == ["scalar", "vector", "both"]
 
         # scalar-only module_rc reproduces a distmult run with the same seed
         dm_out = str(tmp_path / "distmult")
         cli.main(["train", *small_args(toy_dataset, dm_out, ["--model", "distmult"])])
-        with open(os.path.join(out, "scalar", "metrics.csv")) as fa, \
+        with open(os.path.join(out, "ablation=scalar", "metrics.csv")) as fa, \
                 open(os.path.join(dm_out, "metrics.csv")) as fb:
             assert fa.read() == fb.read()
 
-
-class TestCmdSweep:
-    def test_rows_in_requested_order(self, toy_dataset, tmp_path):
+    def test_k_rows_in_requested_order(self, toy_dataset, tmp_path):
         out = str(tmp_path / "sweep")
-        assert cli.main(["sweep", *small_args(toy_dataset, out),
-                         "--k-list", "3", "2"]) == 0
-        with open(os.path.join(out, "sweep.csv")) as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == "k,mrr,hits1,hits3,hits10,seconds"
-        assert [line.split(",")[0] for line in lines[1:]] == ["3", "2"]
+        assert cli.main(["grid", *small_args(toy_dataset, out), "--set", "k=3,2"]) == 0
+        header, rows = grid_rows(out)
+        assert header == ["k", "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"]
+        assert [row[0] for row in rows] == ["3", "2"]
+
+    def test_points_in_product_order_equal_train_runs(self, toy_dataset, tmp_path):
+        out = tmp_path / "grid"
+        assert cli.main(["grid", *small_args(toy_dataset, str(out)),
+                         "--set", "model=rc,hh", "--set", "seed=0,1"]) == 0
+        points = [("module_rc", "0"), ("module_rc", "1"), ("module_hh", "0"),
+                  ("module_hh", "1")]
+        _, rows = grid_rows(str(out))
+        assert [tuple(row[:2]) for row in rows] == points
+        assert sorted(os.listdir(out)) == sorted(
+            ["grid.csv", *(f"model={name},seed={seed}" for name, seed in points)])
+        for (name, seed), row in zip(points, rows):
+            trained = tmp_path / f"train-{name}-{seed}"
+            assert cli.main(["train", *small_args(toy_dataset, str(trained),
+                                                  ["--model", name, "--seed", seed])]) == 0
+            for fname in ("checkpoint.mkge", "metrics.csv", "per_relation.csv"):
+                point = out / f"model={name},seed={seed}" / fname
+                assert point.read_bytes() == (trained / fname).read_bytes()
+            assert row[-4:] == (trained / "metrics.csv").read_text().splitlines()[1].split(",")
+
+    def test_valid_columns_are_the_best_report_row(self, toy_dataset, tmp_path):
+        out = tmp_path / "grid"
+        assert cli.main(["grid", *small_args(toy_dataset, str(out),
+                                             ["--epochs", "4", "--eval-interval", "1"]),
+                         "--set", "seed=0,1,2"]) == 0
+        _, rows = grid_rows(str(out))
+        assert len(rows) == 3
+        for row in rows:
+            with open(out / f"seed={row[0]}" / "train_report.csv") as fh:
+                records = [line.split(",") for line in fh.read().splitlines()[1:]]
+            best = max(records, key=lambda rec: float(rec[3]))  # the first of equal maxima
+            assert row[1:3] == [best[3], best[0]]
+
+        # a flat validation curve selects its first epoch
+        out = tmp_path / "flat"
+        assert cli.main(["grid", *small_args(toy_dataset, str(out), ["--epochs", "3",
+                                             "--eval-interval", "1", "--lr", "1e-12"]),
+                         "--set", "seed=0"]) == 0
+        with open(out / "seed=0" / "train_report.csv") as fh:
+            assert len({line.split(",")[3] for line in fh.read().splitlines()[1:]}) == 1
+        (row,) = grid_rows(str(out))[1]
+        assert row[2] == "0"
+
+        # no validation ran: both columns are empty
+        out = tmp_path / "unvalidated"
+        assert cli.main(["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0"]) == 0
+        (row,) = grid_rows(str(out))[1]
+        assert row[:3] == ["0", "", ""]
