@@ -235,6 +235,11 @@ def cmd_grid(args):
     root = cfgs[0].out
     points = [replace(cfg, out=os.path.join(root, ",".join(
         f"{key}={getattr(cfg, key)}" for key in axes))) for cfg in cfgs]
+    seen = set()
+    for cfg in points:
+        if cfg.out in seen:
+            raise ParseError(f"--set: grid point {cfg.out!r} is repeated")
+        seen.add(cfg.out)
     _make_dir(root)
     rows = [[*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"]]
     for cfg in points:

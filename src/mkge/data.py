@@ -1,10 +1,14 @@
 """Benchmark TSV ingestion, vocabularies, reciprocal relations, filter index,
-and the deterministic synthetic KG used by desk-scale tests."""
+and the deterministic synthetic KG used by desk-scale tests.
+
+A Vocab is built from its two name lists, entities and relations, indexed by
+id: the TSV reader lists the names in first-appearance order, and the
+synthetic KG names its entities e000, e001, ... in id order."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,13 +19,16 @@ SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 @dataclass
 class Vocab:
-    """String<->id dictionaries. Reciprocal relation ids live in
-    [n_base_relations, 2*n_base_relations)."""
+    """Entity and relation names, indexed by id. `entity_to_id` and
+    `relation_to_id` are built from the two lists once, at construction.
+    Reciprocal relation ids live in [n_base_relations, 2*n_base_relations)."""
 
-    entity_to_id: dict = field(default_factory=dict)
-    id_to_entity: list = field(default_factory=list)
-    relation_to_id: dict = field(default_factory=dict)
-    id_to_relation: list = field(default_factory=list)
+    id_to_entity: list
+    id_to_relation: list
+
+    def __post_init__(self):
+        self.entity_to_id = {name: i for i, name in enumerate(self.id_to_entity)}
+        self.relation_to_id = {name: i for i, name in enumerate(self.id_to_relation)}
 
     @property
     def n_entities(self):
@@ -44,22 +51,6 @@ class Vocab:
         if rid < base:
             return self.id_to_relation[rid]
         return self.id_to_relation[rid - base] + "_reciprocal"
-
-    def _intern_entity(self, name):
-        eid = self.entity_to_id.get(name)
-        if eid is None:
-            eid = len(self.id_to_entity)
-            self.entity_to_id[name] = eid
-            self.id_to_entity.append(name)
-        return eid
-
-    def _intern_relation(self, name):
-        rid = self.relation_to_id.get(name)
-        if rid is None:
-            rid = len(self.id_to_relation)
-            self.relation_to_id[name] = rid
-            self.id_to_relation.append(name)
-        return rid
 
 
 @dataclass
@@ -100,25 +91,26 @@ def load_split(path):
     return triples
 
 
-def _index_split(raw, vocab, name):
-    seen = set()
-    out = np.empty((len(raw), 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(raw):
-        if (h, r, t) in seen:
-            raise DuplicateTriple(f"duplicate triple in {name} split: {(h, r, t)}")
-        seen.add((h, r, t))
-        out[i, 0] = vocab._intern_entity(h)
-        out[i, 1] = vocab._intern_relation(r)
-        out[i, 2] = vocab._intern_entity(t)
-    return out
-
-
 def build_dataset(directory):
-    """Load train/valid/test from a directory; vocab spans all three splits,
-    ids assigned in first-appearance order."""
+    """Load train/valid/test from a directory. All three files are parsed
+    before anything else is checked, so a bad line anywhere wins over a
+    duplicate triple, which raises DuplicateTriple naming its split. The
+    vocab spans all three splits: names take ids in first-appearance order,
+    per triple the head, then the tail, over train, then valid, then test."""
     raws = [load_split(os.path.join(directory, f)) for f in SPLIT_FILES]
-    vocab = Vocab()
-    arrays = [_index_split(raw, vocab, name) for raw, name in zip(raws, ("train", "valid", "test"))]
+    for name, raw in zip(("train", "valid", "test"), raws):
+        if len(set(raw)) < len(raw):
+            seen = set()
+            for triple in raw:
+                if triple in seen:
+                    raise DuplicateTriple(f"duplicate triple in {name} split: {triple}")
+                seen.add(triple)
+    every = [triple for raw in raws for triple in raw]
+    vocab = Vocab(list(dict.fromkeys(name for h, _, t in every for name in (h, t))),
+                  list(dict.fromkeys(r for _, r, _ in every)))
+    ent, rel = vocab.entity_to_id, vocab.relation_to_id
+    arrays = [np.array([(ent[h], rel[r], ent[t]) for h, r, t in raw], dtype=np.int64).reshape(-1, 3)
+              for raw in raws]
     return vocab, TripleStore(*arrays)
 
 
@@ -198,39 +190,22 @@ def generate_synthetic_kg(seed, n_entities, relation_spec=None):
     spec = relation_spec or SyntheticSpec()
     rng = np.random.default_rng(seed)
 
-    vocab = Vocab()
-    for i in range(n_entities):
-        vocab._intern_entity(f"e{i:03d}")
-    r_sym = vocab._intern_relation("linked")
-    r_ord = vocab._intern_relation("precedes")
-    r_fwd = vocab._intern_relation("contains")
-    r_inv = vocab._intern_relation("inside")
-
-    facts = set()
+    vocab = Vocab([f"e{i:03d}" for i in range(n_entities)],
+                  ["linked", "precedes", "contains", "inside"])
     order = rng.permutation(n_entities)
-
     n_sym = min(spec.symmetric_pairs, n_entities // 2)
-    perm = rng.permutation(n_entities)
-    for i in range(n_sym):
-        a, b = int(perm[2 * i]), int(perm[2 * i + 1])
-        facts.add((a, r_sym, b))
-        facts.add((b, r_sym, a))
-
+    a, b = rng.permutation(n_entities)[: 2 * n_sym].reshape(n_sym, 2).T
     n_ord = min(spec.ordering_edges, n_entities - 1)
     starts = rng.choice(n_entities - 1, size=n_ord, replace=False)
-    for i in starts:
-        facts.add((int(order[i]), r_ord, int(order[i + 1])))
-
     n_inv = min(spec.inverse_pairs, n_entities // 2)
-    perm = rng.permutation(n_entities)
-    for i in range(n_inv):
-        a, b = int(perm[2 * i]), int(perm[2 * i + 1])
-        facts.add((a, r_fwd, b))
-        facts.add((b, r_inv, a))
-
-    triples = np.array(sorted(facts), dtype=np.int64)
-    perm = rng.permutation(len(triples))
-    triples = triples[perm]
+    c, d = rng.permutation(n_entities)[: 2 * n_inv].reshape(n_inv, 2).T
+    # (heads, relation id, tails): linked both ways, precedes, contains, inside
+    parts = [(a, 0, b), (b, 0, a), (order[starts], 1, order[starts + 1]), (c, 2, d), (d, 3, c)]
+    # no fact repeats; np.unique sorts the rows lexicographically, so the
+    # shuffle below permutes a fixed order
+    triples = np.unique(np.concatenate(
+        [np.stack([h, np.full_like(h, r), t], axis=1) for h, r, t in parts]), axis=0)
+    triples = triples[rng.permutation(len(triples))]
     n = len(triples)
     n_valid = max(1, n // 20)
     n_test = max(1, n // 20)

@@ -395,8 +395,10 @@ class TestBadInput:
         assert err.startswith(f"error: cannot create output directory {out!r}: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("sets", [["k=3,0"], ["foo=1"], ["k=2", "k=3"], ["out=x"]],
-                             ids=["invalid_value", "unknown_key", "repeated_key", "out_key"])
+    @pytest.mark.parametrize("sets", [["k=3,0"], ["foo=1"], ["k=2", "k=3"], ["out=x"],
+                                      ["seed=0,00"], ["model=hh,module_hh"]],
+                             ids=["invalid_value", "unknown_key", "repeated_key", "out_key",
+                                  "repeated_seed", "repeated_model"])
     def test_bad_grid(self, sets, toy_dataset, tmp_path, capsys, monkeypatch):
         """Every grid point is checked before the first one trains."""
         monkeypatch.setattr(train, "fit", never)

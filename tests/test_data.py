@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,14 @@ class TestBuildDataset:
         write_toy_dataset(tmp_path / "kg", [("x", "r", "y")], [("y", "r", "x")], [("z", "r", "x")])
         vocab, _ = data.build_dataset(tmp_path / "kg")
         assert vocab.entity_to_id == {"x": 0, "y": 1, "z": 2}
+        # a new relation, new heads and new tails first appear in valid and test
+        write_toy_dataset(tmp_path / "kg2", [("x", "r", "y")], [("w", "p", "x")], [("z", "r", "v")])
+        vocab, store = data.build_dataset(tmp_path / "kg2")
+        assert vocab.entity_to_id == {"x": 0, "y": 1, "w": 2, "z": 3, "v": 4}
+        assert vocab.relation_to_id == {"r": 0, "p": 1}
+        assert vocab.id_to_entity == ["x", "y", "w", "z", "v"]
+        assert vocab.id_to_relation == ["r", "p"]
+        assert store.valid.tolist() == [[2, 1, 0]] and store.test.tolist() == [[3, 0, 4]]
 
     def test_unseen_test_entity_accepted(self, tmp_path):
         write_toy_dataset(tmp_path / "kg", [("a", "r", "b")], [("a", "r", "b")],
@@ -73,10 +83,14 @@ class TestBuildDataset:
         assert "new" in vocab.entity_to_id
         assert store.test[0, 0] == vocab.entity_to_id["new"]
 
-    def test_duplicate_rejected(self, tmp_path):
-        write_toy_dataset(tmp_path / "kg", [("a", "r", "b"), ("a", "r", "b")], [], [])
-        with pytest.raises(DuplicateTriple):
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_duplicate_rejected(self, split, tmp_path):
+        splits = {"train": [("c", "s", "d")], "valid": [], "test": []}
+        splits[split] = [("a", "r", "b"), ("c", "r", "d"), ("a", "r", "b")]
+        write_toy_dataset(tmp_path / "kg", splits["train"], splits["valid"], splits["test"])
+        with pytest.raises(DuplicateTriple) as exc:
             data.build_dataset(tmp_path / "kg")
+        assert str(exc.value) == f"duplicate triple in {split} split: ('a', 'r', 'b')"
 
     def test_missing_split_file(self, tmp_path):
         (tmp_path / "kg").mkdir()
@@ -128,10 +142,7 @@ def known_tails(index, h, r):
 
 class TestFilterIndex:
     def test_grouped_tails(self):
-        vocab = data.Vocab()
-        for name in "abc":
-            vocab._intern_entity(name)
-        vocab._intern_relation("r")
+        vocab = data.Vocab(["a", "b", "c"], ["r"])
         store = data.TripleStore(
             train=np.array([[0, 0, 1], [0, 0, 2]]),
             valid=np.zeros((0, 3), dtype=np.int64),
@@ -150,11 +161,7 @@ class TestFilterIndex:
 
     def test_mask_rows_match_augmented_tails(self):
         # random triples, so many (h, r) pairs hold several tails spread over splits
-        vocab = data.Vocab()
-        for i in range(12):
-            vocab._intern_entity(f"e{i}")
-        for i in range(3):
-            vocab._intern_relation(f"r{i}")
+        vocab = data.Vocab([f"e{i}" for i in range(12)], [f"r{i}" for i in range(3)])
         rng = np.random.default_rng(6)
         triples = np.unique(rng.integers(0, [12, 3, 12], size=(80, 3)), axis=0)
         store = data.TripleStore(*np.array_split(rng.permutation(triples), 3))
@@ -209,6 +216,22 @@ class TestSyntheticKG:
         n = sum(len(s) for s in store.splits().values())
         assert len(store.valid) == max(1, n // 20)
         assert len(store.test) == max(1, n // 20)
+
+    @pytest.mark.parametrize("seed,n,want", [
+        (0, 50, "484b614a935c021ec3e99da6c455f70a9b37d7cb7eb8994af95d1357af250975"),
+        (3, 11, "7318c733cd2e062a8878a3d140b954cfa70e0ecbf08b85f109dee0e8b4ea8db5"),
+        # the default spec clamps every relation's fact count at 10 entities
+        (5, 10, "923ed446ed0f7597c071545ec5332131f9b5e5a2450e566f4f309ff1657bf569"),
+    ])
+    def test_pinned_output(self, seed, n, want):
+        """The exact KG: sha256 of the name lists, then of each split's shape
+        and int64 rows. Most desk-scale tests train on this generator."""
+        vocab, store = data.generate_synthetic_kg(seed=seed, n_entities=n)
+        h = hashlib.sha256("\n".join(vocab.id_to_entity + vocab.id_to_relation).encode())
+        for split in store.splits().values():
+            assert split.dtype == np.int64
+            h.update(np.array(split.shape, dtype=np.int64).tobytes() + split.tobytes())
+        assert h.hexdigest() == want
 
     def test_too_few_entities(self):
         with pytest.raises(ValueError):

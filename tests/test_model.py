@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mkge import algebra, model
+from mkge.errors import LengthMismatch
 
 
 class TestVariantTable:
@@ -153,6 +154,12 @@ class TestCombineTransform:
         v = algebra.exp_map(model.planes(rng.normal(size=(4, 3, 3))))
         out = model.combine(s, v)
         assert np.allclose(algebra.field_norm(out), algebra.field_norm(s), rtol=1e-9)
+
+    def test_combine_length_mismatch(self):
+        s = model.planes(np.ones((2, 3, 4)))  # k=3 quaternions
+        v = algebra.exp_map(model.planes(np.zeros((2, 4, 3))))  # k=4 unit quaternions
+        with pytest.raises(LengthMismatch):
+            model.combine(s, v)
 
     def test_identity_relation_is_noop(self):
         store = model.init_model("module_hh", 3, 4, 1, seed=2)

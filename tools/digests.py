@@ -1,7 +1,7 @@
-"""Bit-identity digests of the model and the trainer: one line per variant x
-ablation.
+"""Bit-identity digests of the model and the trainer, one line per variant x
+ablation, then one `data` line for the data layer.
 
-Each line hashes, for one case on a small synthetic KG: the initial
+Each model line hashes, for one case on a small synthetic KG: the initial
 parameter tables, the free-column masks, the whole-table combined entities
 of those tables (`combined_embeddings`), the scores of a batch's (head,
 relation) rows against every entity, one training step on that batch (its
@@ -13,6 +13,10 @@ backward or to Adagrad leaves them as they are. Row blocks, distance chunks
 and evaluation blocks are set small, so the entity work, the distance kernel
 and the ranking run in several blocks, as they do at full scale.
 
+The `data` line hashes the entity and relation name lists and the three id
+arrays that `build_dataset` reads back from `write_dataset` of the synthetic
+KG, so a change to parsing or to id assignment shows there.
+
 Two trees give the same output exactly when they compute the same bits, so a
 refactor is checked by diffing the output of the parent and of the change:
 
@@ -21,6 +25,7 @@ refactor is checked by diffing the output of the parent and of the change:
 """
 
 import hashlib
+import tempfile
 
 import numpy as np
 
@@ -64,6 +69,14 @@ def case(name, ablation, vocab, triples, aug, index):
     return " ".join([f"{name}/{ablation}"] + fields)
 
 
+def data_line(vocab, triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        data.write_dataset(tmp, vocab, triples)
+        vocab, triples = data.build_dataset(tmp)
+    names = digest(np.array(vocab.id_to_entity), np.array(vocab.id_to_relation))
+    return f"data names={names} triples={digest(*triples.splits().values())}"
+
+
 def main():
     vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=N_ENTITIES)
     aug = data.augment_reciprocal(triples.train, vocab)
@@ -71,6 +84,7 @@ def main():
     for name in sorted(model.VARIANTS):
         for ablation in model.ABLATION_MODES:
             print(case(name, ablation, vocab, triples, aug, index))
+    print(data_line(vocab, triples))
 
 
 if __name__ == "__main__":
