@@ -45,11 +45,15 @@ the scores (B, E), or, given the true tail of each head row, the 1-vs-all
 logistic loss and its gradients on h and c. The objective is written once,
 in `logistic_terms`: `cosine_kernel` applies it to row blocks of its one
 score matmul and sums the terms once, `distance_kernel` applies it to each
-chunk of its pass over component planes and sums each chunk's terms. Both run
-those blocks on the process's thread pool, and neither result depends on the
-pool size: the cosine kernel's blocks write disjoint rows, and the distance
-kernel folds its chunks' losses and head gradients in chunk order. Neither
-kernel may be called from a task on that pool, which would deadlock.
+chunk of its pass over component planes and sums each chunk's terms. A
+distance chunk is sized by the memory its planes take (w planes of
+differences and one of distances); in training it turns the differences into
+unit directions in place, from which each gradient is one contraction with
+the score gradient. Both kernels run their blocks on the process's thread
+pool, and neither result depends on the pool size: the cosine kernel's blocks
+write disjoint rows, and the distance kernel folds its chunks' losses and head
+gradients in chunk order. Neither kernel may be called from a task on that
+pool, which would deadlock.
 """
 
 from __future__ import annotations
@@ -64,9 +68,11 @@ from .errors import LengthMismatch, ShapeMismatch
 
 ABLATION_MODES = ("scalar", "vector", "both")
 
-# elements of one (B, C, k) float64 plane of the distance kernel (~0.8 MB),
-# which sets its chunk of C candidates
-DISTANCE_CHUNK_ELEMENTS = 100_000
+# elements of one (B, C, k) float64 plane of the distance kernel (~2.4 MB),
+# which sets its chunk of C candidates. A running chunk holds w + 1 planes.
+# The scores do not depend on it, the loss and the head gradients only by the
+# rounding of their chunk sums.
+DISTANCE_CHUNK_ELEMENTS = 300_000
 
 # elements of one row block's combined entities (rows, k, w), 0.5 MB of
 # float64 (one 128 KB plane per quaternion coordinate at k = 128), which sets
@@ -410,10 +416,18 @@ def distance_kernel(h, c, tails=None):
     summed over rows and candidates, and the gradients of loss / B shaped
     like h and c. A dimension at distance 0 contributes a zero subgradient.
 
-    Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates, so each
-    (B, C, k) plane stays in cache; the differences and distances of a chunk
-    are built once and serve the scores, the loss and the gradients. No
-    (B, E, k) array and, in training, no (B, E) array is built.
+    Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates. The
+    budget is set by memory, not by cache: a running chunk holds w planes of
+    differences d and one of distances, each (B, C, k), and fewer, larger
+    chunks spend less of the kernel on per-call overhead. The differences and
+    distances of a chunk serve the scores, the loss and the gradients. In
+    training the chunk then divides d by the distances in place, giving unit
+    directions u_j = d_j / dist, and each gradient is one contraction of the
+    score gradient with u: sum_b d_s u_j for the candidates and
+    -sum_e d_s u_j for the heads. Where a distance is 0 (or its square
+    underflows to 0), u is set to 0, the zero subgradient; only a chunk
+    holding such a distance takes that slower path. No (B, E, k) array and,
+    in training, no (B, E) array is built.
 
     The chunks run as blocks of `mkge.map_blocks` on the process's thread
     pool. A chunk writes only its own columns of the scores or its own rows of
@@ -433,7 +447,12 @@ def distance_kernel(h, c, tails=None):
 
     def run_chunk(cols):
         d = h[:, :, None, :] - c[:, None, cols, :]  # (w, B, C, k)
-        dist = algebra.field_norm(d)  # coordinates added in order, as np.sum does
+        # squared distances, coordinates added in order as `algebra.field_norm`
+        # adds them; the later coordinates are squared in place, so the sum
+        # takes no plane beyond its own
+        dist = d[0] * d[0]
+        for j in range(1, w):
+            dist += np.multiply(d[j], d[j], out=d[j])
         np.sqrt(dist, out=dist)
         x = -np.sum(dist, axis=-1)  # (B, C) scores
         if tails is None:
@@ -441,12 +460,20 @@ def distance_kernel(h, c, tails=None):
             return None
         hit = np.flatnonzero((tails >= cols.start) & (tails < cols.stop))
         d_s = logistic_terms(x, (hit, tails[hit] - cols.start), b)
-        # weight W = d_s / dist, 0 where dist == 0; then d (loss / B) / d h_j
-        # = -sum_e W d_j and d (loss / B) / d c_j = sum_b W d_j
-        weight = np.divide(d_s[..., None], dist, out=np.zeros_like(dist), where=dist > 0.0)
+        # rebuild the differences squared above, then turn d into the unit directions
+        # u_j = d_j / dist in place, 0 where dist is 0 (or NaN); then
+        # d (loss / B) / d h_j = -sum_e d_s u_j and d (loss / B) / d c_j = sum_b d_s u_j
+        for j in range(1, w):
+            np.subtract(h[j, :, None, :], c[j, None, cols, :], out=d[j])
+        if dist.min() > 0.0:
+            np.divide(d, dist, out=d)
+        else:  # a zero distance, or one whose square underflowed
+            moving = dist > 0.0
+            np.divide(d, dist, out=d, where=moving)
+            d[:, ~moving] = 0.0
         for j in range(w):
-            np.einsum("bck,bck->ck", weight, d[j], out=grad_c[j, cols])
-        return float(np.sum(x)), [np.einsum("bck,bck->bk", weight, d[j]) for j in range(w)]
+            np.einsum("bc,bck->ck", d_s, d[j], out=grad_c[j, cols])
+        return float(np.sum(x)), [np.einsum("bc,bck->bk", d_s, d[j]) for j in range(w)]
 
     # chunk results are folded as they arrive, so at most a few are held
     results = map_blocks(run_chunk, n, max(1, DISTANCE_CHUNK_ELEMENTS // (b * k)))

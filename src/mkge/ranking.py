@@ -89,7 +89,8 @@ def bottom_rank(scores, true_idx, filtered=None):
     if filtered is not None:
         out |= filtered
         np.put_along_axis(out, at_true, False, axis=-1)
-    return scores.shape[-1] - np.count_nonzero(out, axis=-1)
+    # summing the mask's bytes counts it about twice as fast as count_nonzero
+    return scores.shape[-1] - np.add.reduce(out.view(np.int8), axis=-1, dtype=np.int32)
 
 
 def evaluate(split, store, filter_index):

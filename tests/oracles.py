@@ -25,7 +25,14 @@ def finite_difference_grads(store, triples, cfg, step=1e-5):
 
 def brute_force_rank(scores, true_idx, filtered_out):
     """Reference: materialize candidates, stable-sort descending with the true
-    triple ordered last among equal scores, report its 1-based position."""
+    triple ordered last among equal scores, report its 1-based position. A
+    NaN orders against nothing, so it counts as a tie: NaN candidates sort
+    first and a NaN true score last."""
+
+    def key(i):
+        if np.isnan(scores[i]):
+            return (2,) if i == true_idx else (0,)
+        return (1, -scores[i], i == true_idx)
+
     candidates = [i for i in range(len(scores)) if i == true_idx or i not in filtered_out]
-    ordered = sorted(candidates, key=lambda i: (-scores[i], i == true_idx))
-    return ordered.index(true_idx) + 1
+    return sorted(candidates, key=key).index(true_idx) + 1

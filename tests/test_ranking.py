@@ -103,6 +103,28 @@ class TestBottomRank:
         want = [brute_force_rank(row, int(t), f) for row, t, f in zip(scores, true_idx, filtered)]
         assert ranking.bottom_rank(scores, true_idx, masks).tolist() == want
 
+    @pytest.mark.parametrize("shape", [(300,), (6, 40), (2, 3, 300)])
+    def test_matches_brute_force_in_every_array_rank(self, shape):
+        """1-D, 2-D and 3-D score arrays, with ties, -inf and NaN scores, a
+        -inf row and a NaN row, rank as the brute-force sorter ranks each row,
+        unfiltered and filtered; 300 candidates count past any byte."""
+        rng = np.random.default_rng(4)
+        n = shape[-1]
+        scores = rng.choice([-np.inf, 0.0, 0.5, 1.0, np.nan], p=[0.1, 0.3, 0.3, 0.2, 0.1],
+                            size=shape)
+        rows = scores.reshape(-1, n)
+        if len(rows) > 1:
+            rows[0], rows[1] = -np.inf, np.nan
+        true_idx = rng.integers(n, size=shape[:-1])
+        masks = rng.random(shape) < 0.2
+        for filtered in (None, masks):
+            got = ranking.bottom_rank(scores, true_idx, filtered)
+            assert np.shape(got) == shape[:-1]
+            want = [brute_force_rank(row, int(t), set() if filtered is None else
+                                     set(np.flatnonzero(mask).tolist()))
+                    for row, t, mask in zip(rows, true_idx.reshape(-1), masks.reshape(-1, n))]
+            assert np.reshape(got, -1).tolist() == want
+
 
 def reference_evaluate(split, store, known=None):
     """Independent evaluator built on the brute-force sorter; the filter sets

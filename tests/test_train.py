@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,58 @@ class TestDistanceKernel:
         assert np.all(grad_c[:, 3, [0, 2]] != 0.0)
         grad_h_without, _ = kernel(np.delete(c, 2, axis=1))
         np.testing.assert_allclose(grad_h, grad_h_without, rtol=1e-14)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-170])  # 1e-170 squared underflows to 0
+    def test_zero_distance_in_one_chunk(self, offset, monkeypatch, pool_runs):
+        """Candidate 9, in the middle one of three chunks, sits at distance 0
+        from every head in dimension 1: its coordinates equal the heads', or
+        differ by 1e-170, whose square underflows. That dimension gets an
+        exact-zero gradient, and the results match one chunk and every pool."""
+        rng = np.random.default_rng(14)
+        h, c = rng.normal(size=(3, 2, 2)), rng.normal(size=(20, 2, 2))
+        h[:, 1] = 0.0
+        c[9, 1] = [offset, -offset]
+        tails = ROTATE20_BATCH[:, 2]
+
+        def run():
+            loss, grad_h, grad_c = model.distance_kernel(h, c, tails)
+            return np.float64(loss), grad_h, grad_c
+
+        loss1, grad_h1, grad_c1 = run()
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        assert n_distance_chunks(3, 2, 20) == 3
+        loss, grad_h, grad_c = run()
+        assert np.isfinite(loss) and np.all(np.isfinite(grad_h)) and np.all(np.isfinite(grad_c))
+        assert np.all(grad_c[9, 1] == 0.0) and np.all(grad_c[9, 0] != 0.0)
+        assert loss == pytest.approx(loss1, rel=1e-12)
+        np.testing.assert_allclose(grad_h, grad_h1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad_c, grad_c1, rtol=1e-12, atol=0)
+        one, *pooled = pool_runs(run)
+        assert pooled == [one, one]
+
+    def test_peak_memory(self, monkeypatch, thread_pools):
+        """A training call holds, per running chunk, the (w, B, C, k)
+        differences, the (B, C, k) distances and a few (B, C) score arrays,
+        with C * B * k <= DISTANCE_CHUNK_ELEMENTS, besides its (w, E, k) and
+        (w, B, k) copies of the inputs and gradients. A weight plane of
+        d_s / dist next to them would break the bound."""
+        b, k, w, n = 32, 16, 2, 4000
+        assert n_distance_chunks(b, k, n) > 2  # chunks to overlap on two workers
+        rng = np.random.default_rng(15)
+        h, c = rng.normal(size=(b, k, w)), rng.normal(size=(n, k, w))
+        tails = rng.integers(n, size=b)
+        # w + 1 planes, and below half a plane of (B, C) arrays at k = 16
+        per_worker = (w + 1.5) * model.DISTANCE_CHUNK_ELEMENTS * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(mkge, "_pool", thread_pools[workers])
+            model.distance_kernel(h, c, tails)  # start the pool's threads
+            tracemalloc.start()
+            try:
+                model.distance_kernel(h, c, tails)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < per_worker * workers + 2 * (h.nbytes + c.nbytes)
 
     def test_pool_size_bit_identical(self, monkeypatch, pool_runs):
         """Three chunks on pools of 1, 2 and 8 workers: the chunk losses and
