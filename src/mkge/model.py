@@ -425,9 +425,9 @@ def distance_kernel(h, c, tails=None):
     directions u_j = d_j / dist, and each gradient is one contraction of the
     score gradient with u: sum_b d_s u_j for the candidates and
     -sum_e d_s u_j for the heads. Where a distance is 0 (or its square
-    underflows to 0), u is set to 0, the zero subgradient; only a chunk
-    holding such a distance takes that slower path. No (B, E, k) array and,
-    in training, no (B, E) array is built.
+    underflows to 0), the chunk divides by an infinite distance instead, so u
+    is 0 there, the zero subgradient. No (B, E, k) array and, in training, no
+    (B, E) array is built.
 
     The chunks run as blocks of `mkge.map_blocks` on the process's thread
     pool. A chunk writes only its own columns of the scores or its own rows of
@@ -461,16 +461,14 @@ def distance_kernel(h, c, tails=None):
         hit = np.flatnonzero((tails >= cols.start) & (tails < cols.stop))
         d_s = logistic_terms(x, (hit, tails[hit] - cols.start), b)
         # rebuild the differences squared above, then turn d into the unit directions
-        # u_j = d_j / dist in place, 0 where dist is 0 (or NaN); then
-        # d (loss / B) / d h_j = -sum_e d_s u_j and d (loss / B) / d c_j = sum_b d_s u_j
+        # u_j = d_j / dist in place; then
+        # d (loss / B) / d h_j = -sum_e d_s u_j and d (loss / B) / d c_j = sum_b d_s u_j.
+        # A distance of 0 (d_j 0, or so small that its square underflowed) is
+        # made infinite first, so that its u_j is 0, the zero subgradient.
         for j in range(1, w):
             np.subtract(h[j, :, None, :], c[j, None, cols, :], out=d[j])
-        if dist.min() > 0.0:
-            np.divide(d, dist, out=d)
-        else:  # a zero distance, or one whose square underflowed
-            moving = dist > 0.0
-            np.divide(d, dist, out=d, where=moving)
-            d[:, ~moving] = 0.0
+        dist[dist == 0.0] = np.inf
+        np.divide(d, dist, out=d)
         for j in range(w):
             np.einsum("bc,bck->ck", d_s, d[j], out=grad_c[j, cols])
         return float(np.sum(x)), [np.einsum("bc,bck->bk", d_s, d[j]) for j in range(w)]

@@ -77,7 +77,8 @@ def bottom_rank(scores, true_idx, filtered=None):
     It goes last among exact score ties (pessimistic, never inflates); masked
     scores drop out of the count, so a -inf true score ties with no masked -inf.
     A candidate counts unless it scores below the true one, so a NaN true score
-    ranks last among the unmasked and a NaN candidate counts against it."""
+    ranks last among the unmasked and a NaN candidate counts against it. The
+    ranks are np.intp, shaped like true_idx."""
     scores = np.asarray(scores, dtype=np.float64)
     true_idx = np.asarray(true_idx, dtype=np.int64)
     if np.any((true_idx < 0) | (true_idx >= scores.shape[-1])):
@@ -89,8 +90,10 @@ def bottom_rank(scores, true_idx, filtered=None):
     if filtered is not None:
         out |= filtered
         np.put_along_axis(out, at_true, False, axis=-1)
-    # summing the mask's bytes counts it about twice as fast as count_nonzero
-    return scores.shape[-1] - np.add.reduce(out.view(np.int8), axis=-1, dtype=np.int32)
+    # summing the mask's bytes into int32 counts it about twice as fast as
+    # count_nonzero, whose intp result the cast keeps
+    dropped = np.add.reduce(out.view(np.int8), axis=-1, dtype=np.int32).astype(np.intp)
+    return scores.shape[-1] - dropped
 
 
 def evaluate(split, store, filter_index):

@@ -91,39 +91,28 @@ class TestBottomRank:
         assert ranking.bottom_rank(np.array([0.2, np.nan, 0.5]), 0, as_mask(3, {1})) == 2
 
     def test_chunk_with_ragged_filter_rows(self):
-        # one call ranks every row; the rows' filter lists differ in length,
-        # two are empty and one lists every candidate, the true one included
+        # one call ranks every row of a 1-D, 2-D or 3-D score array, with ties,
+        # -inf and NaN scores, a -inf row and a NaN row; the rows' filter lists
+        # differ in length, the first is empty and the last lists every
+        # candidate, the true one included; 300 candidates count past any byte
         rng = np.random.default_rng(3)
-        n = 12
-        scores = rng.choice([-np.inf, 0.0, 0.5, 1.0], size=(6, n))
-        true_idx = rng.integers(n, size=6)
-        filtered = [set(), {0}, set(range(n)), set(), set(rng.choice(n, 5, replace=False).tolist()),
-                    set(range(0, n, 2))]
-        masks = np.array([as_mask(n, f) for f in filtered])
-        want = [brute_force_rank(row, int(t), f) for row, t, f in zip(scores, true_idx, filtered)]
-        assert ranking.bottom_rank(scores, true_idx, masks).tolist() == want
-
-    @pytest.mark.parametrize("shape", [(300,), (6, 40), (2, 3, 300)])
-    def test_matches_brute_force_in_every_array_rank(self, shape):
-        """1-D, 2-D and 3-D score arrays, with ties, -inf and NaN scores, a
-        -inf row and a NaN row, rank as the brute-force sorter ranks each row,
-        unfiltered and filtered; 300 candidates count past any byte."""
-        rng = np.random.default_rng(4)
-        n = shape[-1]
-        scores = rng.choice([-np.inf, 0.0, 0.5, 1.0, np.nan], p=[0.1, 0.3, 0.3, 0.2, 0.1],
-                            size=shape)
-        rows = scores.reshape(-1, n)
-        if len(rows) > 1:
-            rows[0], rows[1] = -np.inf, np.nan
-        true_idx = rng.integers(n, size=shape[:-1])
-        masks = rng.random(shape) < 0.2
-        for filtered in (None, masks):
-            got = ranking.bottom_rank(scores, true_idx, filtered)
-            assert np.shape(got) == shape[:-1]
-            want = [brute_force_rank(row, int(t), set() if filtered is None else
-                                     set(np.flatnonzero(mask).tolist()))
-                    for row, t, mask in zip(rows, true_idx.reshape(-1), masks.reshape(-1, n))]
-            assert np.reshape(got, -1).tolist() == want
+        for shape in [(6, 12), (300,), (6, 40), (2, 3, 300)]:
+            n = shape[-1]
+            scores = rng.choice([-np.inf, 0.0, 0.5, 1.0, np.nan], p=[0.1, 0.3, 0.3, 0.2, 0.1],
+                                size=shape)
+            rows = scores.reshape(-1, n)
+            if len(rows) > 2:
+                rows[1], rows[2] = -np.inf, np.nan
+            true_idx = rng.integers(n, size=shape[:-1])
+            share = np.linspace(0.0, 1.0, len(rows)).reshape(shape[:-1] + (1,))
+            masks = rng.random(shape) < share
+            for filtered in (None, masks):
+                got = ranking.bottom_rank(scores, true_idx, filtered)
+                assert np.shape(got) == shape[:-1] and np.result_type(got) == np.intp
+                want = [brute_force_rank(row, int(t), set() if filtered is None else
+                                         set(np.flatnonzero(mask).tolist()))
+                        for row, t, mask in zip(rows, true_idx.reshape(-1), masks.reshape(-1, n))]
+                assert np.reshape(got, -1).tolist() == want, shape
 
 
 def reference_evaluate(split, store, known=None):
