@@ -19,15 +19,15 @@ def run(name, k, ablation="both", epochs=150):
     return ranking.evaluate(triples.test, store, index)
 
 
-# ablation: "scalar" keeps only the modulus half (the model degenerates
-# toward DistMult), "vector" keeps only the rotation half
+# ablation: "scalar" keeps only the modulus half (module_rc is then
+# DistMult), "vector" keeps only the rotation half
 print("module_rc ablations (k=8, filtered test MRR):")
 for mode in ("scalar", "vector", "both"):
     rep = run("module_rc", 8, ablation=mode)
     print(f"  {mode:6s} MRR {rep.mrr:.3f}  Hits@1 {rep.hits1:.3f}")
 
-# with the same seed, a scalar-only run of module_rc draws the identical
-# initialization as distmult, so the two scores agree exactly
+# with the same seed, a scalar-only module_rc store holds exactly distmult's
+# tables, so the two scores agree exactly
 a = model.init_model("module_rc", 4, vocab.n_entities, vocab.n_relations,
                      seed=0, ablation="scalar")
 b = model.init_model("distmult", 4, vocab.n_entities, vocab.n_relations, seed=0)

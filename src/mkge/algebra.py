@@ -202,7 +202,7 @@ def exp_map_backward(omega, q, grad_q):
     s = _coordinate_sum(q[1:], omega) / safe
     # c2 = d(sinc)/dtheta / theta = (cos - sinc) / theta^2
     c2 = (q[0] - s) / safe
-    if np.any(small):  # rare at random init; a frozen ablation block is all zeros
+    if np.any(small):  # rare at random init
         s = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, s)
         c2 = np.where(small, -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0, c2)
     gv = grad_q[1:]

@@ -1,6 +1,7 @@
 """Binary checkpoint files: little-endian, magic "MKGE", versioned header,
 then the parameter tables (and optionally Adagrad state) as float64 in index
-order. Round trips are bit-exact."""
+order. An ablation's tables hold only its free parameters (`model.ablated`).
+Round trips are bit-exact."""
 
 from __future__ import annotations
 
@@ -16,9 +17,6 @@ from .errors import BadMagic, DigestMismatch, MissingFile, VersionUnsupported
 
 MAGIC = b"MKGE"
 FORMAT_VERSION = 1
-
-_ABLATION_CODES = {name: i for i, name in enumerate(model.ABLATION_MODES)}
-_ABLATION_NAMES = {i: name for name, i in _ABLATION_CODES.items()}
 
 
 def config_digest(variant_name, k, ablation, n_entities, n_relations):
@@ -55,7 +53,7 @@ def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
             fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(struct.pack("<I", len(name)))
             fh.write(name)
-            fh.write(struct.pack("<IIQQ", store.k, _ABLATION_CODES[store.ablation],
+            fh.write(struct.pack("<IIQQ", store.k, model.ABLATION_MODES.index(store.ablation),
                                  store.n_entities, store.n_relations))
             fh.write(digest)
             fh.write(struct.pack("<Q", epoch))
@@ -105,14 +103,15 @@ def load_checkpoint(path):
         k, ablation_code, n_ent, n_rel = struct.unpack("<IIQQ", _read_exact(fh, 24, "shape"))
         if k < 1:
             raise BadMagic(f"checkpoint header declares k = {k}; k must be >= 1")
-        if ablation_code not in _ABLATION_NAMES:
+        if ablation_code >= len(model.ABLATION_MODES):
             raise BadMagic(f"unknown ablation code {ablation_code}")
         digest = _read_exact(fh, 32, "digest")
         (epoch,) = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))
         (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "flags"))
         if has_opt not in (0, 1):
             raise BadMagic(f"checkpoint optimizer-state flag is {has_opt}; it must be 0 or 1")
-        variant = model.VARIANTS[name]
+        ablation = model.ABLATION_MODES[ablation_code]
+        variant = model.ablated(model.VARIANTS[name], ablation)
         ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
         # check the declared payload against the file before allocating it
         table_bytes = (n_ent * ew + n_rel * rw) * 8
@@ -130,8 +129,7 @@ def load_checkpoint(path):
 
         entity = read_table(n_ent, ew, "entity table")
         relation = read_table(n_rel, rw, "relation table")
-        store = model.ParameterStore(variant, k, entity, relation,
-                                     _ABLATION_NAMES[ablation_code])
+        store = model.ParameterStore(variant, k, entity, relation, ablation)
         opt_state = None
         if has_opt:
             (lr,) = struct.unpack("<d", _read_exact(fh, 8, "lr"))

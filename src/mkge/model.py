@@ -9,19 +9,21 @@ quaternion (`quaternion`). Every action, and the combination s_i * v_i of an
 entity's two parts, is the one ring product `algebra.elem_mul`, whose reverse
 mode is `algebra.elem_mul_backward`.
 
-A new group entry must provide its parameter and element widths, the
-parameters of its identity element (held by frozen ablation blocks), whether
+A new group entry must provide its parameter and element widths, whether
 its elements are unit (their G_p norm is then constant), the half-width of its
 uniform init draw, `materialize` from free parameters to elements and
 `param_backward`, which pulls a gradient on elements back to the parameters
 given both.
 
+An ablation is a choice of groups (`ablated`): each part it freezes becomes
+the `TRIVIAL` group of its width, which has no parameters and one element,
+the ring one, so a frozen part holds no columns and gets no gradient.
+
 Both parameter tables have one layout: a row holds two column blocks of k
 group parameters each, the first group's then the second's (entity rows:
-scalars, vectors; relation rows: scalings, rotations). The ablations freeze
-the first or the second block of both tables at the group identity. Unit
-group elements are stored by their free parameters (a phase angle for U(1), a
-3-vector rotation parameter for unit quaternions) and materialized on use, so
+scalars, vectors; relation rows: scalings, rotations). Unit group elements
+are stored by their free parameters (a phase angle for U(1), a 3-vector
+rotation parameter for unit quaternions) and materialized on use, so
 unitarity holds by construction.
 
 Two layouts of element arrays meet here. The ring arithmetic (`combine`,
@@ -58,7 +60,7 @@ pool, which would deadlock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -66,7 +68,9 @@ import numpy as np
 from . import algebra, map_blocks
 from .errors import LengthMismatch, ShapeMismatch
 
-ABLATION_MODES = ("scalar", "vector", "both")
+# the ModelVariant parts each ablation freezes; its position here is its checkpoint code
+FROZEN_PARTS = {"scalar": ("vector", "rotation"), "vector": ("scalar", "scaling"), "both": ()}
+ABLATION_MODES = tuple(FROZEN_PARTS)
 
 # elements of one (B, C, k) float64 plane of the distance kernel (~2.4 MB),
 # which sets its chunk of C candidates. A running chunk holds w + 1 planes.
@@ -93,25 +97,31 @@ class Group:
 
     param_width: int  # free parameters per dimension
     width: int  # coordinates per element
-    identity: tuple  # parameters of the identity element
     unit: bool  # every element has field norm 1
     half_width: Callable  # k -> half-width of the uniform init draw
     materialize: Callable  # param planes (param_width, ..., k) -> element planes (width, ..., k)
     param_backward: Callable  # (params, elements, grad on elements) -> grad on params, as planes
 
 
+def _trivial(width):
+    """The group of elements `width` wide whose one element is the ring one."""
+    return Group(0, width, True, lambda k: 0.0,
+                 lambda p: np.multiply.outer(np.eye(1, width)[0], np.ones(p.shape[1:])),
+                 lambda p, z, g: np.zeros_like(p))
+
+
+TRIVIAL = {width: _trivial(width) for width in (1, 2, 4)}
+
 # The algebra calls go through the module so that wrappers installed on it
 # (the benchmark's tracer) see them.
 GROUPS = {
-    "fixed": Group(0, 1, (), True, lambda k: 0.0,
-                   lambda p: np.ones((1,) + p.shape[1:]), lambda p, z, g: np.zeros_like(p)),
-    "gl1": Group(1, 1, (1.0,), False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
-    "quaternion": Group(4, 4, (1.0, 0.0, 0.0, 0.0), False, _coordinate_half_width,
-                        lambda p: p, lambda p, z, g: g),
-    "u1": Group(1, 2, (0.0,), True, lambda k: np.pi,
+    "fixed": TRIVIAL[1],
+    "gl1": Group(1, 1, False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
+    "quaternion": Group(4, 4, False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
+    "u1": Group(1, 2, True, lambda k: np.pi,
                 lambda p: algebra.angle_to_complex(p[0]),
                 lambda p, z, g: algebra.angle_backward(z, g)[None]),
-    "unit_quaternion": Group(3, 4, (0.0, 0.0, 0.0), True, lambda k: np.pi,
+    "unit_quaternion": Group(3, 4, True, lambda k: np.pi,
                              lambda p: algebra.exp_map(p),
                              lambda p, z, g: algebra.exp_map_backward(p, z, g)),
 }
@@ -152,6 +162,15 @@ VARIANTS = {
 }
 
 
+def ablated(variant, ablation):
+    """The variant an `ablation` trains: `variant`, named as before, with the
+    trivial group of the same width in place of each part it freezes."""
+    if ablation not in FROZEN_PARTS:
+        raise ValueError(f"unknown ablation mode {ablation!r}")
+    return replace(variant, **{part: TRIVIAL[getattr(variant, part).width]
+                               for part in FROZEN_PARTS[ablation]})
+
+
 def _blocks(table, k, first, second):
     """Views (n, k, first.param_width) and (n, k, second.param_width) of the
     two column blocks of a table whose rows hold k parameters of group
@@ -167,7 +186,7 @@ class ParameterStore:
     k: int
     entity: np.ndarray  # (n_entities, entity_row_width)
     relation: np.ndarray  # (n_relations, relation_row_width)
-    ablation: str = "both"
+    ablation: str = "both"  # a key of FROZEN_PARTS; `variant` is already ablated
 
     @property
     def n_entities(self):
@@ -191,47 +210,33 @@ class ParameterStore:
         table = self.relation if table is None else table
         return _blocks(table, self.k, v.scaling, v.rotation)
 
-    def free_masks(self):
-        """Boolean masks over entity/relation row columns; frozen ablation
-        blocks are False."""
-        v = self.variant
-        free = (self.ablation != "vector", self.ablation != "scalar")
-        return tuple(np.repeat(free, [self.k * group.param_width for group in groups])
-                     for groups in ((v.scalar, v.vector), (v.scaling, v.rotation)))
 
-
-def _draw_table(rng, n, k, groups, free):
-    """Parameter table of one column block per group, k parameters wide each.
-    A free block draws uniform(-h, h), h the group's half-width; a frozen
-    block holds the group identity and draws nothing."""
+def _draw_table(rng, n, k, groups):
+    """Parameter table of one column block per group, k parameters wide each,
+    drawn uniform(-h, h), h the group's half-width; a trivial group draws none."""
     return np.concatenate([
         rng.uniform(-group.half_width(k), group.half_width(k), size=(n, k * group.param_width))
-        if is_free else np.tile(group.identity, (n, k))
-        for group, is_free in zip(groups, free)
+        for group in groups
     ], axis=1)
 
 
 def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
-    """Seed-deterministic initialization.
+    """Seed-deterministic initialization of a store of `ablated(variant, ablation)`.
 
     Free ring coordinates (real and quaternion scalars, GL(1) scalings) are
     drawn uniform(-0.5/sqrt(k), 0.5/sqrt(k)), the parameters of unit groups
     uniform(-pi, pi): each group's half-width. Blocks are drawn in row order,
     entity scalars, entity vectors, relation scalings, relation rotations.
-    Frozen ablation blocks are set to the group identity and consume no
-    random draws, so e.g. a scalar-only module_rc run shares its scalar draws
-    with a distmult run of the same seed.
+    The trivial groups of frozen parts hold no parameters and consume no
+    random draws, so e.g. a scalar-only module_rc store has the tables of a
+    distmult store of the same seed.
     """
-    if isinstance(variant, str):
-        variant = VARIANTS[variant]
     if k < 1:
         raise ValueError("k must be >= 1")
-    if ablation not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode {ablation!r}")
+    variant = ablated(VARIANTS[variant] if isinstance(variant, str) else variant, ablation)
     rng = np.random.default_rng(seed)
-    free = (ablation != "vector", ablation != "scalar")
-    entity = _draw_table(rng, n_entities, k, (variant.scalar, variant.vector), free)
-    relation = _draw_table(rng, n_relations, k, (variant.scaling, variant.rotation), free)
+    entity = _draw_table(rng, n_entities, k, (variant.scalar, variant.vector))
+    relation = _draw_table(rng, n_relations, k, (variant.scaling, variant.rotation))
     return ParameterStore(variant, k, entity, relation, ablation)
 
 

@@ -142,8 +142,8 @@ def batch_loss_and_grads(store, triples, cfg):
     """Mean 1-vs-all loss of a batch plus exact gradients.
 
     Returns (loss, grad_entity, grad_relation) with gradient tables shaped
-    like the parameter tables; frozen ablation columns receive zero gradient.
-    An id outside the parameter tables raises IndexError.
+    like the parameter tables. An id outside the parameter tables raises
+    IndexError.
     """
     triples = np.asarray(triples, dtype=np.int64)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
@@ -166,7 +166,7 @@ def batch_loss_and_grads(store, triples, cfg):
     gp_h, coeff_h = _gp_pieces(np.sum(c_h * c_h, axis=-1), cfg.p)
     gp_t, coeff_t = _gp_pieces(np.sum(c_t * c_t, axis=-1), cfg.p)
     if variant.scaling.unit:
-        # G_p(r) of unit (or fixed) scaling elements is the constant k^(1/p).
+        # G_p(r) of unit (or trivial) scaling elements is the constant k^(1/p).
         # Adding its zero gradient can only flip the sign of a zero, which the
         # scatter into the zeroed gradient table below drops.
         gp_r, reg_r = np.full(b, float(k) ** (1.0 / cfg.p)), 0.0
@@ -214,10 +214,6 @@ def batch_loss_and_grads(store, triples, cfg):
             np.add.at(grad_tables[i], ids,
                       np.moveaxis(groups[i].param_backward(params[i], elems[i], grad), 0, -1))
 
-    if store.ablation != "both":  # the masks of "both" are all True, and x * True is x
-        masks = store.free_masks()
-        grad_entity *= masks[0]
-        grad_relation *= masks[1]
     return float(loss), grad_entity, grad_relation
 
 

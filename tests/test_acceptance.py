@@ -83,9 +83,7 @@ class TestCriterion2Gradients:
                 store, batch = grad_instance(name, ablation)
                 _, g_e, g_r = train.batch_loss_and_grads(store, batch, GRAD_LOSS)
                 fd_e, fd_r = finite_difference_grads(store, batch, GRAD_LOSS)
-                ent_mask, rel_mask = store.free_masks()
-                for analytic, fd in ((g_e[:, ent_mask], fd_e[:, ent_mask]),
-                                     (g_r[:, rel_mask], fd_r[:, rel_mask])):
+                for analytic, fd in ((g_e, fd_e), (g_r, fd_r)):
                     denom = np.maximum(np.abs(analytic), np.abs(fd))
                     assert np.all(np.abs(analytic - fd) <= 1e-4 * denom + 1e-8)
                     checked += analytic.size

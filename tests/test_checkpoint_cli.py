@@ -124,23 +124,28 @@ class TestCheckpoint:
                 ckpt.load_checkpoint(path)
 
     @pytest.mark.parametrize("forgery", ["ablation_code", "n_entities", "variant_name",
-                                         "trailing_byte", "name_length", "opt_flag"])
+                                         "trailing_byte", "name_length", "opt_flag",
+                                         "ablation_layout"])
     def test_forged_header(self, forgery, toy_dataset, tmp_path, monkeypatch):
         """A forged header fails with BadMagic, and no read asks for more
-        bytes than the file holds (a 4 GiB name length would allocate 4 GiB)."""
+        bytes than the file holds (a 4 GiB name length would allocate 4 GiB).
+        A full-width file declared "scalar" is the layout of scalar-only
+        checkpoints that held their frozen columns; its payload size does not
+        match the header."""
         store, state = self.make_store()
         path = tmp_path / "g.mkge"
         ckpt.save_checkpoint(path, store, opt_state=state)
         blob = path.read_bytes()
         shape_at = 12 + len(b"module_hh")  # magic, version, name length, name
         blob = {
-            "ablation_code": blob[:shape_at + 4] + struct.pack("<I", 7) + blob[shape_at + 8:],
+            "ablation_code": blob[:shape_at + 4] + struct.pack("<I", 3) + blob[shape_at + 8:],
             "n_entities": blob[:shape_at + 8] + struct.pack("<Q", 2**62) + blob[shape_at + 16:],
             "variant_name": blob[:12] + b"\xff" * 9 + blob[shape_at:],
             "trailing_byte": blob + b"\x00",
             "name_length": blob[:8] + struct.pack("<I", 0xFFFFFFFF) + blob[12:],
             # shape, digest and epoch precede the optimizer-state flag byte
             "opt_flag": blob[:shape_at + 64] + b"\x07" + blob[shape_at + 65:],
+            "ablation_layout": blob[:shape_at + 4] + struct.pack("<I", 0) + blob[shape_at + 8:],
         }[forgery]
         path.write_bytes(blob)
         read_exact = ckpt._read_exact
@@ -151,12 +156,26 @@ class TestCheckpoint:
             return read_exact(fh, n, what)
 
         monkeypatch.setattr(ckpt, "_read_exact", spy)
-        with pytest.raises(BadMagic):
+        with pytest.raises(BadMagic, match="payload" if forgery == "ablation_layout" else None):
             ckpt.load_checkpoint(path)
         code = cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", str(path),
                          "--out", str(tmp_path / "eval")])
         assert code == 1
         assert requests and max(requests) <= len(blob)
+
+    def test_ablation_codes(self, tmp_path):
+        """The header stores an ablation by its position in ABLATION_MODES:
+        scalar 0, vector 1, both 2."""
+        shape_at = 12 + len(b"module_rc")
+        path = tmp_path / "a.mkge"
+        for code, ablation in enumerate(("scalar", "vector", "both")):
+            store = model.init_model("module_rc", 2, 3, 2, seed=0, ablation=ablation)
+            ckpt.save_checkpoint(path, store)
+            blob = path.read_bytes()
+            assert struct.unpack("<I", blob[shape_at + 4:shape_at + 8]) == (code,)
+            loaded = ckpt.load_checkpoint(path).store
+            assert loaded.variant == store.variant and loaded.ablation == ablation
+            assert loaded.entity.tobytes() == store.entity.tobytes()
 
     def test_zero_dimension_header(self, toy_dataset, tmp_path, capsys):
         """A k = 0 store saved with the dataset's digest: loading it would

@@ -50,20 +50,17 @@ class TestInit:
     def test_documented_draw_order(self, name, ablation):
         """The tables are the blocks drawn in row order from one generator:
         free ring coordinates uniform(+-0.5/sqrt(k)), unit group parameters
-        uniform(+-pi); a frozen block holds the identity (ring one, zero
-        parameters) and draws nothing."""
+        uniform(+-pi); a part the ablation freezes has no block and draws
+        nothing."""
         k, n_ent, n_rel, seed = 3, 5, 4, 19
         rng = np.random.default_rng(seed)
         free = (ablation != "vector", ablation != "scalar") * 2
         blocks = []
         for (width, kind), is_free, n in zip(INIT_BLOCKS[name], free,
                                              (n_ent, n_ent, n_rel, n_rel)):
-            if is_free:
-                half = 0.5 / np.sqrt(k) if kind == "ring" else np.pi
-                blocks.append(rng.uniform(-half, half, size=(n, k * width)))
-            else:
-                identity = np.eye(1, width)[0] if kind == "ring" else np.zeros(width)
-                blocks.append(np.tile(identity, (n, k)))
+            half = 0.5 / np.sqrt(k) if kind == "ring" else np.pi
+            blocks.append(rng.uniform(-half, half, size=(n, k * width)) if is_free
+                          else np.empty((n, 0)))
         store = model.init_model(name, k, n_ent, n_rel, seed, ablation)
         for table, want in ((store.entity, np.hstack(blocks[:2])),
                             (store.relation, np.hstack(blocks[2:]))):
@@ -87,24 +84,36 @@ class TestInit:
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_ablation_freezes_identity(self):
-        store = model.init_model("module_hh", 2, 3, 2, seed=0, ablation="scalar")
-        _, ev = store.entity_parts()
-        assert np.all(ev == 0.0)
-        store_v = model.init_model("module_rc", 2, 3, 2, seed=0, ablation="vector")
-        es, _ = store_v.entity_parts()
-        assert np.all(es == 1.0)
-        rs, _ = store_v.relation_parts()
-        assert np.all(rs == 1.0)
+        """The parts an ablation freezes (the vectors and rotations for
+        "scalar", the scalars and scalings for "vector") hold no parameters
+        and materialize to the ring one of their width; the other parts keep
+        their groups."""
+        for name, full in model.VARIANTS.items():
+            groups = (full.scalar, full.vector, full.scaling, full.rotation)
+            for ablation, frozen in (("scalar", (1, 3)), ("vector", (0, 2))):
+                store = model.init_model(name, 2, 3, 2, seed=0, ablation=ablation)
+                v = store.variant
+                assert v.name == name and v.score_kind == full.score_kind
+                params, elems = model.head_inputs(store, np.arange(3), np.array([0, 1, 1]))
+                for i, (group, part, param, elem) in enumerate(
+                    zip(groups, (v.scalar, v.vector, v.scaling, v.rotation), params, elems)
+                ):
+                    if i in frozen:
+                        assert param.shape == (0, 3, 2)
+                        assert np.array_equal(elem, np.broadcast_to(
+                            np.eye(1, group.width).T[..., None], (group.width, 3, 2)))
+                    else:
+                        assert part is group
 
     def test_partition_of_free_parameters(self):
+        """The scalar-only and the vector-only tables split the full ones."""
         for name in ("module_rc", "module_rh", "module_hh"):
-            both = model.init_model(name, 3, 4, 2, seed=0, ablation="both")
-            n_free = {}
+            sizes = {}
             for mode in ("scalar", "vector", "both"):
-                both.ablation = mode
-                ent, rel = both.free_masks()
-                n_free[mode] = int(ent.sum()) * 4 + int(rel.sum()) * 2
-            assert n_free["scalar"] + n_free["vector"] == n_free["both"]
+                store = model.init_model(name, 3, 4, 2, seed=0, ablation=mode)
+                sizes[mode] = np.array([store.entity.size, store.relation.size])
+            assert np.all(sizes["scalar"] > 0) and np.all(sizes["vector"] > 0)
+            assert np.array_equal(sizes["scalar"] + sizes["vector"], sizes["both"])
 
 
 class TestEntityForward:
@@ -293,6 +302,14 @@ class TestDegenerations:
                 model.score(dm, int(h), int(r), int(t)), abs=1e-12
             )
 
+    def test_scalar_only_rc_has_distmult_tables(self):
+        """A scalar-only module_rc store holds exactly the tables of a
+        distmult store of the same seed, k and sizes."""
+        rc = model.init_model("module_rc", 4, 12, 6, seed=21, ablation="scalar")
+        dm = model.init_model("distmult", 4, 12, 6, seed=21)
+        for a, b in ((rc.entity, dm.entity), (rc.relation, dm.relation)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_vector_only_rh_matches_quaternion_rotation_reference(self):
         """Vector-only module_rh equals a direct v_h (x) q_r dot v_t model."""
         k, n_e, n_r, seed = 3, 8, 4, 13
@@ -335,12 +352,17 @@ class TestGroupTable:
 
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_identity_params_materialize_to_identity(self, name):
+        """The trivial group that stands in for a frozen part of this group
+        has no parameters, materializes to the ring one of the group's width,
+        and passes no gradient back."""
         group = model.GROUPS[name]
-        params = model.planes(np.tile(group.identity, (2, 3, 1)))
-        elems = group.materialize(params)
-        assert elems.shape == (group.width, 2, 3)
+        trivial = model.TRIVIAL[group.width]
+        assert trivial.param_width == 0 and trivial.width == group.width and trivial.unit
+        params = np.empty((0, 2, 3))
+        elems = trivial.materialize(params)
         assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width).T[..., None],
-                                                     elems.shape))
+                                                     (group.width, 2, 3)))
+        assert trivial.param_backward(params, elems, np.ones_like(elems)).shape == params.shape
 
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_param_backward_matches_central_differences(self, name):

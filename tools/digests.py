@@ -2,16 +2,17 @@
 ablation, then one `data` line for the data layer.
 
 Each model line hashes, for one case on a small synthetic KG: the initial
-parameter tables, the free-column masks, the whole-table combined entities
-of those tables (`combined_embeddings`), the scores of a batch's (head,
-relation) rows against every entity, one training step on that batch (its
-loss as a float hex, both gradient tables, both tables after Adagrad), a
-3-epoch `fit` (its epoch losses and final tables), and the filtered test
-MRR and ranks array of the fitted tables. The fields up to `loss` are
-computed by the forward alone, from the initial tables, so a change to the
-backward or to Adagrad leaves them as they are. Row blocks, distance chunks
-and evaluation blocks are set small, so the entity work, the distance kernel
-and the ranking run in several blocks, as they do at full scale.
+parameter tables (an ablation's hold its free parameters only), the
+whole-table combined entities of those tables (`combined_embeddings`), the
+scores of a batch's (head, relation) rows against every entity, one
+training step on that batch (its loss as a float hex, both gradient tables,
+both tables after Adagrad), a 3-epoch `fit` (its epoch losses and final
+tables), and the filtered test MRR and ranks array of the fitted tables. The
+fields up to `loss` are computed by the forward alone, from the initial
+tables, so a change to the backward or to Adagrad leaves them as they are.
+Row blocks, distance chunks and evaluation blocks are set small, so the
+entity work, the distance kernel and the ranking run in several blocks, as
+they do at full scale.
 
 The `data` line hashes the entity and relation name lists and the three id
 arrays that `build_dataset` reads back from `write_dataset` of the synthetic
@@ -50,7 +51,6 @@ def digest(*arrays):
 def case(name, ablation, vocab, triples, aug, index):
     store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
     fields = [f"init={digest(store.entity, store.relation)}",
-              f"masks={digest(*store.free_masks())}",
               f"combined={digest(model.combined_embeddings(store))}"]
     batch = aug[:48]
     fields.append(f"scores={digest(model.score_all_tails(store, batch[:, 0], batch[:, 1]))}")
