@@ -407,6 +407,7 @@ def cosine_kernel(h, c, tails=None):
     for _ in map_blocks(objective, b, max(1, ROW_BLOCK_ELEMENTS // scores.shape[1])):
         pass
     loss = float(np.sum(scores))
+    del scores  # free the (B, E) loss terms before the gradient matmuls
     return loss, (d_s @ c_flat).reshape(h.shape), (d_s.T @ h_flat).reshape(c.shape)
 
 

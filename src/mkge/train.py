@@ -16,16 +16,22 @@ The whole-table entity work runs per block of entity rows
 one worker per usable core, at most MKGE_THREADS). Forward,
 `model.combined_embeddings` builds the combined entities from each block's
 `model.entity_inputs`; the score kernel then runs on the whole combined table
-and the regularizer scatters its terms into that table's gradient. Backward
-mirrors forward: each block rebuilds its `model.entity_inputs`, which costs
-less than keeping them for the whole table, and pulls only its rows of that
-gradient through `combine` and each part's group into that part's column block
-of the entity gradient (`ParameterStore.entity_parts`). The head transform's
-gradient is then pulled back through each factor pair, (scalar part, scaling)
-and (vector part, rotation), and scattered serially in batch order at the
-heads and the relations. `adagrad_step` updates the entity table in the same
-blocks. Blocks write disjoint rows, so no result depends on the pool size or
-block size.
+and the regularizer scatters its terms into that table's gradient. The head
+transform's gradient is pulled back first, through each factor pair (scalar
+part, scaling) and (vector part, rotation): the relation part is scattered in
+batch order into the relation gradient, and the head rows' entity part is
+kept as a (B, k, pw) array per part. One pass over the entity rows follows.
+Each block rebuilds its `model.entity_inputs`, which costs less than keeping
+them for the whole table, pulls its rows of the combined-table gradient
+through `combine` and each part's group into a block of the entity gradient
+(column blocks as in `ParameterStore.entity_parts`), adds in batch order the
+head parts of the batch rows whose head lies in the block, and then either
+writes the block into a dense gradient table or hands it to an update. `fit`
+passes an Adagrad update, so a training step reads the entity table twice
+(forward, then backward and update) and holds no table-sized entity
+gradient; `adagrad_step` is the same update over dense gradient tables.
+Blocks write disjoint rows, so no result depends on the pool size or block
+size.
 
 Layouts: the reverse mode computes on component planes (w, ..., k), as
 `algebra` does. Each block's parameter and element planes, its rows of the
@@ -138,12 +144,19 @@ def regularizer(store, h_id, r_id, t_id, cfg):
     return float(cfg.lam * (cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t))
 
 
-def batch_loss_and_grads(store, triples, cfg):
+def batch_loss_and_grads(store, triples, cfg, update=None):
     """Mean 1-vs-all loss of a batch plus exact gradients.
 
     Returns (loss, grad_entity, grad_relation) with gradient tables shaped
-    like the parameter tables. An id outside the parameter tables raises
-    IndexError.
+    like the parameter tables. Given `update`, the entity gradient is handed
+    over per row block instead, as update(rows, grad_rows) with `rows` a slice
+    of entity rows and `grad_rows` their gradient, shaped like
+    `store.entity[rows]`; the call returns (loss, None, grad_relation) and
+    allocates no table-sized gradient. `update` runs on the thread pool after
+    its block has read its parameters, and may write those rows of
+    `store.entity`. With `update`, a loss that is not finite raises
+    NonFiniteLoss before any block runs, so nothing is updated. An id
+    outside the parameter tables raises IndexError.
     """
     triples = np.asarray(triples, dtype=np.int64)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
@@ -177,44 +190,54 @@ def batch_loss_and_grads(store, triples, cfg):
     reg_loss = cfg.lam * np.sum(
         cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t
     )
-    loss = (data_loss + reg_loss) / b
+    loss = float((data_loss + reg_loss) / b)
+    if update is not None and not math.isfinite(loss):
+        raise NonFiniteLoss(f"loss {loss}")
 
     # regularizer contributions: dG_p/dx = 2 x * coeff
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_h * coeff_h[..., None])
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
-    # entity-side backward, per row block: the mirror of the forward of
-    # `model.combined_embeddings`, pulling grad_c through combine and both groups
-    grad_entity = np.empty_like(store.entity)
-    grad_blocks = [np.moveaxis(block, -1, 0) for block in store.entity_parts(grad_entity)]
-
-    def backward(rows):
-        block_params, block_elems = model.entity_inputs(store, rows)
-        for group, param, elem, grad, grad_block in zip(
-            groups[:2], block_params, block_elems,
-            algebra.elem_mul_backward(model.planes(grad_c[rows]), *block_elems), grad_blocks,
-        ):
-            grad_block[:, rows] = group.param_backward(param, elem, grad)
-
-    for _ in map_blocks(backward, store.n_entities, model.rows_per_block(store)):
-        pass
-
     # head transform backward, one pass per factor pair: (scalar part,
     # scaling), then (vector part, rotation). Each pulls its gradient back
-    # through both groups and scatters it, in batch order, at the heads into
-    # the entity gradient and at the relations into the relation gradient.
+    # through both groups, scatters it in batch order at the relations into
+    # the relation gradient, and keeps the heads' entity part (B, k, pw).
     grad_relation = np.zeros_like(store.relation)
-    grad_tables = store.entity_parts(grad_entity) + store.relation_parts(grad_relation)
+    grad_head = []
     for part, (grad_out, reg) in enumerate(
         zip(algebra.elem_mul_backward(model.planes(grad_h_prime), s2, v2), (reg_r, 0.0))
     ):
         act = part + 2  # the relation factor acting on this entity part
         grad_part, grad_act = algebra.elem_mul_backward(grad_out, elems[part], elems[act])
-        for i, ids, grad in ((part, heads, grad_part), (act, rels, grad_act + reg)):
-            np.add.at(grad_tables[i], ids,
-                      np.moveaxis(groups[i].param_backward(params[i], elems[i], grad), 0, -1))
+        grad_head.append(
+            np.moveaxis(groups[part].param_backward(params[part], elems[part], grad_part), 0, -1))
+        np.add.at(store.relation_parts(grad_relation)[part], rels,
+                  np.moveaxis(groups[act].param_backward(params[act], elems[act],
+                                                         grad_act + reg), 0, -1))
 
-    return float(loss), grad_entity, grad_relation
+    # entity backward, per row block: the mirror of the forward of
+    # `model.combined_embeddings`, pulling the block's rows of grad_c through
+    # combine and both groups, then adding, in batch order, the head parts of
+    # the batch rows whose head lies in the block
+    grad_entity = np.empty_like(store.entity) if update is None else None
+
+    def backward(rows):
+        block_params, block_elems = model.entity_inputs(store, rows)
+        grad = np.empty_like(store.entity[rows]) if grad_entity is None else grad_entity[rows]
+        in_block = np.flatnonzero((heads >= rows.start) & (heads < rows.stop))
+        for group, param, elem, grad_elem, grad_part, head_part in zip(
+            groups[:2], block_params, block_elems,
+            algebra.elem_mul_backward(model.planes(grad_c[rows]), *block_elems),
+            store.entity_parts(grad), grad_head,
+        ):
+            np.moveaxis(grad_part, -1, 0)[...] = group.param_backward(param, elem, grad_elem)
+            np.add.at(grad_part, heads[in_block] - rows.start, head_part[in_block])
+        if update is not None:
+            update(rows, grad)
+
+    for _ in map_blocks(backward, store.n_entities, model.rows_per_block(store)):
+        pass
+    return loss, grad_entity, grad_relation
 
 
 def triple_loss(store, h_id, r_id, t_id, cfg):
@@ -223,22 +246,24 @@ def triple_loss(store, h_id, r_id, t_id, cfg):
     return loss
 
 
+def _adagrad(table, acc, grad, lr):
+    """In-place Adagrad update of a table or block: acc += g^2;
+    p -= lr * g / (sqrt(acc) + eps)."""
+    acc += grad**2
+    table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+
+
 def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
-    """In-place Adagrad update: acc += g^2; p -= lr * g / (sqrt(acc) + eps).
+    """In-place Adagrad update of both tables from dense gradient tables.
     The entity table is updated per row block on the thread pool."""
     if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
         raise ShapeMismatch("gradient tables do not match parameter tables")
     lr = state.lr if lr is None else lr
-
-    def update(table, acc, grad):
-        acc += grad**2
-        table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
-
-    for _ in map_blocks(lambda rows: update(store.entity[rows], state.acc_entity[rows],
-                                            grad_entity[rows]),
+    for _ in map_blocks(lambda rows: _adagrad(store.entity[rows], state.acc_entity[rows],
+                                              grad_entity[rows], lr),
                         store.n_entities, model.rows_per_block(store)):
         pass
-    update(store.relation, state.acc_relation, grad_relation)
+    _adagrad(store.relation, state.acc_relation, grad_relation, lr)
 
 
 @dataclass(frozen=True)
@@ -290,12 +315,17 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
         # keyed by (seed, epoch) so a resumed run replays the same shuffles
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_triples))
         total, n_batches = 0.0, 0
+
+        def update(rows, grad):  # Adagrad on each entity row block of the step
+            _adagrad(store.entity[rows], opt_state.acc_entity[rows], grad, lr)
+
         for start in range(0, len(order), cfg.batch_size):
             batch = train_triples[order[start : start + cfg.batch_size]]
-            loss, g_e, g_r = batch_loss_and_grads(store, batch, cfg.loss)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss {loss} at epoch {epoch}")
-            adagrad_step(store, opt_state, g_e, g_r, lr=lr)
+            try:
+                loss, _, g_r = batch_loss_and_grads(store, batch, cfg.loss, update)
+            except NonFiniteLoss as err:
+                raise NonFiniteLoss(f"{err} at epoch {epoch}") from None
+            _adagrad(store.relation, opt_state.acc_relation, g_r, lr)
             total += loss
             n_batches += 1
         valid_mrr = None

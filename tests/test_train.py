@@ -548,14 +548,22 @@ class TestFit:
 
     @pytest.mark.parametrize("name", ["module_rc", "rotate"])
     def test_nonfinite_aborts(self, name):
+        """The loss is checked before any row block updates, so the tables
+        and the accumulators keep their bytes."""
         store = model.init_model(name, 2, 4, 2, seed=0)
         store.entity[0, 0] = np.nan
+        rng = np.random.default_rng(2)
+        opt = train.OptimizerState(rng.uniform(size=store.entity.shape),
+                                   rng.uniform(size=store.relation.shape))
+        state = (store.entity, store.relation, opt.acc_entity, opt.acc_relation)
+        before = [a.tobytes() for a in state]
         cfg = train.FitConfig(epochs=1, batch_size=4, loss=train.LossConfig(p=2, lam=0.0))
         # a NaN score raises no floating-point warning: a RuntimeWarning
         # would escape as an error instead of NonFiniteLoss
-        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss, match="at epoch 0$"):
             warnings.simplefilter("error", RuntimeWarning)
-            train.fit(store, small_batch(), cfg)
+            train.fit(store, small_batch(), cfg, opt_state=opt)
+        assert [a.tobytes() for a in state] == before
 
 
 BLOCK_K = 2
@@ -615,6 +623,59 @@ class TestRowBlocks:
         one, *blocked = _block_runs(monkeypatch, name, run,
                                     _configs(thread_pools, vocab.n_entities))
         assert blocked == [one, one]
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    def test_fit_step_equals_dense_step(self, name, ablation, monkeypatch, thread_pools):
+        """One `fit` step, which updates each row block as soon as its
+        gradient is complete, leaves the bytes of the dense gradient tables
+        followed by `adagrad_step`, from the same nonzero accumulators."""
+        cfg = train.FitConfig(epochs=1, batch_size=len(BLOCK_BATCH), lr=0.3, seed=5, loss=LOSS)
+        # the one batch of epoch 0, in fit's shuffled order
+        batch = BLOCK_BATCH[np.random.default_rng((cfg.seed, 0)).permutation(len(BLOCK_BATCH))]
+
+        def run():
+            tables = []
+            for fused in (True, False):
+                store = model.init_model(name, BLOCK_K, 20, 4, seed=6, ablation=ablation)
+                rng = np.random.default_rng(3)
+                opt = train.OptimizerState(rng.uniform(size=store.entity.shape),
+                                           rng.uniform(size=store.relation.shape), cfg.lr)
+                if fused:
+                    train.fit(store, BLOCK_BATCH, cfg, opt_state=opt)
+                else:
+                    _, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
+                    train.adagrad_step(store, opt, g_e, g_r)
+                tables.append(b"".join(a.tobytes() for a in (
+                    store.entity, store.relation, opt.acc_entity, opt.acc_relation)))
+            assert tables[0] == tables[1]
+            return tables[:1]
+
+        one, *blocked = _block_runs(monkeypatch, name, run, _configs(thread_pools, 20))
+        assert blocked == [one, one]
+
+    def test_fit_step_peak_memory(self, monkeypatch, thread_pools):
+        """A `fit` step holds the combined entities and their gradient, and
+        per running block its parameter, element and gradient planes; no
+        gradient the size of the entity table."""
+        store = model.init_model("module_hh", 32, 20_000, 4, seed=0)
+        rng = np.random.default_rng(4)
+        batch = np.stack([rng.integers(20_000, size=8), rng.integers(4, size=8),
+                          rng.integers(20_000, size=8)], axis=1)
+        cfg = train.FitConfig(epochs=1, batch_size=8, loss=LOSS)
+        opt = train.OptimizerState.for_store(store)
+        c_all_bytes = 20_000 * 32 * 4 * 8
+        per_worker = 16 * model.ROW_BLOCK_ELEMENTS * 8
+        for workers in (1, 2):
+            monkeypatch.setattr(mkge, "_pool", thread_pools[workers])
+            train.fit(store, batch, cfg, opt_state=opt)  # start the pool's threads
+            tracemalloc.start()
+            try:
+                train.fit(store, batch, cfg, opt_state=opt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * c_all_bytes + per_worker * workers
 
     def test_more_workers_than_cores_one_row_blocks(self, monkeypatch, thread_pools):
         """Eight workers on one-row blocks with a short switch interval: a lost

@@ -10,6 +10,9 @@ both tables after Adagrad), a 3-epoch `fit` (its epoch losses and final
 tables), and the filtered test MRR and ranks array of the fitted tables. The
 fields up to `loss` are computed by the forward alone, from the initial
 tables, so a change to the backward or to Adagrad leaves them as they are.
+`fit=` runs the training step that updates each entity row block as its
+gradient is complete; `grads=` and `adagrad=` run the dense path, the whole
+gradient tables of `batch_loss_and_grads` and then `adagrad_step`.
 Row blocks, distance chunks and evaluation blocks are set small, so the
 entity work, the distance kernel and the ranking run in several blocks, as
 they do at full scale.
