@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import thread_cap
-from .errors import MissingFile, MkgeError, ParseError
+from .errors import DigestMismatch, MissingFile, MkgeError, ParseError
 
 PRESETS = {
     # best published settings per benchmark for the quaternion-module model
@@ -184,6 +184,8 @@ def run_training(cfg, resume=None):
         loaded = ckpt.load_checkpoint(resume)
         loaded.verify_digest(digest)
         store, opt_state, start_epoch = loaded.store, loaded.opt_state, loaded.epoch
+        if opt_state is not None and opt_state.lr != cfg.lr:
+            raise DigestMismatch(f"checkpoint was trained at lr {opt_state.lr!r}, not {cfg.lr!r}")
     else:
         store = model.init_model(cfg.model, cfg.k, vocab.n_entities, vocab.n_relations,
                                  seed=cfg.seed, ablation=cfg.ablation)

@@ -18,20 +18,19 @@ one worker per usable core, at most MKGE_THREADS). Forward,
 `model.entity_inputs`; the score kernel then runs on the whole combined table
 and the regularizer scatters its terms into that table's gradient. The head
 transform's gradient is pulled back first, through each factor pair (scalar
-part, scaling) and (vector part, rotation): the relation part is scattered in
-batch order into the relation gradient, and the head rows' entity part is
-kept as a (B, k, pw) array per part. One pass over the entity rows follows.
-Each block rebuilds its `model.entity_inputs`, which costs less than keeping
-them for the whole table, pulls its rows of the combined-table gradient
-through `combine` and each part's group into a block of the entity gradient
-(column blocks as in `ParameterStore.entity_parts`), adds in batch order the
-head parts of the batch rows whose head lies in the block, and then either
-writes the block into a dense gradient table or hands it to an update. `fit`
-passes an Adagrad update, so a training step reads the entity table twice
-(forward, then backward and update) and holds no table-sized entity
-gradient; `adagrad_step` is the same update over dense gradient tables.
-Blocks write disjoint rows, so no result depends on the pool size or block
-size.
+part, scaling) and (vector part, rotation): the relation part is pulled
+through its group and scattered in batch order into the relation gradient,
+and the head rows' entity part is kept as element planes (w, B, k). One pass
+over the entity rows follows. Each block rebuilds its `model.entity_inputs`
+(cheaper than keeping them for the whole table), pulls its rows of the
+combined-table gradient through `combine`, adds in batch order the head parts
+of the batch rows whose head lies in the block, and pulls each part's sum
+through its group once, into a block of the entity gradient (column blocks
+as in `ParameterStore.entity_parts`) that it writes into a dense gradient
+table or hands to an update. `fit` passes an Adagrad update, so a step reads
+the entity table twice (forward, then backward and update) and holds no
+table-sized entity gradient. Blocks write disjoint rows, so no result
+depends on the pool size or block size.
 
 Layouts: the reverse mode computes on component planes (w, ..., k), as
 `algebra` does. Each block's parameter and element planes, its rows of the
@@ -199,9 +198,9 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
     # head transform backward, one pass per factor pair: (scalar part,
-    # scaling), then (vector part, rotation). Each pulls its gradient back
-    # through both groups, scatters it in batch order at the relations into
-    # the relation gradient, and keeps the heads' entity part (B, k, pw).
+    # scaling), then (vector part, rotation). Each scatters the relation
+    # group's parameter gradient in batch order into the relation gradient
+    # and keeps the heads' entity part as element planes (w, B, k).
     grad_relation = np.zeros_like(store.relation)
     grad_head = []
     for part, (grad_out, reg) in enumerate(
@@ -209,16 +208,15 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     ):
         act = part + 2  # the relation factor acting on this entity part
         grad_part, grad_act = algebra.elem_mul_backward(grad_out, elems[part], elems[act])
-        grad_head.append(
-            np.moveaxis(groups[part].param_backward(params[part], elems[part], grad_part), 0, -1))
+        grad_head.append(grad_part)
         np.add.at(store.relation_parts(grad_relation)[part], rels,
                   np.moveaxis(groups[act].param_backward(params[act], elems[act],
                                                          grad_act + reg), 0, -1))
 
     # entity backward, per row block: the mirror of the forward of
     # `model.combined_embeddings`, pulling the block's rows of grad_c through
-    # combine and both groups, then adding, in batch order, the head parts of
-    # the batch rows whose head lies in the block
+    # combine, adding in batch order the head parts of the batch rows whose
+    # head lies in the block, and pulling the sum through each group
     grad_entity = np.empty_like(store.entity) if update is None else None
 
     def backward(rows):
@@ -230,8 +228,9 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
             algebra.elem_mul_backward(model.planes(grad_c[rows]), *block_elems),
             store.entity_parts(grad), grad_head,
         ):
+            np.add.at(grad_elem, (slice(None), heads[in_block] - rows.start),
+                      head_part[:, in_block])
             np.moveaxis(grad_part, -1, 0)[...] = group.param_backward(param, elem, grad_elem)
-            np.add.at(grad_part, heads[in_block] - rows.start, head_part[in_block])
         if update is not None:
             update(rows, grad)
 
@@ -254,15 +253,13 @@ def _adagrad(table, acc, grad, lr):
 
 
 def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
-    """In-place Adagrad update of both tables from dense gradient tables.
-    The entity table is updated per row block on the thread pool."""
+    """In-place Adagrad update of both whole tables from dense gradient tables.
+    `fit` updates each entity row block instead; this dense step stays as the
+    reference those updates match bit for bit (tests, `tools/digests.py`)."""
     if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
         raise ShapeMismatch("gradient tables do not match parameter tables")
     lr = state.lr if lr is None else lr
-    for _ in map_blocks(lambda rows: _adagrad(store.entity[rows], state.acc_entity[rows],
-                                              grad_entity[rows], lr),
-                        store.n_entities, model.rows_per_block(store)):
-        pass
+    _adagrad(store.entity, state.acc_entity, grad_entity, lr)
     _adagrad(store.relation, state.acc_relation, grad_relation, lr)
 
 

@@ -551,6 +551,19 @@ class TestCmdTrain:
         assert np.array_equal(resumed.store.entity, full.store.entity)
         assert np.array_equal(resumed.store.relation, full.store.relation)
 
+    def test_cli_resume_rejects_changed_lr(self, toy_dataset, tmp_path, capsys, monkeypatch):
+        part_out = str(tmp_path / "part")
+        assert cli.main(["train", *small_args(toy_dataset, part_out, ["--lr", "0.1"])]) == 0
+        monkeypatch.setattr(train, "fit", never)
+        capsys.readouterr()
+        code = cli.main(["train", *small_args(toy_dataset, str(tmp_path / "resumed"),
+                                              ["--epochs", "4", "--lr", "0.5", "--resume",
+                                               os.path.join(part_out, "checkpoint.mkge")])])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "0.1" in err and "0.5" in err
+
     def test_missing_dataset_errors(self, tmp_path):
         code = cli.main(["train", "--dataset", str(tmp_path / "nope"), "--out",
                          str(tmp_path / "o")])

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -653,6 +654,33 @@ class TestRowBlocks:
 
         one, *blocked = _block_runs(monkeypatch, name, run, _configs(thread_pools, 20))
         assert blocked == [one, one]
+
+    @pytest.mark.parametrize("name", sorted(model.VARIANTS))
+    @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
+    @pytest.mark.parametrize("rows", [3, 20])
+    def test_entity_groups_pull_each_row_back_once(self, name, ablation, rows, monkeypatch,
+                                                   thread_pools):
+        """The head rows' gradients join their blocks' element gradients, so
+        each entity group's `param_backward` sees every table row once."""
+        store = model.init_model(name, BLOCK_K, 20, 4, seed=6, ablation=ablation)
+        width = BLOCK_K * store.variant.vector.width  # combined elements per row
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
+        monkeypatch.setattr(mkge, "_pool", thread_pools[2])
+        seen = {"scalar": [], "vector": []}
+
+        def counted(part):
+            group = getattr(store.variant, part)
+
+            def param_backward(params, elems, grad):
+                seen[part].append(elems.shape[1])
+                return group.param_backward(params, elems, grad)
+
+            return dataclasses.replace(group, param_backward=param_backward)
+
+        store.variant = dataclasses.replace(store.variant, scalar=counted("scalar"),
+                                            vector=counted("vector"))
+        train.batch_loss_and_grads(store, BLOCK_BATCH, LOSS)
+        assert {part: sum(n) for part, n in seen.items()} == {"scalar": 20, "vector": 20}
 
     def test_fit_step_peak_memory(self, monkeypatch, thread_pools):
         """A `fit` step holds the combined entities and their gradient, and
