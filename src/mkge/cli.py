@@ -306,7 +306,7 @@ def main(argv=None):
     try:
         _apply_thread_cap()  # before a layer module loads numpy and its BLAS threads
         return args.func(args)
-    except (MkgeError, ValueError) as exc:
+    except (MkgeError, ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,11 +9,10 @@ quaternion (`quaternion`). Every action, and the combination s_i * v_i of an
 entity's two parts, is the one ring product `algebra.elem_mul`, whose reverse
 mode is `algebra.elem_mul_backward`.
 
-A new group entry must provide its parameter and element widths, whether
-its elements are unit (their G_p norm is then constant), the half-width of its
-uniform init draw, `materialize` from free parameters to elements and
-`param_backward`, which pulls a gradient on elements back to the parameters
-given both.
+A new group entry must provide its parameter and element widths, the
+half-width of its uniform init draw, `materialize` from free parameters to
+elements and `param_backward`, which pulls a gradient on elements back to the
+parameters given both.
 
 An ablation is a choice of groups (`ablated`): each part it freezes becomes
 the `TRIVIAL` group of its width, which has no parameters and one element,
@@ -97,7 +96,6 @@ class Group:
 
     param_width: int  # free parameters per dimension
     width: int  # coordinates per element
-    unit: bool  # every element has field norm 1
     half_width: Callable  # k -> half-width of the uniform init draw
     materialize: Callable  # param planes (param_width, ..., k) -> element planes (width, ..., k)
     param_backward: Callable  # (params, elements, grad on elements) -> grad on params, as planes
@@ -105,7 +103,7 @@ class Group:
 
 def _trivial(width):
     """The group of elements `width` wide whose one element is the ring one."""
-    return Group(0, width, True, lambda k: 0.0,
+    return Group(0, width, lambda k: 0.0,
                  lambda p: np.multiply.outer(np.eye(1, width)[0], np.ones(p.shape[1:])),
                  lambda p, z, g: np.zeros_like(p))
 
@@ -116,12 +114,12 @@ TRIVIAL = {width: _trivial(width) for width in (1, 2, 4)}
 # (the benchmark's tracer) see them.
 GROUPS = {
     "fixed": TRIVIAL[1],
-    "gl1": Group(1, 1, False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
-    "quaternion": Group(4, 4, False, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
-    "u1": Group(1, 2, True, lambda k: np.pi,
+    "gl1": Group(1, 1, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
+    "quaternion": Group(4, 4, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
+    "u1": Group(1, 2, lambda k: np.pi,
                 lambda p: algebra.angle_to_complex(p[0]),
                 lambda p, z, g: algebra.angle_backward(z, g)[None]),
-    "unit_quaternion": Group(3, 4, True, lambda k: np.pi,
+    "unit_quaternion": Group(3, 4, lambda k: np.pi,
                              lambda p: algebra.exp_map(p),
                              lambda p, z, g: algebra.exp_map_backward(p, z, g)),
 }

@@ -153,15 +153,18 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     `store.entity[rows]`; the call returns (loss, None, grad_relation) and
     allocates no table-sized gradient. `update` runs on the thread pool after
     its block has read its parameters, and may write those rows of
-    `store.entity`. With `update`, a loss that is not finite raises
-    NonFiniteLoss before any block runs, so nothing is updated. An id
-    outside the parameter tables raises IndexError.
+    `store.entity`. The loss's regularizer share takes G_p of the combined
+    head, the materialized scaling and the combined tail alike, whatever
+    their groups. A loss that is not finite raises NonFiniteLoss before any
+    block runs, with or without `update`, so nothing is updated and no
+    gradient is returned. An id outside the parameter tables raises
+    IndexError.
     """
     triples = np.asarray(triples, dtype=np.int64)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
         raise ShapeMismatch("batch must be a nonempty (n, 3) id array")
     variant = store.variant
-    b, k = len(triples), store.k
+    b = len(triples)
     heads, rels, tails = triples.T
     if tails.min() < 0 or tails.max() >= store.n_entities:
         raise IndexError("tail id out of range")
@@ -173,27 +176,22 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     c_all = model.combined_embeddings(store)  # (E, k, w)
     data_loss, grad_h_prime, grad_c = variant.kernel(model.element_last(h_prime), c_all, tails)
 
+    # the regularizer, one rule for all three terms: G_p and dG_p/dx = 2 x * coeff
+    # of the combined heads and tails and of the materialized scalings. For a
+    # unit scaling group that gives k^(1/p) and a zero gradient, up to rounding.
     scale = cfg.lam / b
-    c_h, c_t = c_all[heads], c_all[tails]
+    c_h, c_t, g_s = c_all[heads], c_all[tails], elems[2]
     gp_h, coeff_h = _gp_pieces(np.sum(c_h * c_h, axis=-1), cfg.p)
     gp_t, coeff_t = _gp_pieces(np.sum(c_t * c_t, axis=-1), cfg.p)
-    if variant.scaling.unit:
-        # G_p(r) of unit (or trivial) scaling elements is the constant k^(1/p).
-        # Adding its zero gradient can only flip the sign of a zero, which the
-        # scatter into the zeroed gradient table below drops.
-        gp_r, reg_r = np.full(b, float(k) ** (1.0 / cfg.p)), 0.0
-    else:
-        g_s = elems[2]
-        gp_r, coeff_r = _gp_pieces(algebra.field_norm(g_s), cfg.p)
-        reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r
+    gp_r, coeff_r = _gp_pieces(algebra.field_norm(g_s), cfg.p)
     reg_loss = cfg.lam * np.sum(
         cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t
     )
     loss = float((data_loss + reg_loss) / b)
-    if update is not None and not math.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss {loss}")
 
-    # regularizer contributions: dG_p/dx = 2 x * coeff
+    reg_r = scale * cfg.lambda2 * 2.0 * g_s * coeff_r
     np.add.at(grad_c, heads, scale * cfg.lambda1 * 2.0 * c_h * coeff_h[..., None])
     np.add.at(grad_c, tails, scale * cfg.lambda3 * 2.0 * c_t * coeff_t[..., None])
 
@@ -252,15 +250,15 @@ def _adagrad(table, acc, grad, lr):
     table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
-def adagrad_step(store, state, grad_entity, grad_relation, lr=None):
-    """In-place Adagrad update of both whole tables from dense gradient tables.
-    `fit` updates each entity row block instead; this dense step stays as the
-    reference those updates match bit for bit (tests, `tools/digests.py`)."""
+def adagrad_step(store, state, grad_entity, grad_relation):
+    """In-place Adagrad update of both whole tables from dense gradient tables,
+    at the state's rate `state.lr`. `fit` updates each entity row block
+    instead; this dense step stays as the reference those updates match bit
+    for bit (tests, `tools/digests.py`)."""
     if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
         raise ShapeMismatch("gradient tables do not match parameter tables")
-    lr = state.lr if lr is None else lr
-    _adagrad(store.entity, state.acc_entity, grad_entity, lr)
-    _adagrad(store.relation, state.acc_relation, grad_relation, lr)
+    _adagrad(store.entity, state.acc_entity, grad_entity, state.lr)
+    _adagrad(store.relation, state.acc_relation, grad_relation, state.lr)
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,19 @@ class TestBadInput:
         assert err.startswith(f"error: cannot create output directory {out!r}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["checkpoint.mkge", "metrics.csv"])
+    def test_output_file_is_directory(self, name, toy_dataset, tmp_path, capsys):
+        """An output that cannot be written fails in one line naming it, and
+        the checkpoint save leaves no temp file; outputs written before it
+        stay usable."""
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(out))])
+        assert err.count("\n") == 1 and str(out / name) in err
+        assert (out / name).is_dir() and not (out / "checkpoint.mkge.tmp").exists()
+        if name == "metrics.csv":
+            assert ckpt.load_checkpoint(str(out / "checkpoint.mkge")).epoch == 2
+
     @pytest.mark.parametrize("sets", [["k=3,0"], ["foo=1"], ["k=2", "k=3"], ["out=x"],
                                       ["seed=0,00"], ["model=hh,module_hh"]],
                              ids=["invalid_value", "unknown_key", "repeated_key", "out_key",

@@ -357,7 +357,7 @@ class TestGroupTable:
         and passes no gradient back."""
         group = model.GROUPS[name]
         trivial = model.TRIVIAL[group.width]
-        assert trivial.param_width == 0 and trivial.width == group.width and trivial.unit
+        assert trivial.param_width == 0 and trivial.width == group.width
         params = np.empty((0, 2, 3))
         elems = trivial.materialize(params)
         assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width).T[..., None],

@@ -353,6 +353,20 @@ class TestRegularizer:
         # N(combined) = N(scalar) = 4 for unit vector part; G_2 = (4^2)^(1/2)
         assert train.regularizer(store, 0, 0, 1, cfg) == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name,ablation", [("module_hh", "both"), ("module_hh", "scalar"),
+                                               ("module_rc", "both")])
+    def test_unit_scalings_get_no_regularizer_gradient(self, name, ablation):
+        """G_p of unit scalings is the constant k^(1/p), so the regularizer
+        moves their gradient by rounding only. Free `gl1` scalings
+        (`module_rc`) are the control, whose gradient it moves."""
+        store = model.init_model(name, 4, 10, 3, seed=6, ablation=ablation)
+        g_r, g_r0 = (train.batch_loss_and_grads(store, REPEATED_BATCH,
+                                                train.LossConfig(p=3, lam=lam))[2]
+                     for lam in (0.5, 0.0))
+        diff = np.max(np.abs(store.relation_parts(g_r)[0] - store.relation_parts(g_r0)[0]))
+        bound = 1e-12 * np.max(np.abs(g_r))
+        assert diff < bound if name == "module_hh" else diff > bound
+
     def test_linearity_in_lambda(self):
         store = model.init_model("module_rh", 2, 3, 2, seed=1)
         one = train.LossConfig(p=3, lam=0.5, lambda1=1.0, lambda2=1.0, lambda3=1.0)
@@ -524,6 +538,37 @@ class TestFit:
         assert max(mrrs) > 2 * mrrs[0]  # it learned before it stalled
         assert runs[0] == runs[1]
 
+    def test_callback_sees_each_epoch_that_runs(self):
+        """`fit` calls back once per epoch that runs, in order, with that
+        epoch's record and the store as the epoch left it, which is the store
+        a run stopped after that epoch returns. The epoch that stops the run
+        early is called back too."""
+        vocab, kg = data.generate_synthetic_kg(seed=2, n_entities=40)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        index = data.build_filter_index(kg, vocab)
+        cfg = train.FitConfig(epochs=20, batch_size=32, lr=0.2, seed=0, eval_interval=1,
+                              patience=1, loss=train.LossConfig(p=3, lam=0.01))
+
+        def run(**kwargs):
+            store = model.init_model("module_rc", 8, vocab.n_entities, vocab.n_relations, seed=1)
+            seen = []
+
+            def callback(rec, got):
+                assert got is store
+                seen.append((rec, store.entity.tobytes() + store.relation.tobytes()))
+
+            report, _ = train.fit(store, triples, cfg, valid_triples=kg.valid,
+                                  filter_index=index, callback=callback, **kwargs)
+            return report, seen, store
+
+        report, seen, _ = run()
+        assert len(seen) == len(report.epochs)
+        assert all(rec is kept for (rec, _), kept in zip(seen, report.epochs))
+        assert [rec.epoch for rec in report.epochs] == list(range(len(seen)))
+        assert 3 <= len(seen) < cfg.epochs  # the last epoch called back stopped the run
+        _, _, stopped = run(stop_epoch=2)
+        assert seen[1][1] == stopped.entity.tobytes() + stopped.relation.tobytes()
+
     def test_all_trivial_model_runs_end_to_end(self, tmp_path):
         """distmult with ablation "vector" freezes all four parts, so both its
         tables have no columns: an epoch of `fit`, a checkpoint round trip
@@ -550,7 +595,8 @@ class TestFit:
     @pytest.mark.parametrize("name", ["module_rc", "rotate"])
     def test_nonfinite_aborts(self, name):
         """The loss is checked before any row block updates, so the tables
-        and the accumulators keep their bytes."""
+        and the accumulators keep their bytes. The dense gradient call, with
+        no update, raises as well instead of returning NaN tables."""
         store = model.init_model(name, 2, 4, 2, seed=0)
         store.entity[0, 0] = np.nan
         rng = np.random.default_rng(2)
@@ -565,6 +611,9 @@ class TestFit:
             warnings.simplefilter("error", RuntimeWarning)
             train.fit(store, small_batch(), cfg, opt_state=opt)
         assert [a.tobytes() for a in state] == before
+        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss, match="^loss nan$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            train.batch_loss_and_grads(store, small_batch(), cfg.loss)
 
 
 BLOCK_K = 2
