@@ -30,7 +30,7 @@ PRESETS = {
 }
 
 MODEL_ALIASES = {"rc": "module_rc", "rh": "module_rh", "hh": "module_hh"}
-_CASTS = {"int": int, "float": float, "str": str}  # by field type, for config lines and flags
+_CASTS = {"int": int, "float": float, "str": str}  # by field type, for every setting value
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def resolve_config(args):
     if getattr(args, "config", None):
         cfg = load_config_file(args.config, base=cfg)
     flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    cfg = replace(cfg, **{name: _cast_setting(name, value, _flag(name))
+                          for name, value in flags.items() if value is not None})
     return replace(cfg, model=MODEL_ALIASES.get(cfg.model, cfg.model)).validate()
 
 
@@ -243,29 +244,38 @@ def cmd_grid(args):
             raise ParseError(f"--set: grid point {cfg.out!r} is repeated")
         seen.add(cfg.out)
     _make_dir(root)
-    rows = [[*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"]]
-    for cfg in points:
-        _, report, m = run_training(cfg)
-        best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
-                   key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
-        valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]
-        rows.append([getattr(cfg, key) for key in axes] + valid
-                    + [f"{v:.6f}" for v in (m.mrr, m.hits1, m.hits3, m.hits10)])
-        print(f"{os.path.basename(cfg.out)} mrr={m.mrr:.4f} h@1={m.hits1:.4f}")
     with open(os.path.join(root, "grid.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+        def write_row(row):  # flushed, so a later failure keeps the finished points
+            fh.write(",".join(map(str, row)) + "\n")
+            fh.flush()
+
+        write_row([*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"])
+        for cfg in points:
+            _, report, m = run_training(cfg)
+            best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
+                       key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
+            valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]
+            write_row([getattr(cfg, key) for key in axes] + valid
+                      + [f"{v:.6f}" for v in (m.mrr, m.hits1, m.hits3, m.hits10)])
+            print(f"{os.path.basename(cfg.out)} mrr={m.mrr:.4f} h@1={m.hits1:.4f}")
     return 0
 
 
 _HELP = {"dataset": "directory with train.txt/valid.txt/test.txt", "out": "output directory"}
 
 
+def _flag(name):
+    """The command-line flag of setting `name`."""
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+
+
 def _add_common_flags(parser):
-    """One flag per ExperimentConfig field, `--lambda` for lam; values are
-    checked by ExperimentConfig.validate, as those of config files are."""
+    """One flag per ExperimentConfig field; `resolve_config` casts and checks
+    its value as it does a config file's, so a bad one exits 1 with an
+    `error:` line."""
     for f in fields(ExperimentConfig):
-        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, type=_CASTS[f.type], help=_HELP.get(f.name))
+        parser.add_argument(_flag(f.name), dest=f.name, help=_HELP.get(f.name))
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--config", help="key=value config file; flags override it")
 

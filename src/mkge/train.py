@@ -26,11 +26,12 @@ over the entity rows follows. Each block rebuilds its `model.entity_inputs`
 combined-table gradient through `combine`, adds in batch order the head parts
 of the batch rows whose head lies in the block, and pulls each part's sum
 through its group once, into a block of the entity gradient (column blocks
-as in `ParameterStore.entity_parts`) that it writes into a dense gradient
-table or hands to an update. `fit` passes an Adagrad update, so a step reads
-the entity table twice (forward, then backward and update) and holds no
-table-sized entity gradient. Blocks write disjoint rows, so no result
-depends on the pool size or block size.
+as in `ParameterStore.entity_parts`) that it hands to `update(rows, grad)`.
+`fit`'s update is `adagrad_step` on the block's rows, so a step reads the
+entity table twice (forward, then backward and update) and holds no
+table-sized entity gradient; without an update the blocks fill a dense
+gradient table, the reference the tests compare against. Blocks write
+disjoint rows, so no result depends on the pool size or block size.
 
 Layouts: the reverse mode computes on component planes (w, ..., k), as
 `algebra` does. Each block's parameter and element planes, its rows of the
@@ -147,13 +148,14 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     """Mean 1-vs-all loss of a batch plus exact gradients.
 
     Returns (loss, grad_entity, grad_relation) with gradient tables shaped
-    like the parameter tables. Given `update`, the entity gradient is handed
-    over per row block instead, as update(rows, grad_rows) with `rows` a slice
-    of entity rows and `grad_rows` their gradient, shaped like
-    `store.entity[rows]`; the call returns (loss, None, grad_relation) and
-    allocates no table-sized gradient. `update` runs on the thread pool after
-    its block has read its parameters, and may write those rows of
-    `store.entity`. The loss's regularizer share takes G_p of the combined
+    like the parameter tables. The entity gradient is handed over per row
+    block, as update(rows, grad_rows) with `rows` a slice of entity rows and
+    `grad_rows` their gradient, shaped like `store.entity[rows]`. Without
+    `update` those calls fill a dense table (`grad_entity.__setitem__`);
+    given one, the call returns (loss, None, grad_relation) and allocates no
+    table-sized gradient. `update` runs on the thread pool after its block
+    has read its parameters, and may write those rows of `store.entity`.
+    The loss's regularizer share takes G_p of the combined
     head, the materialized scaling and the combined tail alike, whatever
     their groups. A loss that is not finite raises NonFiniteLoss before any
     block runs, with or without `update`, so nothing is updated and no
@@ -216,10 +218,11 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     # combine, adding in batch order the head parts of the batch rows whose
     # head lies in the block, and pulling the sum through each group
     grad_entity = np.empty_like(store.entity) if update is None else None
+    update = grad_entity.__setitem__ if update is None else update
 
     def backward(rows):
         block_params, block_elems = model.entity_inputs(store, rows)
-        grad = np.empty_like(store.entity[rows]) if grad_entity is None else grad_entity[rows]
+        grad = np.empty_like(store.entity[rows])
         in_block = np.flatnonzero((heads >= rows.start) & (heads < rows.stop))
         for group, param, elem, grad_elem, grad_part, head_part in zip(
             groups[:2], block_params, block_elems,
@@ -229,36 +232,21 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
             np.add.at(grad_elem, (slice(None), heads[in_block] - rows.start),
                       head_part[:, in_block])
             np.moveaxis(grad_part, -1, 0)[...] = group.param_backward(param, elem, grad_elem)
-        if update is not None:
-            update(rows, grad)
+        update(rows, grad)
 
     for _ in map_blocks(backward, store.n_entities, model.rows_per_block(store)):
         pass
     return loss, grad_entity, grad_relation
 
 
-def triple_loss(store, h_id, r_id, t_id, cfg):
-    """Loss contribution of one triple (its 1-vs-all sum plus its Phi share)."""
-    loss, _, _ = batch_loss_and_grads(store, np.array([[h_id, r_id, t_id]]), cfg)
-    return loss
-
-
-def _adagrad(table, acc, grad, lr):
-    """In-place Adagrad update of a table or block: acc += g^2;
-    p -= lr * g / (sqrt(acc) + eps)."""
+def adagrad_step(table, acc, grad, lr):
+    """In-place Adagrad update of a parameter table or row block and its
+    accumulator: acc += g^2; p -= lr * g / (sqrt(acc) + eps)."""
+    if not table.shape == acc.shape == grad.shape:
+        raise ShapeMismatch(f"Adagrad shapes differ: table {table.shape}, "
+                            f"accumulator {acc.shape}, gradient {grad.shape}")
     acc += grad**2
     table -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
-
-
-def adagrad_step(store, state, grad_entity, grad_relation):
-    """In-place Adagrad update of both whole tables from dense gradient tables,
-    at the state's rate `state.lr`. `fit` updates each entity row block
-    instead; this dense step stays as the reference those updates match bit
-    for bit (tests, `tools/digests.py`)."""
-    if grad_entity.shape != store.entity.shape or grad_relation.shape != store.relation.shape:
-        raise ShapeMismatch("gradient tables do not match parameter tables")
-    _adagrad(store.entity, state.acc_entity, grad_entity, state.lr)
-    _adagrad(store.relation, state.acc_relation, grad_relation, state.lr)
 
 
 @dataclass(frozen=True)
@@ -312,7 +300,7 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
         total, n_batches = 0.0, 0
 
         def update(rows, grad):  # Adagrad on each entity row block of the step
-            _adagrad(store.entity[rows], opt_state.acc_entity[rows], grad, lr)
+            adagrad_step(store.entity[rows], opt_state.acc_entity[rows], grad, lr)
 
         for start in range(0, len(order), cfg.batch_size):
             batch = train_triples[order[start : start + cfg.batch_size]]
@@ -320,7 +308,7 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
                 loss, _, g_r = batch_loss_and_grads(store, batch, cfg.loss, update)
             except NonFiniteLoss as err:
                 raise NonFiniteLoss(f"{err} at epoch {epoch}") from None
-            _adagrad(store.relation, opt_state.acc_relation, g_r, lr)
+            adagrad_step(store.relation, opt_state.acc_relation, g_r, lr)
             total += loss
             n_batches += 1
         valid_mrr = None

@@ -258,10 +258,10 @@ class TestConfig:
 
     def test_flags_are_the_config_fields(self):
         """Each setting flag is derived from its ExperimentConfig field: cast
-        like a config line and checked like one, so it lists no choices."""
+        like a config line and checked like one, so it has no type and lists
+        no choices."""
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        casts = {"int": int, "float": float, "str": str}
         settings = {f.name: f for f in fields(cli.ExperimentConfig)}
         own_flags = {"train": {"resume"}, "eval": {"checkpoint", "split"}, "grid": {"set"}}
         assert set(subparsers.choices) == set(own_flags)
@@ -270,7 +270,7 @@ class TestConfig:
                        if a.dest != "help"}
             assert set(actions) == set(settings) | {"preset", "config"} | own
             for name, f in settings.items():
-                assert actions[name].type is casts[f.type] and actions[name].choices is None
+                assert actions[name].type is None and actions[name].choices is None
 
     def test_fit_defaults_agree(self):
         """The trainer's defaults are declared twice, so that importing cli
@@ -389,6 +389,24 @@ class TestBadInput:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "grid"])
+    @pytest.mark.parametrize("flag,value,key", [("--k", "abc", "k"), ("--lr", "x", "lr"),
+                                                ("--lambda", "abc", "lam"),
+                                                ("--epochs", "1.5", "epochs")],
+                             ids=["k", "lr", "lambda", "epochs"])
+    def test_flag_value_fails_cast(self, command, flag, value, key, toy_dataset, tmp_path,
+                                   capsys, monkeypatch):
+        """A flag's value is cast where a config line's is, so one that does
+        not parse exits 1 with one `error:` line naming the flag."""
+        monkeypatch.setattr(train, "fit", never)
+        out = tmp_path / "o"
+        own = {"train": [], "grid": ["--set", "seed=0,1"],
+               "eval": ["--checkpoint", str(tmp_path / "none.mkge")]}[command]
+        err = self.run(capsys, [command, *small_args(toy_dataset, str(out), [flag, value]),
+                                *own])
+        assert err == f"error: {flag}: bad value {value!r} for key {key!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--lambda", "nan"), ("--lambda2", "inf"),
                                             ("--lambda3", "-1")])
     def test_bad_regularization_rate(self, flag, value, toy_dataset, tmp_path, capsys):
@@ -440,6 +458,15 @@ class TestBadInput:
             argv += ["--set", item]
         assert self.run(capsys, argv).count("\n") == 1
         assert not out.exists()
+
+    def test_grid_csv_is_directory(self, toy_dataset, tmp_path, capsys, monkeypatch):
+        """`grid.csv` is opened before the first point trains."""
+        monkeypatch.setattr(train, "fit", never)
+        out = tmp_path / "grid"
+        (out / "grid.csv").mkdir(parents=True)
+        err = self.run(capsys, ["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0,1"])
+        assert err.count("\n") == 1 and str(out / "grid.csv") in err
+        assert os.listdir(out) == ["grid.csv"]
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap(self, value, toy_dataset, tmp_path, capsys, monkeypatch):
@@ -682,6 +709,27 @@ class TestCmdGrid:
                 point = out / f"model={name},seed={seed}" / fname
                 assert point.read_bytes() == (trained / fname).read_bytes()
             assert row[-4:] == (trained / "metrics.csv").read_text().splitlines()[1].split(",")
+
+    def test_failed_point_keeps_finished_rows(self, toy_dataset, tmp_path, capsys,
+                                              monkeypatch):
+        """Each point's row is on disk as soon as the point finishes: a failure
+        in the second point leaves the header and the first point's row."""
+        out = tmp_path / "grid"
+        fit, seen = train.fit, []
+
+        def fit_once(*args, **kwargs):
+            if seen:
+                seen.append((out / "grid.csv").read_text())
+                raise ValueError("second point failed")
+            seen.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(train, "fit", fit_once)
+        assert cli.main(["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0,1"]) == 1
+        assert capsys.readouterr().err == "error: second point failed\n"
+        header, rows = grid_rows(str(out))
+        assert header[0] == "seed" and [row[0] for row in rows] == ["0"]
+        assert seen[1] == (out / "grid.csv").read_text()
 
     def test_valid_columns_are_the_best_report_row(self, toy_dataset, tmp_path):
         out = tmp_path / "grid"

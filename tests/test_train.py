@@ -21,6 +21,12 @@ SMALL = dict(k=2, n_entities=4, n_relations=2)
 LOSS = train.LossConfig(p=3, lam=0.05, lambda1=2.0, lambda2=0.5, lambda3=2.0)
 
 
+def dense_step(store, state, grad_entity, grad_relation):
+    """The dense reference step: `adagrad_step` on each whole table."""
+    train.adagrad_step(store.entity, state.acc_entity, grad_entity, state.lr)
+    train.adagrad_step(store.relation, state.acc_relation, grad_relation, state.lr)
+
+
 def small_batch(seed=0):
     rng = np.random.default_rng(seed)
     h = rng.integers(SMALL["n_entities"], size=3)
@@ -300,13 +306,15 @@ class TestLoss:
         store = model.init_model("module_rc", 2, 1, 1, seed=0)
         cfg = train.LossConfig(p=2, lam=0.0)
         s = model.score(store, 0, 0, 0)
-        assert train.triple_loss(store, 0, 0, 0, cfg) == pytest.approx(np.logaddexp(0, -s))
+        loss = train.batch_loss_and_grads(store, np.array([[0, 0, 0]]), cfg)[0]
+        assert loss == pytest.approx(np.logaddexp(0, -s))
 
     def test_all_zero_scores(self):
         store = model.init_model("module_rc", 2, 5, 1, seed=0)
         store.entity[:, :2] = 0.0  # zero scalars kill every cosine score
         cfg = train.LossConfig(p=2, lam=0.0)
-        assert train.triple_loss(store, 0, 0, 1, cfg) == pytest.approx(5 * np.log(2.0))
+        loss = train.batch_loss_and_grads(store, np.array([[0, 0, 1]]), cfg)[0]
+        assert loss == pytest.approx(5 * np.log(2.0))
 
     def test_matches_direct_summation_oracle(self):
         store = model.init_model("module_hh", 2, 3, 2, seed=2)
@@ -317,7 +325,8 @@ class TestLoss:
             y = 1.0 if t2 == t else -1.0
             direct += np.logaddexp(0.0, -y * model.score(store, h, r, t2))
         direct += train.regularizer(store, h, r, t, cfg)
-        assert train.triple_loss(store, h, r, t, cfg) == pytest.approx(direct, abs=1e-12)
+        loss = train.batch_loss_and_grads(store, np.array([[h, r, t]]), cfg)[0]
+        assert loss == pytest.approx(direct, abs=1e-12)
 
     def test_batch_permutation_invariance(self):
         store = model.init_model("module_rh", 2, 5, 2, seed=4)
@@ -337,7 +346,7 @@ class TestLoss:
         store = model.init_model("module_rc", 2, 3, 1, seed=0)
         store.entity[:, :2] = 40.0  # cosine scores of magnitude ~1e3
         cfg = train.LossConfig(p=2, lam=0.0)
-        assert np.isfinite(train.triple_loss(store, 0, 0, 1, cfg))
+        assert np.isfinite(train.batch_loss_and_grads(store, np.array([[0, 0, 1]]), cfg)[0])
 
 
 class TestRegularizer:
@@ -381,7 +390,7 @@ class TestAdagrad:
         store = model.init_model("module_rc", 2, 3, 2, seed=0)
         state = train.OptimizerState.for_store(store)
         before = store.entity.copy()
-        train.adagrad_step(store, state, np.zeros_like(store.entity), np.zeros_like(store.relation))
+        dense_step(store, state, np.zeros_like(store.entity), np.zeros_like(store.relation))
         assert np.array_equal(store.entity, before)
         assert np.all(state.acc_entity == 0.0)
 
@@ -391,7 +400,7 @@ class TestAdagrad:
         before = store.entity[0, 0]
         g_e = np.zeros_like(store.entity)
         g_e[0, 0] = 1.0
-        train.adagrad_step(store, state, g_e, np.zeros_like(store.relation))
+        dense_step(store, state, g_e, np.zeros_like(store.relation))
         assert before - store.entity[0, 0] == pytest.approx(0.1 / (1.0 + 1e-10))
 
     def test_second_step_shrinks(self):
@@ -400,9 +409,9 @@ class TestAdagrad:
         g_e = np.ones_like(store.entity)
         g_r = np.zeros_like(store.relation)
         p0 = store.entity[0, 0]
-        train.adagrad_step(store, state, g_e, g_r)
+        dense_step(store, state, g_e, g_r)
         p1 = store.entity[0, 0]
-        train.adagrad_step(store, state, g_e, g_r)
+        dense_step(store, state, g_e, g_r)
         p2 = store.entity[0, 0]
         assert abs(p2 - p1) < abs(p1 - p0)
 
@@ -410,7 +419,11 @@ class TestAdagrad:
         store = model.init_model("module_rc", 2, 3, 2, seed=0)
         state = train.OptimizerState.for_store(store)
         with pytest.raises(ShapeMismatch):
-            train.adagrad_step(store, state, np.zeros((1, 1)), np.zeros_like(store.relation))
+            dense_step(store, state, np.zeros((1, 1)), np.zeros_like(store.relation))
+        with pytest.raises(ShapeMismatch):  # a row block's accumulator from other rows
+            train.adagrad_step(store.entity[:2], state.acc_entity[:1],
+                               np.ones_like(store.entity[:2]), 0.1)
+        assert not state.acc_entity.any()
 
 
 class TestSchedule:
@@ -478,7 +491,7 @@ class TestFit:
         scores = [model.score(store, 0, 0, 0)]
         for _ in range(10):
             _, g_e, g_r = train.batch_loss_and_grads(store, np.array([[0, 0, 0]]), cfg)
-            train.adagrad_step(store, state, g_e, g_r)
+            dense_step(store, state, g_e, g_r)
             scores.append(model.score(store, 0, 0, 0))
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
@@ -679,7 +692,8 @@ class TestRowBlocks:
     def test_fit_step_equals_dense_step(self, name, ablation, monkeypatch, thread_pools):
         """One `fit` step, which updates each row block as soon as its
         gradient is complete, leaves the bytes of the dense gradient tables
-        followed by `adagrad_step`, from the same nonzero accumulators."""
+        followed by `adagrad_step` on each whole table, from the same nonzero
+        accumulators."""
         cfg = train.FitConfig(epochs=1, batch_size=len(BLOCK_BATCH), lr=0.3, seed=5, loss=LOSS)
         # the one batch of epoch 0, in fit's shuffled order
         batch = BLOCK_BATCH[np.random.default_rng((cfg.seed, 0)).permutation(len(BLOCK_BATCH))]
@@ -695,7 +709,7 @@ class TestRowBlocks:
                     train.fit(store, BLOCK_BATCH, cfg, opt_state=opt)
                 else:
                     _, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
-                    train.adagrad_step(store, opt, g_e, g_r)
+                    dense_step(store, opt, g_e, g_r)
                 tables.append(b"".join(a.tobytes() for a in (
                     store.entity, store.relation, opt.acc_entity, opt.acc_relation)))
             assert tables[0] == tables[1]
@@ -730,6 +744,27 @@ class TestRowBlocks:
                                             vector=counted("vector"))
         train.batch_loss_and_grads(store, BLOCK_BATCH, LOSS)
         assert {part: sum(n) for part, n in seen.items()} == {"scalar": 20, "vector": 20}
+
+    @pytest.mark.parametrize("rows", [3, 20])
+    def test_fit_step_runs_adagrad_step_per_block(self, rows, monkeypatch, thread_pools):
+        """`fit` updates through `train.adagrad_step` looked up by name, as a
+        wrapper set on the module sees it: once per entity row block, then
+        once for the relation table."""
+        store = model.init_model("module_hh", BLOCK_K, 20, 4, seed=6)
+        width = BLOCK_K * store.variant.vector.width
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
+        monkeypatch.setattr(mkge, "_pool", thread_pools[2])
+        calls, step = [], train.adagrad_step
+
+        def counted(table, acc, grad, lr):
+            calls.append(len(table) if np.shares_memory(table, store.entity) else "relation")
+            step(table, acc, grad, lr)
+
+        monkeypatch.setattr(train, "adagrad_step", counted)
+        cfg = train.FitConfig(epochs=1, batch_size=len(BLOCK_BATCH), loss=LOSS)
+        train.fit(store, BLOCK_BATCH, cfg)
+        blocks = [min(rows, 20 - start) for start in range(0, 20, rows)]
+        assert sorted(calls[:-1]) == sorted(blocks) and calls[-1] == "relation"
 
     def test_fit_step_peak_memory(self, monkeypatch, thread_pools):
         """A `fit` step holds the combined entities and their gradient, and

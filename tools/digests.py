@@ -12,7 +12,8 @@ fields up to `loss` are computed by the forward alone, from the initial
 tables, so a change to the backward or to Adagrad leaves them as they are.
 `fit=` runs the training step that updates each entity row block as its
 gradient is complete; `grads=` and `adagrad=` run the dense path, the whole
-gradient tables of `batch_loss_and_grads` and then `adagrad_step`.
+gradient tables of `batch_loss_and_grads` and then `adagrad_step` on each
+whole table.
 Row blocks, distance chunks and evaluation blocks are set small, so the
 entity work, the distance kernel and the ranking run in several blocks, as
 they do at full scale.
@@ -59,7 +60,9 @@ def case(name, ablation, vocab, triples, aug, index):
     fields.append(f"scores={digest(model.score_all_tails(store, batch[:, 0], batch[:, 1]))}")
     loss, g_e, g_r = train.batch_loss_and_grads(store, batch, LOSS)
     fields += [f"loss={float(loss).hex()}", f"grads={digest(g_e, g_r)}"]
-    train.adagrad_step(store, train.OptimizerState.for_store(store), g_e, g_r)
+    state = train.OptimizerState.for_store(store)
+    train.adagrad_step(store.entity, state.acc_entity, g_e, state.lr)
+    train.adagrad_step(store.relation, state.acc_relation, g_r, state.lr)
     fields.append(f"adagrad={digest(store.entity, store.relation)}")
 
     store = model.init_model(name, K, vocab.n_entities, vocab.n_relations, SEED, ablation)
