@@ -1,8 +1,12 @@
 """Experiment harness: train / eval / grid subcommands.
 
-Settings resolve as defaults < preset < config file < flags < a grid point's
-`--set` values; the resolved key=value form is written next to the outputs
-and reparses to an equal config. All outputs are CSV with a header row.
+`train` and `grid` take one flag per run setting. Settings resolve as
+defaults < preset < config file < flags < a grid point's `--set` values; the
+resolved key=value form is written next to the outputs and reparses to an
+equal config. `eval` takes only `--dataset`, `--checkpoint`, `--split` and
+`--out`: the checkpoint fixes the variant, k and ablation. A bad value of
+any flag exits 1 with one `error:` line. All outputs are CSV with a header
+row.
 """
 
 from __future__ import annotations
@@ -119,11 +123,13 @@ def load_config_file(path, base=None):
 
 def resolve_config(args):
     cfg = ExperimentConfig()
-    if getattr(args, "preset", None):
+    if args.preset is not None:
+        if args.preset not in PRESETS:
+            raise ValueError(f"unknown preset {args.preset!r}")
         cfg = replace(cfg, **PRESETS[args.preset])
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config_file(args.config, base=cfg)
-    flags = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     cfg = replace(cfg, **{name: _cast_setting(name, value, _flag(name))
                           for name, value in flags.items() if value is not None})
     return replace(cfg, model=MODEL_ALIASES.get(cfg.model, cfg.model)).validate()
@@ -139,20 +145,17 @@ def _fit_config(cfg):
     return FitConfig(**settings(FitConfig), loss=LossConfig(**settings(LossConfig)))
 
 
-def _prepare(cfg):
+def _prepare(dataset, split):
+    """The dataset's vocab, triples, filter index and reciprocal train
+    triples; an empty `split`, the one to be ranked, fails before any work."""
     from . import data
 
-    vocab, triples = data.build_dataset(cfg.dataset)
+    vocab, triples = data.build_dataset(dataset)
+    if len(triples.splits()[split]) == 0:
+        raise ValueError(f"{split} split of {dataset} is empty: nothing to rank")
     index = data.build_filter_index(triples, vocab)
     train_aug = data.augment_reciprocal(triples.train, vocab)
     return vocab, triples, index, train_aug
-
-
-def _digest(cfg, vocab):
-    from .checkpoint import config_digest
-
-    return config_digest(cfg.model, cfg.k, cfg.ablation,
-                         vocab.n_entities, vocab.n_relations)
 
 
 def _make_dir(path):
@@ -177,9 +180,10 @@ def run_training(cfg, resume=None):
     from . import checkpoint as ckpt
     from . import model, train
 
-    vocab, triples, index, train_aug = _prepare(cfg)
+    vocab, triples, index, train_aug = _prepare(cfg.dataset, "test")
     _make_dir(cfg.out)
-    digest = _digest(cfg, vocab)
+    digest = ckpt.config_digest(cfg.model, cfg.k, cfg.ablation,
+                                vocab.n_entities, vocab.n_relations)
     start_epoch, opt_state = 0, None
     if resume:
         loaded = ckpt.load_checkpoint(resume)
@@ -204,22 +208,27 @@ def run_training(cfg, resume=None):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    _, _, metrics = run_training(cfg, resume=getattr(args, "resume", None))
+    _, _, metrics = run_training(cfg, resume=args.resume)
     print(metrics.format_table())
     return 0
 
 
 def cmd_eval(args):
+    """Rank `--split` with the checkpoint's model, whose variant, k and
+    ablation are bound to the dataset's sizes by the checkpoint digest."""
     from . import checkpoint as ckpt
 
-    cfg = resolve_config(args)
-    vocab, triples, index, _ = _prepare(cfg)
-    _make_dir(cfg.out)
+    if not args.dataset:
+        raise ValueError("--dataset is required")
+    if args.split not in ("train", "valid", "test"):
+        raise ValueError(f"unknown split {args.split!r}")
+    vocab, triples, index, _ = _prepare(args.dataset, args.split)
+    _make_dir(args.out)
     loaded = ckpt.load_checkpoint(args.checkpoint)
     store = loaded.store
-    loaded.verify_digest(_digest(replace(cfg, model=store.variant.name, k=store.k,
-                                         ablation=store.ablation), vocab))
-    metrics = _evaluate(triples.splits()[args.split], store, index, vocab, cfg.out)
+    loaded.verify_digest(ckpt.config_digest(store.variant.name, store.k, store.ablation,
+                                            vocab.n_entities, vocab.n_relations))
+    metrics = _evaluate(triples.splits()[args.split], store, index, vocab, args.out)
     print(metrics.format_table())
     return 0
 
@@ -276,7 +285,7 @@ def _add_common_flags(parser):
     `error:` line."""
     for f in fields(ExperimentConfig):
         parser.add_argument(_flag(f.name), dest=f.name, help=_HELP.get(f.name))
-    parser.add_argument("--preset", choices=sorted(PRESETS))
+    parser.add_argument("--preset", help="tuned settings: " + ", ".join(sorted(PRESETS)))
     parser.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -291,9 +300,10 @@ def build_parser():
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common_flags(p_eval)
+    p_eval.add_argument("--dataset", help=_HELP["dataset"])
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p_eval.add_argument("--split", default="test", help="train, valid or test")
+    p_eval.add_argument("--out", default=ExperimentConfig.out, help=_HELP["out"])
     p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", help="train every point of a settings grid")

@@ -257,20 +257,22 @@ class TestConfig:
         assert cfg.k == 8
 
     def test_flags_are_the_config_fields(self):
-        """Each setting flag is derived from its ExperimentConfig field: cast
-        like a config line and checked like one, so it has no type and lists
-        no choices."""
+        """Each setting flag of `train` and `grid` is derived from its
+        ExperimentConfig field. `eval` takes only the flags it reads, as the
+        checkpoint fixes the model. Every value is cast and checked by mkge,
+        not argparse, so no flag has a type or lists choices."""
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        settings = {f.name: f for f in fields(cli.ExperimentConfig)}
-        own_flags = {"train": {"resume"}, "eval": {"checkpoint", "split"}, "grid": {"set"}}
-        assert set(subparsers.choices) == set(own_flags)
-        for command, own in own_flags.items():
+        settings = {f.name for f in fields(cli.ExperimentConfig)} | {"preset", "config"}
+        flags = {"train": settings | {"resume"}, "grid": settings | {"set"},
+                 "eval": {"dataset", "checkpoint", "split", "out"}}
+        assert set(subparsers.choices) == set(flags)
+        for command, names in flags.items():
             actions = {a.dest: a for a in subparsers.choices[command]._actions
                        if a.dest != "help"}
-            assert set(actions) == set(settings) | {"preset", "config"} | own
-            for name, f in settings.items():
-                assert actions[name].type is None and actions[name].choices is None
+            assert set(actions) == names
+            for action in actions.values():
+                assert action.type is None and action.choices is None
 
     def test_fit_defaults_agree(self):
         """The trainer's defaults are declared twice, so that importing cli
@@ -389,7 +391,20 @@ class TestBadInput:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "grid"])
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_unknown_preset(self, command, toy_dataset, tmp_path, capsys, monkeypatch):
+        """A preset name is checked like a setting value: one `error:` line
+        and exit 1, not argparse's usage and exit 2."""
+        monkeypatch.setattr(train, "fit", never)
+        out = tmp_path / "o"
+        own = {"train": [], "grid": ["--set", "seed=0,1"]}[command]
+        for name in ("nope", ""):
+            err = self.run(capsys, [command, *small_args(toy_dataset, str(out), ["--preset", name]),
+                                    *own])
+            assert err == f"error: unknown preset {name!r}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
     @pytest.mark.parametrize("flag,value,key", [("--k", "abc", "k"), ("--lr", "x", "lr"),
                                                 ("--lambda", "abc", "lam"),
                                                 ("--epochs", "1.5", "epochs")],
@@ -400,8 +415,7 @@ class TestBadInput:
         not parse exits 1 with one `error:` line naming the flag."""
         monkeypatch.setattr(train, "fit", never)
         out = tmp_path / "o"
-        own = {"train": [], "grid": ["--set", "seed=0,1"],
-               "eval": ["--checkpoint", str(tmp_path / "none.mkge")]}[command]
+        own = {"train": [], "grid": ["--set", "seed=0,1"]}[command]
         err = self.run(capsys, [command, *small_args(toy_dataset, str(out), [flag, value]),
                                 *own])
         assert err == f"error: {flag}: bad value {value!r} for key {key!r}\n"
@@ -426,9 +440,11 @@ class TestBadInput:
         monkeypatch.setattr(ranking, "evaluate", never)
         (tmp_path / "file").write_text("")
         out = str(tmp_path / "file" / "run") if where == "under_file" else ""
-        own = {"train": [], "grid": ["--set", "k=2,3"],
-               "eval": ["--checkpoint", os.path.join(trained, "checkpoint.mkge")]}[command]
-        err = self.run(capsys, [command, *small_args(toy_dataset, out), *own])
+        argv = {"train": small_args(toy_dataset, out),
+                "grid": [*small_args(toy_dataset, out), "--set", "k=2,3"],
+                "eval": ["--dataset", toy_dataset, "--out", out,
+                         "--checkpoint", os.path.join(trained, "checkpoint.mkge")]}[command]
+        err = self.run(capsys, [command, *argv])
         assert err.startswith(f"error: cannot create output directory {out!r}: ")
         assert err.count("\n") == 1
 
@@ -646,19 +662,70 @@ class TestCmdEval:
         assert code == 1
 
 
-    def test_empty_split_errors_after_checkpoint(self, toy_dataset, tmp_path, capsys):
-        empty = tmp_path / "empty_test"
+    def test_empty_split_errors_after_checkpoint(self, toy_dataset, tmp_path, capsys,
+                                                 monkeypatch):
+        """An empty split that would be ranked fails in one line naming the
+        split and the dataset, before `train` or `grid` trains and before
+        `eval` loads its checkpoint; an empty valid split only skips
+        validation."""
+        trained = str(tmp_path / "trained")
+        assert cli.main(["train", *small_args(toy_dataset, trained)]) == 0
+        checkpoint = os.path.join(trained, "checkpoint.mkge")
         vocab, triples = data.build_dataset(toy_dataset)
+        no_valid = tmp_path / "no_valid"
+        data.write_dataset(no_valid, vocab, replace(triples, valid=np.empty((0, 3), np.int64)))
+        assert cli.main(["train", *small_args(str(no_valid), str(tmp_path / "v"),
+                                              ["--eval-interval", "1"])]) == 0
+        empty = tmp_path / "empty_test"
         data.write_dataset(empty, vocab, replace(triples, test=np.empty((0, 3), np.int64)))
-        out = str(tmp_path / "trained_empty")
-        assert cli.main(["train", *small_args(str(empty), out)]) == 1
-        # training finished and was saved before the final evaluation failed
-        assert ckpt.load_checkpoint(os.path.join(out, "checkpoint.mkge")).epoch == 2
-        capsys.readouterr()
-        code = cli.main(["eval", "--dataset", str(empty), "--checkpoint",
-                         os.path.join(out, "checkpoint.mkge"), "--out", str(tmp_path / "e")])
+        monkeypatch.setattr(train, "fit", never)
+        monkeypatch.setattr(ckpt, "load_checkpoint", never)
+        message = f"error: test split of {empty} is empty: nothing to rank\n"
+        for command, own, made in (("train", [], False), ("grid", ["--set", "seed=0,1"], True)):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert cli.main([command, *small_args(str(empty), str(out)), *own]) == 1
+            assert capsys.readouterr().err == message
+            assert (sorted(os.listdir(out)) == ["grid.csv"]) if made else not out.exists()
+        out = tmp_path / "e"
+        code = cli.main(["eval", "--dataset", str(empty), "--checkpoint", checkpoint,
+                         "--out", str(out)])
         assert code == 1
-        assert "error: split must be a nonempty (n, 3) id array" in capsys.readouterr().err
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--model", "rotate"), ("--k", "64"),
+                                            ("--preset", "fb15k237"), ("--config", "x.cfg")],
+                             ids=["model", "k", "preset", "config"])
+    def test_training_flags_rejected(self, flag, value, toy_dataset, tmp_path, capsys,
+                                     monkeypatch):
+        """`eval` takes no training setting: the checkpoint fixes the model,
+        so such a flag is argparse's usage error, before any work."""
+        monkeypatch.setattr(ckpt, "load_checkpoint", never)
+        monkeypatch.setattr(ranking, "evaluate", never)
+        out = tmp_path / "e"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", str(tmp_path / "c.mkge"),
+                      "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--dataset", "kg", "--split", "nope"], "unknown split 'nope'"),
+        ([], "--dataset is required"),
+    ], ids=["unknown_split", "no_dataset"])
+    def test_bad_split_or_no_dataset(self, argv, message, tmp_path, capsys, monkeypatch):
+        """A bad `--split` or a missing `--dataset` exits 1 with one `error:`
+        line, before any file is read."""
+        monkeypatch.setattr(data, "build_dataset", never)
+        monkeypatch.setattr(ckpt, "load_checkpoint", never)
+        out = tmp_path / "e"
+        capsys.readouterr()
+        code = cli.main(["eval", *argv, "--checkpoint", "c.mkge", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def grid_rows(out):

@@ -1,5 +1,6 @@
 """Bit-identity digests of the model and the trainer, one line per variant x
-ablation, then one `data` line for the data layer.
+ablation, then one `data` line for the data layer and one `cli` line for the
+command line.
 
 Each model line hashes, for one case on a small synthetic KG: the initial
 parameter tables (an ablation's hold its free parameters only), the
@@ -22,6 +23,12 @@ The `data` line hashes the entity and relation name lists and the three id
 arrays that `build_dataset` reads back from `write_dataset` of the synthetic
 KG, so a change to parsing or to id assignment shows there.
 
+The `cli` line runs `mkge train` (`module_rc`, k=2, 2 epochs) on that KG
+and then `mkge eval` of its checkpoint with the four eval flags, and hashes
+the `checkpoint.mkge`, `train_report.csv` (without its `seconds` column),
+`metrics.csv` and `per_relation.csv` they write, so a change to the command
+line's settings or outputs shows there.
+
 Two trees give the same output exactly when they compute the same bits, so a
 refactor is checked by diffing the output of the parent and of the change:
 
@@ -29,12 +36,15 @@ refactor is checked by diffing the output of the parent and of the change:
     MKGE_THREADS=1 PYTHONPATH=src python tools/digests.py > after_1.txt
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import tempfile
 
 import numpy as np
 
-from mkge import data, model, ranking, train
+from mkge import cli, data, model, ranking, train
 
 K, SEED, N_ENTITIES = 3, 7, 30
 LOSS = train.LossConfig(p=3, lam=0.05)
@@ -83,6 +93,28 @@ def data_line(vocab, triples):
     return f"data names={names} triples={digest(*triples.splits().values())}"
 
 
+def cli_line(vocab, triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        kg, trained, evaluated = (os.path.join(tmp, name) for name in ("kg", "t", "e"))
+        data.write_dataset(kg, vocab, triples)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--dataset", kg, "--model", "rc", "--k", "2",
+                             "--epochs", "2", "--batch-size", "32", "--seed", "1",
+                             "--eval-interval", "1", "--out", trained]) == 0
+            assert cli.main(["eval", "--dataset", kg, "--split", "test", "--out", evaluated,
+                             "--checkpoint", os.path.join(trained, "checkpoint.mkge")]) == 0
+        outputs = {}
+        for name, directory in (("checkpoint.mkge", trained), ("train_report.csv", trained),
+                                ("metrics.csv", evaluated), ("per_relation.csv", evaluated)):
+            with open(os.path.join(directory, name), "rb") as fh:
+                outputs[name] = fh.read()
+    # the seconds column, last in each row, is wall time
+    outputs["train_report.csv"] = b"\n".join(
+        line.rpartition(b",")[0] for line in outputs["train_report.csv"].splitlines())
+    return " ".join(["cli"] + [f"{name.partition('.')[0]}={hashlib.sha256(blob).hexdigest()[:16]}"
+                               for name, blob in outputs.items()])
+
+
 def main():
     vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=N_ENTITIES)
     aug = data.augment_reciprocal(triples.train, vocab)
@@ -91,6 +123,7 @@ def main():
         for ablation in model.ABLATION_MODES:
             print(case(name, ablation, vocab, triples, aug, index))
     print(data_line(vocab, triples))
+    print(cli_line(vocab, triples))
 
 
 if __name__ == "__main__":
