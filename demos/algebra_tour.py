@@ -38,8 +38,8 @@ z = algebra.angle_to_complex(np.pi / 3)
 w = algebra.angle_to_complex(np.pi / 6)
 print("unit complex product:", algebra.elem_mul(z, w), "(expect cos/sin of pi/2)")
 
-# tuple norms generalize the N3 regularizer: G_p over a tuple of elements,
-# here 5 quaternions as planes (4, 5)
+# tuple norms generalize the N3 regularizer: G_p(xs) = (sum_i N(x_i)^p)^(1/p)
+# over a tuple of elements, here 5 quaternions as planes (4, 5)
 xs = rng.standard_normal((5, 4)).T
 for p_exp in (1, 2, 3):
-    print(f"G_{p_exp}(xs) =", algebra.g_p_norm(xs, p_exp))
+    print(f"G_{p_exp}(xs) =", np.sum(algebra.field_norm(xs) ** p_exp) ** (1.0 / p_exp))

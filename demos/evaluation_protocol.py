@@ -37,5 +37,5 @@ print(f"mean rank {np.mean(ranks):.1f} of {vocab.n_entities} candidates, "
 # through the reciprocal relation id r + |R|
 rec = report.ranks[0]
 print("first record:", rec)
-print("reciprocal of relation 0 is id", vocab.reciprocal_id(0),
-      "named", vocab.relation_name(vocab.reciprocal_id(0)))
+reciprocal = vocab.n_base_relations + 0
+print("reciprocal of relation 0 is id", reciprocal, "named", vocab.relation_name(reciprocal))

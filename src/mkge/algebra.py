@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyTuple, TagMismatch
+from .errors import TagMismatch
 
 REAL, COMPLEX, QUAT = 1, 2, 4
-
-# coordinate signs of the conjugate, per non-real element width
-_CONJ_SIGNS = {COMPLEX: np.array([1.0, -1.0]), QUAT: np.array([1.0, -1.0, -1.0, -1.0])}
 
 # Products by their terms: coordinate i of x * y is the sum of sign * x_j * y_l
 # over the terms (sign, j, l) of row i, added in this order.
@@ -99,19 +96,6 @@ def complex_mul(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return _bilinear(_PRODUCT_TERMS[COMPLEX], x, y)
-
-
-def elem_conj(x):
-    """Conjugate of elements of any width: (a, -b) for complex, (a, -b, -c, -d)
-    for quaternions; a real element is returned as it is. An
-    anti-homomorphism over elem_mul: conj(x * y) = conj(y) * conj(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    w = x.shape[0]
-    if w == REAL:
-        return x
-    if w not in _CONJ_SIGNS:
-        raise TagMismatch(f"unsupported element width {w}")
-    return x * _CONJ_SIGNS[w].reshape((w,) + (1,) * (x.ndim - 1))
 
 
 def _check_widths(x, y):
@@ -227,14 +211,3 @@ def angle_backward(z, grad_z):
     z = np.asarray(z, dtype=np.float64)
     grad_z = np.asarray(grad_z, dtype=np.float64)
     return -grad_z[0] * z[1] + grad_z[1] * z[0]
-
-
-def g_p_norm(xs, p):
-    """General tuple norm (sum_i field_norm(x_i)^p)^(1/p) over the n elements
-    of xs, shape (w, n)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim < 2 or xs.shape[-1] == 0:
-        raise EmptyTuple("g_p_norm needs at least one element")
-    if p < 1 or int(p) != p:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    return np.sum(field_norm(xs) ** p, axis=-1) ** (1.0 / p)

@@ -127,7 +127,7 @@ def resolve_config(args):
         if args.preset not in PRESETS:
             raise ValueError(f"unknown preset {args.preset!r}")
         cfg = replace(cfg, **PRESETS[args.preset])
-    if args.config:
+    if args.config is not None:
         cfg = load_config_file(args.config, base=cfg)
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     cfg = replace(cfg, **{name: _cast_setting(name, value, _flag(name))
@@ -175,17 +175,18 @@ def _evaluate(split, store, index, vocab, out_dir):
     return metrics
 
 
-def run_training(cfg, resume=None):
-    """Shared train pipeline into cfg.out; returns (store, report, metrics)."""
+def run_training(cfg, prepared, resume=None):
+    """Shared train pipeline into cfg.out, on `prepared`, the `_prepare` of
+    cfg.dataset for the test split; returns (store, report, metrics)."""
     from . import checkpoint as ckpt
     from . import model, train
 
-    vocab, triples, index, train_aug = _prepare(cfg.dataset, "test")
+    vocab, triples, index, train_aug = prepared
     _make_dir(cfg.out)
     digest = ckpt.config_digest(cfg.model, cfg.k, cfg.ablation,
                                 vocab.n_entities, vocab.n_relations)
     start_epoch, opt_state = 0, None
-    if resume:
+    if resume is not None:
         loaded = ckpt.load_checkpoint(resume)
         loaded.verify_digest(digest)
         store, opt_state, start_epoch = loaded.store, loaded.opt_state, loaded.epoch
@@ -208,7 +209,7 @@ def run_training(cfg, resume=None):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    _, _, metrics = run_training(cfg, resume=args.resume)
+    _, _, metrics = run_training(cfg, _prepare(cfg.dataset, "test"), resume=args.resume)
     print(metrics.format_table())
     return 0
 
@@ -235,7 +236,8 @@ def cmd_eval(args):
 
 def cmd_grid(args):
     """Train each point of the `--set` product, last key fastest, into
-    `<out>/<key>=<value>,...`, after resolving every point as `train` does."""
+    `<out>/<key>=<value>,...`, after resolving every point as `train` does.
+    The dataset, which no point can change, is read and indexed once."""
     axes = {}
     for item in args.set:
         key, _, values = item.partition("=")
@@ -252,6 +254,7 @@ def cmd_grid(args):
         if cfg.out in seen:
             raise ParseError(f"--set: grid point {cfg.out!r} is repeated")
         seen.add(cfg.out)
+    prepared = _prepare(cfgs[0].dataset, "test")
     _make_dir(root)
     with open(os.path.join(root, "grid.csv"), "w", encoding="utf-8") as fh:
 
@@ -261,7 +264,7 @@ def cmd_grid(args):
 
         write_row([*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"])
         for cfg in points:
-            _, report, m = run_training(cfg)
+            _, report, m = run_training(cfg, prepared)
             best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
                        key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
             valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]

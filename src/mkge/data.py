@@ -43,9 +43,6 @@ class Vocab:
         """Total relation count including reciprocals."""
         return 2 * len(self.id_to_relation)
 
-    def reciprocal_id(self, rid):
-        return rid + self.n_base_relations
-
     def relation_name(self, rid):
         base = self.n_base_relations
         if rid < base:

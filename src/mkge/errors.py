@@ -9,10 +9,6 @@ class TagMismatch(MkgeError):
     """Binary operation on module elements of different kinds."""
 
 
-class EmptyTuple(MkgeError):
-    """Norm map applied to an empty tuple of elements."""
-
-
 class LengthMismatch(MkgeError):
     """Tuple operands of different lengths."""
 

@@ -291,15 +291,11 @@ def entity_inputs(store, ids):
                               materialize_vector(vector, variant))
 
 
-def combined_embeddings(store, ids=None):
-    """Combined tuples s_e * v_e of the entities `ids`, or of the whole
-    table, in the kernels' layout (N, k, w). An id outside [0, E) raises
-    IndexError. The whole table is built from `entity_inputs` per row block
+def combined_embeddings(store):
+    """Combined tuples s_e * v_e of the whole entity table, in the kernels'
+    layout (E, k, w). The table is built from `entity_inputs` per row block
     on the process's thread pool, so it must not be called from a task on
-    that pool; its bytes equal the gather path's for any pool size."""
-    if ids is not None:
-        _check_ids(ids, store.n_entities)
-        return element_last(combine(*entity_inputs(store, ids)[1]))
+    that pool; its bytes do not depend on the pool size or the block size."""
     c_all = np.empty((store.n_entities, store.k, store.variant.vector.width))
 
     def forward(rows):
@@ -336,22 +332,6 @@ def transformed_heads(store, h_ids, r_ids):
     kernels' layout (B, k, vector.width). A head id outside [0, E) or a
     relation id outside [0, R) raises IndexError."""
     return element_last(head_forward(*head_inputs(store, h_ids, r_ids)[1])[2])
-
-
-def _pair_scores(h_prime, tails, kind):
-    """Score transformed heads (B, k, w) against tails (B, k, w)."""
-    if kind == "cosine":
-        return np.sum(h_prime * tails, axis=(-2, -1))
-    diff = h_prime - tails
-    return -np.sum(np.sqrt(np.sum(diff * diff, axis=-1)), axis=-1)
-
-
-def score(store, h_id, r_id, t_id):
-    """Score of one triple; higher is more plausible for both score kinds.
-    An id outside its table raises IndexError."""
-    h_prime = transformed_heads(store, np.array([h_id]), np.array([r_id]))
-    t = combined_embeddings(store, np.array([t_id]))
-    return float(_pair_scores(h_prime, t, store.variant.score_kind)[0])
 
 
 def _sigmoid_of(x, e):

@@ -132,18 +132,6 @@ def _gp_pieces(norms, p):
     return gp, coeff
 
 
-def regularizer(store, h_id, r_id, t_id, cfg):
-    """lambda * (l1*G_p(h) + l2*G_p(r) + l3*G_p(t)) with h, t the combined
-    entity tuples and r the materialized scaling tuple."""
-    c = model.combined_embeddings(store, np.array([h_id, t_id]))
-    gp_h = algebra.g_p_norm(c[0].T, cfg.p)
-    gp_t = algebra.g_p_norm(c[1].T, cfg.p)
-    rs, _ = store.relation_parts()
-    g_s = store.variant.scaling.materialize(model.planes(rs[np.array([r_id])]))
-    gp_r = algebra.g_p_norm(g_s[:, 0], cfg.p)
-    return float(cfg.lam * (cfg.lambda1 * gp_h + cfg.lambda2 * gp_r + cfg.lambda3 * gp_t))
-
-
 def batch_loss_and_grads(store, triples, cfg, update=None):
     """Mean 1-vs-all loss of a batch plus exact gradients.
 

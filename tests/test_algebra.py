@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkge import algebra
-from mkge.errors import EmptyTuple, TagMismatch
+from mkge.errors import TagMismatch
+from oracles import conj
 
 RNG = np.random.default_rng(7)
 
@@ -54,15 +55,11 @@ class TestQuatMul:
 
 
 class TestConjugate:
-    def test_fixed_points(self):
-        assert np.allclose(algebra.elem_conj([1.0, 0, 0, 0]), [1, 0, 0, 0])
-        assert np.allclose(algebra.elem_conj([0.0, 1, 0, 0]), [0, -1, 0, 0])
-
     @given(quats, quats)
     @settings(max_examples=200)
     def test_anti_homomorphism(self, p, q):
-        lhs = algebra.elem_conj(algebra.quat_mul(p, q))
-        rhs = algebra.quat_mul(algebra.elem_conj(q), algebra.elem_conj(p))
+        lhs = conj(algebra.quat_mul(p, q))
+        rhs = algebra.quat_mul(conj(q), conj(p))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -80,15 +77,8 @@ class TestRingProduct:
             algebra.elem_mul(np.zeros(4), np.zeros(1))
 
     def test_unsupported_width_raises(self):
-        for op in (lambda x: algebra.elem_mul(x, x), algebra.elem_conj):
-            with pytest.raises(TagMismatch):
-                op(np.zeros(3))
-
-    def test_conjugate_per_width(self):
-        x = np.array([[1.0], [-2.0]]).T
-        assert algebra.elem_conj(x) is x  # reals are their own conjugate
-        assert np.array_equal(algebra.elem_conj([3.0, 4.0]), [3.0, -4.0])
-        assert np.array_equal(algebra.elem_conj([1.0, 2.0, 3.0, 4.0]), [1.0, -2.0, -3.0, -4.0])
+        with pytest.raises(TagMismatch):
+            algebra.elem_mul(np.zeros(3), np.zeros(3))
 
 
 class TestFieldNorm:
@@ -129,30 +119,6 @@ class TestExpMap:
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
 
-class TestGpNorm:
-    def test_quaternion_units_p2(self):
-        xs = np.tile([1.0, 0, 0, 0], (4, 1)).T
-        assert algebra.g_p_norm(xs, 2) == pytest.approx(2.0)
-
-    def test_single_element_any_p(self):
-        x = RNG.normal(size=(1, 4)).T
-        for p in (1, 2, 3):
-            assert algebra.g_p_norm(x, p) == pytest.approx(float(algebra.field_norm(x[:, 0])))
-
-    def test_complex_p1(self):
-        xs = np.array([[3.0, 4.0], [0.0, 0.0]]).T
-        assert algebra.g_p_norm(xs, 1) == pytest.approx(25.0)
-
-    def test_real_p2_against_direct_sum(self):
-        xs = RNG.normal(size=(6, 1))
-        direct = sum(float(v[0]) ** 4 for v in xs) ** 0.5
-        assert algebra.g_p_norm(xs.T, 2) == pytest.approx(direct, rel=1e-12)
-
-    def test_empty(self):
-        with pytest.raises(EmptyTuple):
-            algebra.g_p_norm(np.zeros((4, 0)), 2)
-
-
 class TestRotationScaling:
     def test_rotate_identity_quat(self):
         v = np.array([1.0, 0, 0, 0])
@@ -172,7 +138,7 @@ class TestRotationScaling:
     def test_rotation_inverse_recovers(self):
         v = RNG.normal(size=4)
         g = random_unit_quat(RNG)
-        back = algebra.elem_mul(algebra.elem_mul(v, g), algebra.elem_conj(g))
+        back = algebra.elem_mul(algebra.elem_mul(v, g), conj(g))
         assert np.allclose(back, v, atol=1e-9)
 
     def test_scaling_gl1(self):
@@ -247,22 +213,27 @@ def _byte_strings(result):
             for r in (result if isinstance(result, tuple) else (result,))]
 
 
+# case number -> (function, operand widths, None for angles). A case's number
+# is part of its test id, so it stays fixed when other cases come or go.
+LAYOUT_CASES = {
+    0: ("quat_mul", (4, 4)), 1: ("complex_mul", (2, 2)),
+    5: ("elem_mul", (1, 1)), 6: ("elem_mul", (1, 2)), 7: ("elem_mul", (1, 4)),
+    8: ("elem_mul", (2, 2)), 9: ("elem_mul", (4, 4)),
+    10: ("elem_mul_backward", (1, 1, 1)), 11: ("elem_mul_backward", (2, 1, 2)),
+    12: ("elem_mul_backward", (4, 1, 4)), 13: ("elem_mul_backward", (2, 2, 2)),
+    14: ("elem_mul_backward", (4, 4, 4)),
+    15: ("field_norm", (1,)), 16: ("field_norm", (2,)), 17: ("field_norm", (4,)),
+    18: ("exp_map", (3,)), 19: ("exp_map_backward", (3, 4, 4)),
+    20: ("angle_to_complex", (None,)), 21: ("angle_backward", (2, 2)),
+}
+
+
 class TestPlanesLayout:
     """Every function gives the same bytes on contiguous component planes, on
     strided planes views of element-last arrays, and element by element."""
 
-    @pytest.mark.parametrize("name,widths", [
-        ("quat_mul", (4, 4)), ("complex_mul", (2, 2)),
-        ("elem_conj", (1,)), ("elem_conj", (2,)), ("elem_conj", (4,)),
-        ("elem_mul", (1, 1)), ("elem_mul", (1, 2)), ("elem_mul", (1, 4)),
-        ("elem_mul", (2, 2)), ("elem_mul", (4, 4)),
-        ("elem_mul_backward", (1, 1, 1)), ("elem_mul_backward", (2, 1, 2)),
-        ("elem_mul_backward", (4, 1, 4)), ("elem_mul_backward", (2, 2, 2)),
-        ("elem_mul_backward", (4, 4, 4)),
-        ("field_norm", (1,)), ("field_norm", (2,)), ("field_norm", (4,)),
-        ("exp_map", (3,)), ("exp_map_backward", (3, 4, 4)),
-        ("angle_to_complex", (None,)), ("angle_backward", (2, 2)),
-    ])
+    @pytest.mark.parametrize("name,widths", LAYOUT_CASES.values(),
+                             ids=[f"{name}-widths{n}" for n, (name, _) in LAYOUT_CASES.items()])
     def test_planes_views_and_elements_agree(self, name, widths):
         fn = getattr(algebra, name)
         lasts = [_operand(w, seed) for seed, w in enumerate(widths)]
@@ -284,16 +255,6 @@ class TestPlanesLayout:
         theta = np.sqrt(np.sum(_operand(3) ** 2, axis=-1))
         assert np.any((theta > 0) & (theta < algebra._SMALL_ANGLE))
         assert np.any(theta > algebra._SMALL_ANGLE)
-
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_g_p_norm_planes_and_views_agree(self, p):
-        """For m tuples of n quaternions at once, and for each tuple alone (a
-        numpy scalar result, whose power may round differently from the
-        batched one's)."""
-        last = _operand(4)
-        for view in [np.moveaxis(last, -1, 0).swapaxes(1, 2)] + [t.T for t in last.swapaxes(0, 1)]:
-            want = algebra.g_p_norm(np.ascontiguousarray(view), p)
-            assert np.asarray(algebra.g_p_norm(view, p)).tobytes() == np.asarray(want).tobytes()
 
     def test_products_match_written_out_formulas(self):
         """The term order of the products is that of the expanded formulas
@@ -317,6 +278,6 @@ class TestPlanesLayout:
         only the exact term order of elem_mul does."""
         grad, x, y = (np.moveaxis(_operand(width, seed), -1, 0) for seed in range(3))
         grad_x, grad_y = algebra.elem_mul_backward(grad, x, y)
-        assert grad_y.tobytes() == algebra.elem_mul(algebra.elem_conj(x), grad).tobytes()
+        assert grad_y.tobytes() == algebra.elem_mul(conj(x), grad).tobytes()
         if width > 1:
-            assert grad_x.tobytes() == algebra.elem_mul(grad, algebra.elem_conj(y)).tobytes()
+            assert grad_x.tobytes() == algebra.elem_mul(grad, conj(y)).tobytes()

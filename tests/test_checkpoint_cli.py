@@ -308,6 +308,19 @@ class TestBadInput:
                                 "--config", str(path)])
         assert "config file" in err
 
+    @pytest.mark.parametrize("command,flag", [("train", "--config"), ("grid", "--config"),
+                                              ("train", "--resume")],
+                             ids=["train_config", "grid_config", "train_resume"])
+    def test_empty_path(self, command, flag, toy_dataset, tmp_path, capsys, monkeypatch):
+        """An empty config or checkpoint path is read like any other path, so
+        it fails with one `error:` line instead of being ignored."""
+        monkeypatch.setattr(train, "fit", never)
+        own = {"train": [], "grid": ["--set", "seed=0,1"]}[command]
+        err = self.run(capsys, [command, *small_args(toy_dataset, str(tmp_path / "o"), [flag, ""]),
+                                *own])
+        assert len(err.splitlines()) == 1
+        assert ("config file" if flag == "--config" else "No such file") in err
+
     def test_config_value_fails_cast(self, toy_dataset, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("seed=1\nk=abc\n")
@@ -665,9 +678,9 @@ class TestCmdEval:
     def test_empty_split_errors_after_checkpoint(self, toy_dataset, tmp_path, capsys,
                                                  monkeypatch):
         """An empty split that would be ranked fails in one line naming the
-        split and the dataset, before `train` or `grid` trains and before
-        `eval` loads its checkpoint; an empty valid split only skips
-        validation."""
+        split and the dataset, before any command makes its output directory,
+        before `train` or `grid` trains and before `eval` loads its
+        checkpoint; an empty valid split only skips validation."""
         trained = str(tmp_path / "trained")
         assert cli.main(["train", *small_args(toy_dataset, trained)]) == 0
         checkpoint = os.path.join(trained, "checkpoint.mkge")
@@ -681,12 +694,12 @@ class TestCmdEval:
         monkeypatch.setattr(train, "fit", never)
         monkeypatch.setattr(ckpt, "load_checkpoint", never)
         message = f"error: test split of {empty} is empty: nothing to rank\n"
-        for command, own, made in (("train", [], False), ("grid", ["--set", "seed=0,1"], True)):
+        for command, own in (("train", []), ("grid", ["--set", "seed=0,1"])):
             out = tmp_path / command
             capsys.readouterr()
             assert cli.main([command, *small_args(str(empty), str(out)), *own]) == 1
             assert capsys.readouterr().err == message
-            assert (sorted(os.listdir(out)) == ["grid.csv"]) if made else not out.exists()
+            assert not out.exists()
         out = tmp_path / "e"
         code = cli.main(["eval", "--dataset", str(empty), "--checkpoint", checkpoint,
                          "--out", str(out)])
@@ -750,6 +763,19 @@ class TestCmdGrid:
         with open(os.path.join(out, "ablation=scalar", "metrics.csv")) as fa, \
                 open(os.path.join(dm_out, "metrics.csv")) as fb:
             assert fa.read() == fb.read()
+
+    def test_dataset_read_once(self, toy_dataset, tmp_path, monkeypatch):
+        """The points of a grid share one read of the dataset and one filter
+        index: no point can change the dataset."""
+        calls = dict.fromkeys(("build_dataset", "build_filter_index"), 0)
+        for name, fn in [(name, getattr(data, name)) for name in calls]:
+            def counted(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(data, name, counted)
+        assert cli.main(["grid", *small_args(toy_dataset, str(tmp_path / "g")),
+                         "--set", "seed=0,1,2"]) == 0
+        assert calls == {"build_dataset": 1, "build_filter_index": 1}
 
     def test_k_rows_in_requested_order(self, toy_dataset, tmp_path):
         out = str(tmp_path / "sweep")

@@ -5,6 +5,7 @@ import pytest
 
 from mkge import algebra, model
 from mkge.errors import LengthMismatch
+from oracles import conj, oracle_score
 
 
 class TestVariantTable:
@@ -121,11 +122,13 @@ class TestEntityForward:
     @pytest.mark.parametrize("ablation", model.ABLATION_MODES)
     @pytest.mark.parametrize("rows", [1, 17], ids=["one_row_blocks", "one_block"])
     def test_whole_table_equals_gather(self, name, ablation, rows, monkeypatch, pool_runs):
-        """The row-blocked whole-table forward gives the bytes of the gather
-        path, for any block size and pool size."""
+        """The row-blocked whole-table forward gives the bytes of one
+        `combine` of the whole table's inputs, for any block size and pool
+        size."""
         store = model.init_model(name, 3, 17, 2, seed=5, ablation=ablation)
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.vector.width)
-        want = model.combined_embeddings(store, np.arange(store.n_entities)).tobytes()
+        inputs = model.entity_inputs(store, np.arange(store.n_entities))[1]
+        want = model.element_last(model.combine(*inputs)).tobytes()
         assert pool_runs(lambda: (model.combined_embeddings(store),)) == [want] * 3
 
     @pytest.mark.parametrize("name", sorted(model.VARIANTS))
@@ -174,7 +177,7 @@ class TestCombineTransform:
         store = model.init_model("module_hh", 3, 4, 1, seed=2)
         store.relation[:] = 0.0  # zero rotation vectors materialize to identity
         h_prime = model.transformed_heads(store, np.array([1]), np.array([0]))
-        assert np.allclose(h_prime, model.combined_embeddings(store, np.array([1])), atol=1e-12)
+        assert np.allclose(h_prime, model.combined_embeddings(store)[[1]], atol=1e-12)
 
     def test_rc_scale_and_half_turn(self):
         s_h = np.array([[[1.0]]])
@@ -194,8 +197,8 @@ class TestCombineTransform:
         g_v = variant.rotation.materialize(model.planes(rv[[0]]))
         fwd_s = algebra.quat_mul(s_h, g_s)
         fwd_v = algebra.quat_mul(v_h, g_v)
-        back_s = algebra.quat_mul(fwd_s, algebra.elem_conj(g_s))
-        back_v = algebra.quat_mul(fwd_v, algebra.elem_conj(g_v))
+        back_s = algebra.quat_mul(fwd_s, conj(g_s))
+        back_v = algebra.quat_mul(fwd_v, conj(g_v))
         recovered = model.combine(back_s, back_v)
         assert np.allclose(recovered, model.combine(s_h, v_h), atol=1e-9)
 
@@ -211,7 +214,7 @@ class TestScore:
 
     def test_distance_self_score_zero(self):
         t = np.random.default_rng(0).normal(size=(1, 4, 2))
-        assert model._pair_scores(t, t, "distance") == pytest.approx(0.0)
+        assert model.distance_kernel(t, t) == pytest.approx(0.0)
 
     def test_score_all_tails_consistency(self):
         rng = np.random.default_rng(12)
@@ -220,23 +223,26 @@ class TestScore:
             h, r = 5, 2
             vec = model.score_all_tails(store, h, r)[0]
             for t in rng.choice(20, size=10, replace=False):
-                assert vec[t] == pytest.approx(model.score(store, h, r, int(t)), abs=1e-12)
+                assert vec[t] == pytest.approx(oracle_score(store, h, r, int(t)), abs=1e-12)
 
     def test_score_all_tails_multi_chunk(self, monkeypatch):
-        # three heads of k=2 in 42-element planes: chunks of 7 of the 20 candidates
-        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
+        """Chunked scores have the bytes of one chunk's and match the oracle."""
         store = model.init_model("rotate", 2, 20, 2, seed=4)
         hs, rs = np.array([3, 11, 19]), np.array([0, 1, 1])
+        one_chunk = model.score_all_tails(store, hs, rs)
+        # three heads of k=2 in 42-element planes: chunks of 7 of the 20 candidates
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", 42)
         scores = model.score_all_tails(store, hs, rs)
+        assert scores.tobytes() == one_chunk.tobytes()
         for row, (h, r) in enumerate(zip(hs, rs)):
             for t in range(20):
-                assert scores[row, t] == model.score(store, int(h), int(r), t)
+                assert scores[row, t] == pytest.approx(oracle_score(store, h, r, t), abs=1e-12)
 
     def test_single_entity(self):
         store = model.init_model("module_rc", 2, 1, 1, seed=0)
         vec = model.score_all_tails(store, 0, 0)
         assert vec.shape == (1, 1)
-        assert vec[0, 0] == pytest.approx(model.score(store, 0, 0, 0))
+        assert vec[0, 0] == pytest.approx(oracle_score(store, 0, 0, 0), abs=1e-12)
 
     def test_entity_permutation_equivariance(self):
         store = model.init_model("module_rh", 2, 6, 2, seed=8)
@@ -259,11 +265,6 @@ class TestScore:
         lhs = np.sum(algebra.elem_mul(x, g) * algebra.elem_mul(y, g))
         assert lhs == pytest.approx(np.sum(x * y), abs=1e-9)
 
-    def test_out_of_range(self):
-        store = model.init_model("module_rc", 2, 3, 2, seed=0)
-        with pytest.raises(IndexError):
-            model.score(store, 99, 0, 0)
-
     # 20 entities and 4 relations: heads -1 and E, relations -1 and R
     @pytest.mark.parametrize("h,r", [(-1, 0), (20, 0), (0, -1), (0, 4)])
     def test_out_of_range_head_or_relation(self, h, r):
@@ -272,16 +273,6 @@ class TestScore:
             model.score_all_tails(store, [0, h], [0, r])
         with pytest.raises(IndexError):
             model.transformed_heads(store, np.array([h]), np.array([r]))
-        with pytest.raises(IndexError):
-            model.score(store, h, r, 0)
-
-    @pytest.mark.parametrize("t", [-1, 20])
-    def test_out_of_range_tail(self, t):
-        store = model.init_model("module_rc", 2, 20, 4, seed=0)
-        with pytest.raises(IndexError):
-            model.score(store, 0, 0, t)
-        with pytest.raises(IndexError):
-            model.combined_embeddings(store, np.array([t]))
 
 
 class TestDegenerations:
@@ -298,8 +289,8 @@ class TestDegenerations:
         for _ in range(50):
             h, t = rng.integers(n_e, size=2)
             r = rng.integers(n_r)
-            assert model.score(rc, int(h), int(r), int(t)) == pytest.approx(
-                model.score(dm, int(h), int(r), int(t)), abs=1e-12
+            assert model.score_all_tails(rc, h, r)[0, t] == pytest.approx(
+                oracle_score(dm, h, r, t), abs=1e-12
             )
 
     def test_scalar_only_rc_has_distmult_tables(self):
@@ -324,7 +315,9 @@ class TestDegenerations:
             vt = algebra.exp_map(ev[t].T)
             qr = algebra.exp_map(rv[r].T)
             ref = float(np.sum(algebra.quat_mul(vh, qr) * vt))
-            assert model.score(store, int(h), int(r), int(t)) == pytest.approx(ref, abs=1e-12)
+            got = model.score_all_tails(store, h, r)[0, t]
+            assert got == pytest.approx(ref, abs=1e-12)
+            assert got == pytest.approx(oracle_score(store, h, r, t), abs=1e-12)
 
 
 def central_difference(f, x, step=1e-6):

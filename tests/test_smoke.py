@@ -3,8 +3,11 @@ script runs to completion in a fresh interpreter, and the digests do not
 depend on the size of the thread pool. The harness self-test
 drives the public calls the benchmark makes (init_model, fit, checkpoints,
 evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
-per-function metric names are checked against the program's functions."""
+per-function metric names are checked against the program's functions, and
+every function, class and method of the package against its uses."""
 
+import ast
+import glob
 import importlib
 import inspect
 import json
@@ -61,3 +64,35 @@ def test_benchmark_metric_names_a_function(layer, function):
     module = importlib.import_module(f"mkge.{layer}")
     obj = getattr(module, function, None)
     assert inspect.isfunction(obj) and obj.__module__ == module.__name__
+
+
+# public calls that build KGs for tests, demos and tools/digests.py; no
+# command of the package calls them
+ENTRY_POINTS = {("data", "generate_synthetic_kg"), ("data", "write_dataset")}
+
+
+def test_every_definition_is_used():
+    """Each module-level function and class of `src/mkge`, and each method of
+    such a class, is named somewhere in `src/mkge` (as a name or an
+    attribute), so that no second path that only tests call hides there.
+    Dunder methods, which Python calls itself, and `ENTRY_POINTS` are exempt."""
+    trees = {os.path.basename(path)[:-3]: ast.parse(open(path, encoding="utf-8").read())
+             for path in glob.glob(os.path.join(ROOT, "src", "mkge", "*.py"))}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [(module, name) for module, name in defined
+              if name not in used and not name.startswith("__")]
+    assert sorted(set(unused) - ENTRY_POINTS) == []
