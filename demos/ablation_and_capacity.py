@@ -26,9 +26,8 @@ for mode in ("scalar", "vector", "both"):
     rep = run("module_rc", 8, ablation=mode)
     print(f"  {mode:6s} MRR {rep.mrr:.3f}  Hits@1 {rep.hits1:.3f}")
 
-# with the same seed, a scalar-only module_rc store holds exactly distmult's
-# tables, so the two score rows agree up to the rounding of the score matmul
-# (rc's rows also hold the zero imaginary coordinates)
+# a scalar-only module_rc store has distmult's groups and, with the same
+# seed, distmult's tables, so the two score rows are the same bytes
 a = model.init_model("module_rc", 4, vocab.n_entities, vocab.n_relations,
                      seed=0, ablation="scalar")
 b = model.init_model("distmult", 4, vocab.n_entities, vocab.n_relations, seed=0)

@@ -110,11 +110,12 @@ def _check_widths(x, y):
 
 def elem_mul(x, y):
     """Ring product x * y of element arrays (w, ...): real, complex or
-    Hamilton, dispatched on the element width. A width-1 left operand is a
-    real scalar and broadcasts over the coordinates of y."""
+    Hamilton, dispatched on the element width. A width-1 operand on either
+    side is a real scalar and broadcasts over the coordinates of the other;
+    the reals are central in C and H, so x * r = r * x."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == REAL:
+    if REAL in (x.shape[0], y.shape[0]):
         return x * y
     if _check_widths(x, y) == COMPLEX:
         return complex_mul(x, y)
@@ -122,14 +123,18 @@ def elem_mul(x, y):
 
 
 def elem_mul_backward(grad, x, y):
-    """Gradients (grad * conj(y), conj(x) * grad) of elem_mul(x, y); for a
-    width-1 left operand the first is summed over the broadcast coordinate
-    axis. The conjugates are folded into the products' term signs."""
+    """Gradients (grad * conj(y), conj(x) * grad) of elem_mul(x, y); the
+    gradient on a width-1 operand is summed over the broadcast coordinate
+    axis, (sum_i grad_i y_i, x * grad) for a real left operand and
+    (grad * y, sum_i grad_i x_i) for a real right one. The conjugates are
+    folded into the products' term signs."""
     grad = np.asarray(grad, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == REAL:
         return _coordinate_sum(grad, y)[None], x * grad
+    if y.shape[0] == REAL:
+        return grad * y, _coordinate_sum(grad, x)[None]
     conj_left, conj_right = _BACKWARD_TERMS[_check_widths(x, y)]
     return _bilinear(conj_right, grad, y), _bilinear(conj_left, x, grad)
 

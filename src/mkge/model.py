@@ -15,8 +15,9 @@ elements and `param_backward`, which pulls a gradient on elements back to the
 parameters given both.
 
 An ablation is a choice of groups (`ablated`): each part it freezes becomes
-the `TRIVIAL` group of its width, which has no parameters and one element,
-the ring one, so a frozen part holds no columns and gets no gradient.
+the one `TRIVIAL` group, which has no parameters and one element, the real
+one, so a frozen part holds no columns, no coordinates and no gradient, and
+e.g. scalar-only module_rc and module_rh are distmult's groups.
 
 Both parameter tables have one layout: a row holds two column blocks of k
 group parameters each, the first group's then the second's (entity rows:
@@ -101,19 +102,15 @@ class Group:
     param_backward: Callable  # (params, elements, grad on elements) -> grad on params, as planes
 
 
-def _trivial(width):
-    """The group of elements `width` wide whose one element is the ring one."""
-    return Group(0, width, lambda k: 0.0,
-                 lambda p: np.multiply.outer(np.eye(1, width)[0], np.ones(p.shape[1:])),
-                 lambda p, z, g: np.zeros_like(p))
-
-
-TRIVIAL = {width: _trivial(width) for width in (1, 2, 4)}
+# the trivial group: no parameters and one element, the real one, which
+# `algebra.elem_mul` applies on either side as a scalar of any ring
+TRIVIAL = Group(0, 1, lambda k: 0.0, lambda p: np.ones((1,) + p.shape[1:]),
+                lambda p, z, g: np.zeros_like(p))
 
 # The algebra calls go through the module so that wrappers installed on it
 # (the benchmark's tracer) see them.
 GROUPS = {
-    "fixed": TRIVIAL[1],
+    "fixed": TRIVIAL,
     "gl1": Group(1, 1, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
     "quaternion": Group(4, 4, _coordinate_half_width, lambda p: p, lambda p, z, g: g),
     "u1": Group(1, 2, lambda k: np.pi,
@@ -137,6 +134,11 @@ class ModelVariant:
     @property
     def kernel(self):
         return SCORE_KERNELS[self.score_kind]
+
+    @property
+    def width(self):
+        """Coordinates per element of the combined entities and transformed heads."""
+        return max(self.scalar.width, self.vector.width)
 
     def entity_row_width(self, k):
         return k * (self.scalar.param_width + self.vector.param_width)
@@ -162,11 +164,10 @@ VARIANTS = {
 
 def ablated(variant, ablation):
     """The variant an `ablation` trains: `variant`, named as before, with the
-    trivial group of the same width in place of each part it freezes."""
+    trivial group in place of each part it freezes."""
     if ablation not in FROZEN_PARTS:
         raise ValueError(f"unknown ablation mode {ablation!r}")
-    return replace(variant, **{part: TRIVIAL[getattr(variant, part).width]
-                               for part in FROZEN_PARTS[ablation]})
+    return replace(variant, **{part: TRIVIAL for part in FROZEN_PARTS[ablation]})
 
 
 def _blocks(table, k, first, second):
@@ -258,7 +259,9 @@ def materialize_vector(ev, variant):
 def combine(scalar, vector):
     """Element-wise scalar multiplication s_i * v_i of element planes (w, ..., k)
     (Hamilton product when the scalar ring is the quaternions). The operand
-    widths select the product."""
+    widths select the product; a width-1 operand, a real scalar or the real
+    one of a frozen part, scales the other, so the result is `variant.width`
+    wide."""
     scalar = np.asarray(scalar, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
     if scalar.shape[-1] != vector.shape[-1]:
@@ -266,18 +269,31 @@ def combine(scalar, vector):
     return algebra.elem_mul(scalar, vector)
 
 
-def _check_ids(ids, bound):
+def _check_ids(ids, bound, what="id"):
     """Raise IndexError unless every id lies in [0, bound); numpy indexing
     would wrap a negative id silently."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
-        raise IndexError(f"id out of range [0, {bound})")
+        raise IndexError(f"{what} out of range [0, {bound})")
+
+
+def check_triples(triples, n_entities, n_relations, name):
+    """`triples` as an int64 id array, checked to be a nonempty (n, 3) array
+    of (head, relation, tail) rows with entity ids in [0, n_entities) and
+    relation ids in [0, n_relations); otherwise ShapeMismatch or IndexError,
+    whose message names the array `name`."""
+    triples = np.asarray(triples, dtype=np.int64)
+    if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
+        raise ShapeMismatch(f"{name} must be a nonempty (n, 3) id array")
+    _check_ids(triples[:, 0::2], n_entities, f"{name} entity id")
+    _check_ids(triples[:, 1], n_relations, f"{name} relation id")
+    return triples
 
 
 def rows_per_block(store):
     """Entity rows per block of the whole-table entity work, so that a block's
     combined entities hold about ROW_BLOCK_ELEMENTS floats."""
-    return max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.vector.width))
+    return max(1, ROW_BLOCK_ELEMENTS // (store.k * store.variant.width))
 
 
 def entity_inputs(store, ids):
@@ -296,7 +312,7 @@ def combined_embeddings(store):
     layout (E, k, w). The table is built from `entity_inputs` per row block
     on the process's thread pool, so it must not be called from a task on
     that pool; its bytes do not depend on the pool size or the block size."""
-    c_all = np.empty((store.n_entities, store.k, store.variant.vector.width))
+    c_all = np.empty((store.n_entities, store.k, store.variant.width))
 
     def forward(rows):
         c_all[rows] = np.moveaxis(combine(*entity_inputs(store, rows)[1]), 0, -1)
@@ -329,8 +345,9 @@ def head_inputs(store, h_ids, r_ids):
 
 def transformed_heads(store, h_ids, r_ids):
     """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays, in the
-    kernels' layout (B, k, vector.width). A head id outside [0, E) or a
-    relation id outside [0, R) raises IndexError."""
+    kernels' layout (B, k, variant.width): a frozen part, the trivial group,
+    adds no coordinate. A head id outside [0, E) or a relation id outside
+    [0, R) raises IndexError."""
     return element_last(head_forward(*head_inputs(store, h_ids, r_ids)[1])[2])
 
 

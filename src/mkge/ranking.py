@@ -107,16 +107,11 @@ def evaluate(split, store, filter_index):
     ShapeMismatch; an entity id outside [0, E) or a relation id outside
     [0, R / 2) raises IndexError.
     """
-    split = np.asarray(split, dtype=np.int64)
-    if split.ndim != 2 or split.shape[1] != 3 or len(split) == 0:
-        raise ShapeMismatch("split must be a nonempty (n, 3) id array")
+    n_base = store.n_relations // 2
+    split = model.check_triples(split, store.n_entities, n_base, "split")
     if filter_index is not None and (filter_index.n_entities, filter_index.n_relations) != (
             store.n_entities, store.n_relations):
         raise ShapeMismatch("filter index was built for other entity or relation counts")
-    n_base = store.n_relations // 2
-    if (split.min() < 0 or max(split[:, 0].max(), split[:, 2].max()) >= store.n_entities
-            or split[:, 1].max() >= n_base):
-        raise IndexError("triple id out of range")
     c_all = model.combined_embeddings(store)
 
     # row 2i is the tail query (h, r, t) of triple i, row 2i + 1 its head query (t, r + |R|, h)

@@ -147,17 +147,13 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     head, the materialized scaling and the combined tail alike, whatever
     their groups. A loss that is not finite raises NonFiniteLoss before any
     block runs, with or without `update`, so nothing is updated and no
-    gradient is returned. An id outside the parameter tables raises
-    IndexError.
+    gradient is returned. A batch that is not a nonempty (n, 3) id array
+    raises ShapeMismatch, and an id outside the parameter tables IndexError.
     """
-    triples = np.asarray(triples, dtype=np.int64)
-    if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
-        raise ShapeMismatch("batch must be a nonempty (n, 3) id array")
+    triples = model.check_triples(triples, store.n_entities, store.n_relations, "batch")
     variant = store.variant
     b = len(triples)
     heads, rels, tails = triples.T
-    if tails.min() < 0 or tails.max() >= store.n_entities:
-        raise IndexError("tail id out of range")
 
     # the head transform's four factors, in the order of `model.head_inputs`
     groups = (variant.scalar, variant.vector, variant.scaling, variant.rotation)
@@ -268,14 +264,20 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     Validation MRR (filtered, both directions) is computed every
     eval_interval epochs when a validation split and filter index are given;
     training stops early after `patience` evaluations without improvement.
-    A train split that is not a nonempty (n, 3) id array raises
-    ShapeMismatch.
+    Both splits are checked before the first batch, so a bad one changes
+    nothing: a train split that is not a nonempty (n, 3) id array raises
+    ShapeMismatch, and one with an entity id outside [0, E) or a relation id
+    outside [0, R) IndexError; a validation split that will be evaluated is
+    checked as `ranking.evaluate` checks it, relations in [0, R / 2).
     """
     from . import ranking  # deferred: ranking imports model only
 
-    train_triples = np.asarray(train_triples, dtype=np.int64)
-    if train_triples.ndim != 2 or train_triples.shape[1] != 3 or len(train_triples) == 0:
-        raise ShapeMismatch("train split must be a nonempty (n, 3) id array")
+    train_triples = model.check_triples(train_triples, store.n_entities, store.n_relations,
+                                        "train split")
+    validates = valid_triples is not None and len(valid_triples) > 0 and filter_index is not None
+    if validates:
+        model.check_triples(valid_triples, store.n_entities, store.n_relations // 2,
+                            "validation split")
     if opt_state is None:
         opt_state = OptimizerState.for_store(store, lr=cfg.lr)
     report = TrainReport()
@@ -300,12 +302,7 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
             total += loss
             n_batches += 1
         valid_mrr = None
-        if (
-            valid_triples is not None
-            and len(valid_triples)
-            and filter_index is not None
-            and (epoch + 1) % cfg.eval_interval == 0
-        ):
+        if validates and (epoch + 1) % cfg.eval_interval == 0:
             valid_mrr = ranking.evaluate(valid_triples, store, filter_index).mrr
             if valid_mrr > best_mrr + 1e-12:
                 best_mrr, stale = valid_mrr, 0

@@ -53,13 +53,13 @@ def conj(x):
 
 def _element(group, params):
     """Coordinates of the element of `group` at the free parameters of one
-    dimension: the ring one for a trivial group, the parameters themselves
+    dimension: the real one for the trivial group, the parameters themselves
     for free ring coordinates, (cos t, sin t) for a U(1) phase t, and the
     exponential map (cos |w|, sin |w| * w / |w|) for a unit quaternion's
     rotation vector w."""
     p = [float(v) for v in params]
     if group.param_width == 0:
-        return [1.0] + [0.0] * (group.width - 1)
+        return [1.0]
     if group.param_width == group.width:
         return p
     if group.width == 2:
@@ -72,9 +72,12 @@ def _element(group, params):
 
 def _mul(x, y):
     """Ring product of two coordinate lists: a real x scales every coordinate
-    of y; otherwise the complex or the Hamilton product, written out."""
+    of y, and a real y every coordinate of x; otherwise the complex or the
+    Hamilton product, written out."""
     if len(x) == 1:
         return [x[0] * c for c in y]
+    if len(y) == 1:
+        return [c * y[0] for c in x]
     if len(x) == 2:
         (a, b), (c, d) = x, y
         return [a * c - b * d, a * d + b * c]

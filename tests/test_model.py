@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mkge import algebra, model
+from mkge import algebra, data, model, train
 from mkge.errors import LengthMismatch
 from oracles import conj, oracle_score
 
@@ -86,9 +86,9 @@ class TestInit:
 
     def test_ablation_freezes_identity(self):
         """The parts an ablation freezes (the vectors and rotations for
-        "scalar", the scalars and scalings for "vector") hold no parameters
-        and materialize to the ring one of their width; the other parts keep
-        their groups."""
+        "scalar", the scalars and scalings for "vector") are the one trivial
+        group: they hold no parameters and materialize to the real one; the
+        other parts keep their groups."""
         for name, full in model.VARIANTS.items():
             groups = (full.scalar, full.vector, full.scaling, full.rotation)
             for ablation, frozen in (("scalar", (1, 3)), ("vector", (0, 2))):
@@ -100,9 +100,9 @@ class TestInit:
                     zip(groups, (v.scalar, v.vector, v.scaling, v.rotation), params, elems)
                 ):
                     if i in frozen:
+                        assert part is model.TRIVIAL
                         assert param.shape == (0, 3, 2)
-                        assert np.array_equal(elem, np.broadcast_to(
-                            np.eye(1, group.width).T[..., None], (group.width, 3, 2)))
+                        assert elem.tobytes() == np.ones((1, 3, 2)).tobytes()
                     else:
                         assert part is group
 
@@ -126,7 +126,7 @@ class TestEntityForward:
         `combine` of the whole table's inputs, for any block size and pool
         size."""
         store = model.init_model(name, 3, 17, 2, seed=5, ablation=ablation)
-        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.vector.width)
+        monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * 3 * store.variant.width)
         inputs = model.entity_inputs(store, np.arange(store.n_entities))[1]
         want = model.element_last(model.combine(*inputs)).tobytes()
         assert pool_runs(lambda: (model.combined_embeddings(store),)) == [want] * 3
@@ -301,6 +301,39 @@ class TestDegenerations:
         for a, b in ((rc.entity, dm.entity), (rc.relation, dm.relation)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("name", ["module_rc", "module_rh"])
+    def test_scalar_only_is_distmult_byte_for_byte(self, name):
+        """Scalar-only module_rc and module_rh are distmult's groups, so a
+        store of either computes distmult's bytes: scores, the loss and both
+        gradients of a step, and the tables after a `fit`."""
+        ablated = model.ablated(model.VARIANTS[name], "scalar")
+        distmult = model.VARIANTS["distmult"]
+        for part in ("scalar", "vector", "scaling", "rotation"):
+            assert getattr(ablated, part) is getattr(distmult, part)
+        assert ablated.score_kind == distmult.score_kind
+        vocab, kg = data.generate_synthetic_kg(seed=4, n_entities=16)
+        triples = data.augment_reciprocal(kg.train, vocab)
+        stores = [model.init_model(variant, 4, vocab.n_entities, vocab.n_relations, seed=21,
+                                   ablation=ablation)
+                  for variant, ablation in ((name, "scalar"), ("distmult", "both"))]
+        rows = np.arange(vocab.n_relations) % vocab.n_entities, np.arange(vocab.n_relations)
+        scores = [model.score_all_tails(store, *rows) for store in stores]
+        assert scores[0].tobytes() == scores[1].tobytes()
+        for (h, r), row in zip(zip(*rows), scores[0]):
+            for t in (0, vocab.n_entities - 1):
+                assert row[t] == pytest.approx(oracle_score(stores[1], h, r, t), abs=1e-12)
+        cfg = train.FitConfig(epochs=2, batch_size=16, seed=3,
+                              loss=train.LossConfig(lam=0.05))
+        steps = [train.batch_loss_and_grads(store, triples[:16], cfg.loss) for store in stores]
+        assert steps[0][0].hex() == steps[1][0].hex()
+        for a, b in zip(steps[0][1:], steps[1][1:]):
+            assert a.tobytes() == b.tobytes()
+        for store in stores:
+            train.fit(store, triples, cfg)
+        for a, b in ((stores[0].entity, stores[1].entity),
+                     (stores[0].relation, stores[1].relation)):
+            assert a.tobytes() == b.tobytes()
+
     def test_vector_only_rh_matches_quaternion_rotation_reference(self):
         """Vector-only module_rh equals a direct v_h (x) q_r dot v_t model."""
         k, n_e, n_r, seed = 3, 8, 4, 13
@@ -346,16 +379,22 @@ class TestGroupTable:
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_identity_params_materialize_to_identity(self, name):
         """The trivial group that stands in for a frozen part of this group
-        has no parameters, materializes to the ring one of the group's width,
-        and passes no gradient back."""
-        group = model.GROUPS[name]
-        trivial = model.TRIVIAL[group.width]
-        assert trivial.param_width == 0 and trivial.width == group.width
+        has no parameters, materializes to the real one, passes a zero
+        gradient back, and leaves this group's elements as they are when it
+        multiplies them on either side."""
+        group, trivial = model.GROUPS[name], model.TRIVIAL
+        assert trivial.param_width == 0 and trivial.width == 1
         params = np.empty((0, 2, 3))
         elems = trivial.materialize(params)
-        assert np.array_equal(elems, np.broadcast_to(np.eye(1, group.width).T[..., None],
-                                                     (group.width, 2, 3)))
-        assert trivial.param_backward(params, elems, np.ones_like(elems)).shape == params.shape
+        assert elems.tobytes() == np.ones((1, 2, 3)).tobytes()
+        grad = trivial.param_backward(params, elems, np.ones_like(elems))
+        assert grad.shape == params.shape and not np.any(grad)
+        rng = np.random.default_rng(2)
+        x = group.materialize(model.planes(rng.normal(size=(2, 3, group.param_width))))
+        if group is trivial:
+            x = model.planes(rng.normal(size=(2, 3, 1)))  # a free real to scale
+        assert algebra.elem_mul(elems, x).tobytes() == x.tobytes()
+        assert algebra.elem_mul(x, elems).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("name", sorted(model.GROUPS))
     def test_param_backward_matches_central_differences(self, name):
@@ -368,12 +407,12 @@ class TestGroupTable:
         fd = central_difference(lambda p: np.sum(grad * group.materialize(p)), params)
         assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("widths", [(1, 1), (1, 2), (1, 4), (2, 2), (4, 4)])
+    @pytest.mark.parametrize("widths", [(1, 1), (1, 2), (1, 4), (2, 2), (4, 4), (2, 1), (4, 1)])
     def test_product_backward_matches_central_differences(self, widths):
         rng = np.random.default_rng(sum(widths))
         x = model.planes(rng.normal(size=(3, 2, widths[0])))
         y = model.planes(rng.normal(size=(3, 2, widths[1])))
-        grad = model.planes(rng.normal(size=(3, 2, widths[1])))
+        grad = model.planes(rng.normal(size=(3, 2, max(widths))))
         grad_x, grad_y = algebra.elem_mul_backward(grad, x, y)
         fd_x = central_difference(lambda a: np.sum(grad * algebra.elem_mul(a, y)), x)
         fd_y = central_difference(lambda a: np.sum(grad * algebra.elem_mul(x, a)), y)

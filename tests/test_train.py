@@ -524,6 +524,27 @@ class TestFit:
         with pytest.raises(ShapeMismatch, match="train split"):
             train.fit(store, split, train.FitConfig(epochs=1))
 
+    @pytest.mark.parametrize("split, column, value", [
+        ("train", 2, "n_entities"), ("train", 1, "n_relations"),
+        ("validation", 2, "n_entities"), ("validation", 1, "n_base_relations"),
+    ])
+    def test_bad_id_raises_before_any_update(self, split, column, value):
+        """An id out of range in the last row of the train split, or of the
+        validation split (whose relations are base relations), raises before
+        the first batch: the tables and accumulators keep their bytes."""
+        vocab, kg = data.generate_synthetic_kg(seed=1, n_entities=30)
+        triples, valid = data.augment_reciprocal(kg.train, vocab), kg.valid.copy()
+        (triples if split == "train" else valid)[-1, column] = getattr(vocab, value)
+        store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
+        opt = train.OptimizerState.for_store(store)
+        state = (store.entity, store.relation, opt.acc_entity, opt.acc_relation)
+        before = [a.tobytes() for a in state]
+        cfg = train.FitConfig(epochs=1, batch_size=8, eval_interval=1)
+        with pytest.raises(IndexError, match=f"{split} split"):
+            train.fit(store, triples, cfg, valid_triples=valid,
+                      filter_index=data.build_filter_index(kg, vocab), opt_state=opt)
+        assert [a.tobytes() for a in state] == before
+
     @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh", "rotate"])
     def test_first_epoch_decreases_objective(self, name):
         vocab, store_data = data.generate_synthetic_kg(seed=1, n_entities=20)
@@ -644,10 +665,10 @@ BLOCK_BATCH = np.array([[2, 0, 7], [3, 1, 2], [2, 2, 19], [5, 3, 6], [6, 0, 5], 
                         [6, 1, 0], [19, 3, 18], [0, 0, 3], [19, 1, 19], [2, 3, 11]])
 
 
-def _block_runs(monkeypatch, name, run, configs):
-    """run() once per (rows per block, pool) of configs; returns the byte
-    strings of the results."""
-    width = BLOCK_K * model.VARIANTS[name].vector.width  # combined elements per row
+def _block_runs(monkeypatch, variant, run, configs):
+    """run() once per (rows per block, pool) of configs, on stores of the
+    (ablated) `variant`; returns the byte strings of the results."""
+    width = BLOCK_K * variant.width  # combined elements per row
     results = []
     for rows, pool in configs:
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
@@ -675,7 +696,7 @@ class TestRowBlocks:
             loss, g_e, g_r = train.batch_loss_and_grads(store, BLOCK_BATCH, LOSS)
             return np.float64(loss), g_e, g_r
 
-        one, *blocked = _block_runs(monkeypatch, name, run, _configs(thread_pools, 20))
+        one, *blocked = _block_runs(monkeypatch, store.variant, run, _configs(thread_pools, 20))
         assert blocked == [one, one]
 
     @pytest.mark.parametrize("name", sorted(model.VARIANTS))
@@ -692,7 +713,8 @@ class TestRowBlocks:
             return (store.entity, store.relation, opt.acc_entity, opt.acc_relation,
                     np.array([rec.loss for rec in report.epochs]))
 
-        one, *blocked = _block_runs(monkeypatch, name, run,
+        variant = model.ablated(model.VARIANTS[name], ablation)
+        one, *blocked = _block_runs(monkeypatch, variant, run,
                                     _configs(thread_pools, vocab.n_entities))
         assert blocked == [one, one]
 
@@ -724,7 +746,8 @@ class TestRowBlocks:
             assert tables[0] == tables[1]
             return tables[:1]
 
-        one, *blocked = _block_runs(monkeypatch, name, run, _configs(thread_pools, 20))
+        variant = model.ablated(model.VARIANTS[name], ablation)
+        one, *blocked = _block_runs(monkeypatch, variant, run, _configs(thread_pools, 20))
         assert blocked == [one, one]
 
     @pytest.mark.parametrize("name", sorted(model.VARIANTS))
@@ -735,7 +758,7 @@ class TestRowBlocks:
         """The head rows' gradients join their blocks' element gradients, so
         each entity group's `param_backward` sees every table row once."""
         store = model.init_model(name, BLOCK_K, 20, 4, seed=6, ablation=ablation)
-        width = BLOCK_K * store.variant.vector.width  # combined elements per row
+        width = BLOCK_K * store.variant.width  # combined elements per row
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
         monkeypatch.setattr(mkge, "_pool", thread_pools[2])
         seen = {"scalar": [], "vector": []}
@@ -760,7 +783,7 @@ class TestRowBlocks:
         wrapper set on the module sees it: once per entity row block, then
         once for the relation table."""
         store = model.init_model("module_hh", BLOCK_K, 20, 4, seed=6)
-        width = BLOCK_K * store.variant.vector.width
+        width = BLOCK_K * store.variant.width
         monkeypatch.setattr(model, "ROW_BLOCK_ELEMENTS", rows * width)
         monkeypatch.setattr(mkge, "_pool", thread_pools[2])
         calls, step = [], train.adagrad_step
@@ -814,7 +837,7 @@ class TestRowBlocks:
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            one, many = _block_runs(monkeypatch, "module_hh", run,
+            one, many = _block_runs(monkeypatch, model.VARIANTS["module_hh"], run,
                                     [(vocab.n_entities, thread_pools[1]), (1, thread_pools[8])])
         finally:
             sys.setswitchinterval(interval)
