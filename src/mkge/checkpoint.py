@@ -1,7 +1,9 @@
-"""Binary checkpoint files: little-endian, magic "MKGE", versioned header,
-then the parameter tables (and optionally Adagrad state) as float64 in index
-order. An ablation's tables hold only its free parameters (`model.ablated`).
-Round trips are bit-exact."""
+"""Binary checkpoint files, little-endian and bit-exact on a round trip.
+
+Format v1 is `_PREFIX`, the UTF-8 variant name, `_HEADER`, then float64
+tables in row order: the entity and relation tables and, with Adagrad state,
+its lr as a 1x1 table and the entity and relation accumulators. An
+ablation's tables hold only its free parameters (`model.ablated`)."""
 
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ from .errors import BadMagic, DigestMismatch, MissingFile, VersionUnsupported
 
 MAGIC = b"MKGE"
 FORMAT_VERSION = 1
+_PREFIX = struct.Struct("<4sII")  # magic, format version, variant-name length
+# k, ablation code, entity and relation counts, config digest, epoch, Adagrad flag (0 or 1)
+_HEADER = struct.Struct("<IIQQ32sQB")
 
 
 def config_digest(variant_name, k, ablation, n_entities, n_relations):
@@ -44,26 +49,22 @@ def _table_bytes(table):
 
 
 def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
-    variant = store.variant
-    name = variant.name.encode()
+    if len(digest) != 32:
+        raise ValueError(f"checkpoint digest must be 32 bytes, got {len(digest)}")
+    name = store.variant.name.encode()
+    header = (_PREFIX.pack(MAGIC, FORMAT_VERSION, len(name)) + name
+              + _HEADER.pack(store.k, model.ABLATION_MODES.index(store.ablation),
+                             store.n_entities, store.n_relations, digest, epoch,
+                             opt_state is not None))
+    tables = [store.entity, store.relation]
+    if opt_state is not None:
+        tables += [np.full((1, 1), opt_state.lr), opt_state.acc_entity, opt_state.acc_relation]
     tmp = f"{path}.tmp"  # renamed over path once complete, so a failed save keeps the old file
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<IIQQ", store.k, model.ABLATION_MODES.index(store.ablation),
-                                 store.n_entities, store.n_relations))
-            fh.write(digest)
-            fh.write(struct.pack("<Q", epoch))
-            fh.write(struct.pack("<B", 1 if opt_state is not None else 0))
-            fh.write(_table_bytes(store.entity))
-            fh.write(_table_bytes(store.relation))
-            if opt_state is not None:
-                fh.write(struct.pack("<d", opt_state.lr))
-                fh.write(_table_bytes(opt_state.acc_entity))
-                fh.write(_table_bytes(opt_state.acc_relation))
+            fh.write(header)
+            for table in tables:
+                fh.write(_table_bytes(table))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the save failed before the rename
@@ -84,12 +85,11 @@ def load_checkpoint(path):
         raise MissingFile(str(exc)) from exc
     with fh:
         size = os.fstat(fh.fileno()).st_size
-        if _read_exact(fh, 4, "magic") != MAGIC:
+        magic, version, name_len = _PREFIX.unpack(_read_exact(fh, _PREFIX.size, "header"))
+        if magic != MAGIC:
             raise BadMagic("not a MKGE checkpoint")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != FORMAT_VERSION:
             raise VersionUnsupported(f"checkpoint format version {version}")
-        (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "variant"))
         if name_len > size - fh.tell():  # checked before the read allocates it
             raise BadMagic(f"checkpoint header declares a {name_len}-byte variant name, "
                            f"the file holds {size - fh.tell()} more bytes")
@@ -100,42 +100,36 @@ def load_checkpoint(path):
             raise BadMagic(f"variant name {raw_name[:32]!r} is not UTF-8") from None
         if name not in model.VARIANTS:
             raise BadMagic(f"unknown model variant {name!r}")
-        k, ablation_code, n_ent, n_rel = struct.unpack("<IIQQ", _read_exact(fh, 24, "shape"))
+        k, ablation_code, n_ent, n_rel, digest, epoch, has_opt = _HEADER.unpack(
+            _read_exact(fh, _HEADER.size, "header"))
         if k < 1:
             raise BadMagic(f"checkpoint header declares k = {k}; k must be >= 1")
         if ablation_code >= len(model.ABLATION_MODES):
             raise BadMagic(f"unknown ablation code {ablation_code}")
-        digest = _read_exact(fh, 32, "digest")
-        (epoch,) = struct.unpack("<Q", _read_exact(fh, 8, "epoch"))
-        (has_opt,) = struct.unpack("<B", _read_exact(fh, 1, "flags"))
         if has_opt not in (0, 1):
             raise BadMagic(f"checkpoint optimizer-state flag is {has_opt}; it must be 0 or 1")
         ablation = model.ABLATION_MODES[ablation_code]
         variant = model.ablated(model.VARIANTS[name], ablation)
         ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
+        shapes = [(n_ent, ew, "entity table"), (n_rel, rw, "relation table")]  # (rows, cols, name)
+        if has_opt:
+            shapes += [(1, 1, "lr"), (n_ent, ew, "entity accumulators"),
+                       (n_rel, rw, "relation accumulators")]
         # check the declared payload against the file before allocating it
-        table_bytes = (n_ent * ew + n_rel * rw) * 8
-        payload = table_bytes + (8 + table_bytes if has_opt else 0)
+        payload = 8 * sum(rows * cols for rows, cols, _ in shapes)
         remaining = size - fh.tell()
         if payload != remaining:
             raise BadMagic(f"checkpoint header declares {payload} payload bytes, "
                            f"the file holds {remaining}")
-
-        def read_table(rows, cols, what):
+        tables = []
+        for rows, cols, what in shapes:
             table = np.empty((rows, cols), dtype="<f8")  # filled in place, no byte copy
             if fh.readinto(_table_bytes(table)) != table.nbytes:
                 raise BadMagic(f"truncated checkpoint while reading {what}")
-            return table
-
-        entity = read_table(n_ent, ew, "entity table")
-        relation = read_table(n_rel, rw, "relation table")
-        store = model.ParameterStore(variant, k, entity, relation, ablation)
-        opt_state = None
-        if has_opt:
-            (lr,) = struct.unpack("<d", _read_exact(fh, 8, "lr"))
-            opt_state = train.OptimizerState(
-                acc_entity=read_table(n_ent, ew, "entity accumulators"),
-                acc_relation=read_table(n_rel, rw, "relation accumulators"),
-                lr=lr,
-            )
+            tables.append(table)
+    store = model.ParameterStore(variant, k, tables[0], tables[1], ablation)
+    opt_state = None
+    if has_opt:
+        lr, acc_entity, acc_relation = tables[2:]
+        opt_state = train.OptimizerState(acc_entity, acc_relation, float(lr[0, 0]))
     return Checkpoint(store, opt_state, epoch, digest)

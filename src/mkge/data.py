@@ -161,40 +161,30 @@ def build_filter_index(store, vocab):
     return FilterIndex(keys, n_ent, n_rel)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Requested fact counts for the generated KG: one symmetric relation, one
-    anti-symmetric ordering relation, and a mutually inverse pair. Counts are
-    clamped to what n_entities can support without reusing an entity within a
-    relation, so every (entity, relation) query has a unique answer."""
-
-    symmetric_pairs: int = 120
-    ordering_edges: int = 80
-    inverse_pairs: int = 120
-
-
-def generate_synthetic_kg(seed, n_entities, relation_spec=None):
+def generate_synthetic_kg(seed, n_entities):
     """Deterministic, consistent toy KG with a 90/5/5 split.
 
     Relations: 'linked' (a matching, closed under symmetry), 'precedes'
     (successor edges of a hidden total order, hence anti-symmetric), and the
     inverse pair 'contains' / 'inside' (another matching). Each entity appears
     at most once per role per relation, so raw ranking has a unique correct
-    answer for every query and the fact set is fully memorizable.
+    answer for every query and the fact set is fully memorizable. The fact
+    counts are 120 symmetric pairs, 80 ordering edges and 120 inverse pairs,
+    each clamped to what n_entities supports without reusing an entity
+    within a relation.
     """
     if n_entities < 10:
         raise ValueError("need at least 10 entities")
-    spec = relation_spec or SyntheticSpec()
     rng = np.random.default_rng(seed)
 
     vocab = Vocab([f"e{i:03d}" for i in range(n_entities)],
                   ["linked", "precedes", "contains", "inside"])
     order = rng.permutation(n_entities)
-    n_sym = min(spec.symmetric_pairs, n_entities // 2)
+    n_sym = min(120, n_entities // 2)
     a, b = rng.permutation(n_entities)[: 2 * n_sym].reshape(n_sym, 2).T
-    n_ord = min(spec.ordering_edges, n_entities - 1)
+    n_ord = min(80, n_entities - 1)
     starts = rng.choice(n_entities - 1, size=n_ord, replace=False)
-    n_inv = min(spec.inverse_pairs, n_entities // 2)
+    n_inv = min(120, n_entities // 2)
     c, d = rng.permutation(n_entities)[: 2 * n_inv].reshape(n_inv, 2).T
     # (heads, relation id, tails): linked both ways, precedes, contains, inside
     parts = [(a, 0, b), (b, 0, a), (order[starts], 1, order[starts + 1]), (c, 2, d), (d, 3, c)]

@@ -220,7 +220,8 @@ def _draw_table(rng, n, k, groups):
 
 
 def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
-    """Seed-deterministic initialization of a store of `ablated(variant, ablation)`.
+    """Seed-deterministic initialization of a store of
+    `ablated(VARIANTS[variant], ablation)`, `variant` a model name.
 
     Free ring coordinates (real and quaternion scalars, GL(1) scalings) are
     drawn uniform(-0.5/sqrt(k), 0.5/sqrt(k)), the parameters of unit groups
@@ -232,7 +233,9 @@ def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    variant = ablated(VARIANTS[variant] if isinstance(variant, str) else variant, ablation)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown model {variant!r}")
+    variant = ablated(VARIANTS[variant], ablation)
     rng = np.random.default_rng(seed)
     entity = _draw_table(rng, n_entities, k, (variant.scalar, variant.vector))
     relation = _draw_table(rng, n_relations, k, (variant.scaling, variant.rotation))

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, map_blocks, model
+from . import algebra, map_blocks, model, ranking
 from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAGRAD_EPS = 1e-10
@@ -270,8 +270,6 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     outside [0, R) IndexError; a validation split that will be evaluated is
     checked as `ranking.evaluate` checks it, relations in [0, R / 2).
     """
-    from . import ranking  # deferred: ranking imports model only
-
     train_triples = model.check_triples(train_triples, store.n_entities, store.n_relations,
                                         "train split")
     validates = valid_triples is not None and len(valid_triples) > 0 and filter_index is not None

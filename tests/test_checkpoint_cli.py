@@ -13,7 +13,8 @@ import pytest
 
 from mkge import checkpoint as ckpt
 from mkge import cli, data, model, ranking, train
-from mkge.errors import BadMagic, DigestMismatch, MissingFile, ParseError, VersionUnsupported
+from mkge.errors import (BadMagic, DigestMismatch, MissingFile, MkgeError, ParseError,
+                         VersionUnsupported)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -21,9 +22,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 @pytest.fixture(scope="module")
 def toy_dataset(tmp_path_factory):
     directory = tmp_path_factory.mktemp("kg") / "toy"
-    vocab, store = data.generate_synthetic_kg(
-        seed=0, n_entities=20, relation_spec=data.SyntheticSpec(30, 20, 30)
-    )
+    vocab, store = data.generate_synthetic_kg(seed=0, n_entities=20)
     data.write_dataset(directory, vocab, store)
     return str(directory)
 
@@ -35,6 +34,26 @@ def small_args(toy_dataset, out, extra=()):
 
 def never(*args, **kwargs):
     raise AssertionError("the work started before the failing check")
+
+
+def v1_file(store, opt_state, epoch, digest):
+    """The documented v1 layout written out field by field: magic, version,
+    name length, name, k, ablation code, entity and relation counts, digest,
+    epoch, Adagrad flag, then the tables as little-endian float64 in row
+    order, with Adagrad state its lr and then the two accumulators."""
+    name = store.variant.name.encode()
+    code = {"scalar": 0, "vector": 1, "both": 2}[store.ablation]
+    parts = [b"MKGE", struct.pack("<I", 1), struct.pack("<I", len(name)), name,
+             struct.pack("<I", store.k), struct.pack("<I", code),
+             struct.pack("<Q", store.entity.shape[0]), struct.pack("<Q", store.relation.shape[0]),
+             digest, struct.pack("<Q", epoch), struct.pack("<B", opt_state is not None),
+             np.asarray(store.entity, dtype="<f8").tobytes(),
+             np.asarray(store.relation, dtype="<f8").tobytes()]
+    if opt_state is not None:
+        parts += [struct.pack("<d", opt_state.lr),
+                  np.asarray(opt_state.acc_entity, dtype="<f8").tobytes(),
+                  np.asarray(opt_state.acc_relation, dtype="<f8").tobytes()]
+    return b"".join(parts)
 
 
 class TestCheckpoint:
@@ -59,6 +78,85 @@ class TestCheckpoint:
         ckpt.save_checkpoint(path2, loaded.store, opt_state=loaded.opt_state,
                              epoch=loaded.epoch, digest=loaded.digest)
         assert path.read_bytes() == path2.read_bytes()
+
+    def v1_case(self, with_opt):
+        """A small module_hh store, its Adagrad state or None, its digest and
+        its v1 file at epoch 9."""
+        store = model.init_model("module_hh", 2, 3, 2, seed=5)
+        state = None
+        if with_opt:
+            state = train.OptimizerState.for_store(store, lr=0.0375)
+            state.acc_entity += np.arange(state.acc_entity.size).reshape(state.acc_entity.shape)
+            state.acc_relation += 0.5
+        digest = ckpt.config_digest("module_hh", 2, "both", 3, 2)
+        return store, state, digest, v1_file(store, state, 9, digest)
+
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_writes_and_reads_documented_v1_bytes(self, with_opt, tmp_path):
+        store, state, digest, blob = self.v1_case(with_opt)
+        path = tmp_path / "v1.mkge"
+        ckpt.save_checkpoint(path, store, opt_state=state, epoch=9, digest=digest)
+        assert path.read_bytes() == blob
+        path.write_bytes(blob)
+        loaded = ckpt.load_checkpoint(path)
+        assert (loaded.epoch, loaded.digest) == (9, digest)
+        assert loaded.store.variant == store.variant and loaded.store.ablation == "both"
+        assert loaded.store.entity.tobytes() == store.entity.tobytes()
+        assert loaded.store.relation.tobytes() == store.relation.tobytes()
+        if with_opt:
+            assert loaded.opt_state.lr == state.lr
+            assert loaded.opt_state.acc_entity.tobytes() == state.acc_entity.tobytes()
+            assert loaded.opt_state.acc_relation.tobytes() == state.acc_relation.tobytes()
+        else:
+            assert loaded.opt_state is None
+
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_damaged_v1_file_raises_or_loads_declared_shapes(self, with_opt, tmp_path):
+        """Each byte of the 86-byte header set to 0x00, to 0xFF and flipped in
+        its lowest and its highest bit, and the file cut at every length:
+        each load raises an MkgeError or returns the tables its header
+        declares, filled from the bytes that follow the header."""
+        *_, blob = self.v1_case(with_opt)
+        header_len = 12 + len(b"module_hh") + 65
+        damaged = [blob[:cut] for cut in range(len(blob))]
+        for at in range(header_len):
+            for byte in (0x00, 0xFF, blob[at] ^ 0x01, blob[at] ^ 0x80):
+                damaged.append(blob[:at] + bytes([byte]) + blob[at + 1:])
+        path = tmp_path / "damaged.mkge"
+        loads = 0
+        for forged in damaged:
+            path.write_bytes(forged)
+            try:
+                loaded = ckpt.load_checkpoint(path)
+            except MkgeError:
+                continue
+            loads += 1
+            (name_len,) = struct.unpack_from("<I", forged, 8)
+            at = 12 + name_len
+            k, code, n_ent, n_rel = struct.unpack_from("<IIQQ", forged, at)
+            (has_opt,) = struct.unpack_from("<B", forged, at + 64)
+            variant = model.ablated(model.VARIANTS[forged[12:at].decode()],
+                                    ("scalar", "vector", "both")[code])
+            ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
+            tables = [loaded.store.entity, loaded.store.relation]
+            shapes = [(n_ent, ew), (n_rel, rw)]
+            if has_opt:
+                opt = loaded.opt_state
+                tables += [np.array([[opt.lr]]), opt.acc_entity, opt.acc_relation]
+                shapes += [(1, 1), (n_ent, ew), (n_rel, rw)]
+            else:
+                assert loaded.opt_state is None
+            assert [t.shape for t in tables] == shapes
+            assert b"".join(t.tobytes() for t in tables) == forged[at + 65:]
+        assert loads > 0  # the digest and epoch bytes hold any value
+
+    @pytest.mark.parametrize("length", [0, 3, 31, 33])
+    def test_digest_of_wrong_length_raises_before_writing(self, length, tmp_path):
+        store, state = self.make_store()
+        path = tmp_path / "n.mkge"
+        with pytest.raises(ValueError, match=f"32 bytes, got {length}"):
+            ckpt.save_checkpoint(path, store, opt_state=state, digest=b"\x01" * length)
+        assert not path.exists() and not (tmp_path / "n.mkge.tmp").exists()
 
     def test_loaded_tables_are_native_and_writable(self, tmp_path):
         store, state = self.make_store()

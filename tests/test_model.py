@@ -73,6 +73,10 @@ class TestInit:
         assert np.array_equal(a.entity, b.entity)
         assert np.array_equal(a.relation, b.relation)
 
+    def test_unknown_model_raises(self):
+        with pytest.raises(ValueError, match="unknown model 'nope'"):
+            model.init_model("nope", 2, 3, 2, seed=0)
+
     def test_shapes(self):
         store = model.init_model("module_hh", 1, 2, 1, seed=0)
         assert store.entity.shape == (2, 7)
