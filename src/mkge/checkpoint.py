@@ -1,8 +1,8 @@
 """Binary checkpoint files, little-endian and bit-exact on a round trip.
 
-Format v1 is `_PREFIX`, the UTF-8 variant name, `_HEADER`, then float64
-tables in row order: the entity and relation tables and, with Adagrad state,
-its lr as a 1x1 table and the entity and relation accumulators. An
+Format v1 is `_PREFIX`, the UTF-8 variant name, `_HEADER`, then `_layout`'s
+float64 tables in row order: the entity and relation tables and, with Adagrad
+state, its lr as a 1x1 table and the entity and relation accumulators. An
 ablation's tables hold only its free parameters (`model.ablated`)."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model, train
-from .errors import BadMagic, DigestMismatch, MissingFile, VersionUnsupported
+from .errors import BadMagic, DigestMismatch, MissingFile, ShapeMismatch, VersionUnsupported
 
 MAGIC = b"MKGE"
 FORMAT_VERSION = 1
@@ -48,6 +48,16 @@ def _table_bytes(table):
     return np.ascontiguousarray(table, dtype="<f8").reshape(-1).view(np.uint8)
 
 
+def _layout(variant, k, n_ent, n_rel, has_opt):
+    """The (rows, cols, name) of each v1 table, in file order."""
+    ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
+    shapes = [(n_ent, ew, "entity table"), (n_rel, rw, "relation table")]
+    if has_opt:
+        shapes += [(1, 1, "lr"), (n_ent, ew, "entity accumulators"),
+                   (n_rel, rw, "relation accumulators")]
+    return shapes
+
+
 def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
     if len(digest) != 32:
         raise ValueError(f"checkpoint digest must be 32 bytes, got {len(digest)}")
@@ -59,6 +69,10 @@ def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
     tables = [store.entity, store.relation]
     if opt_state is not None:
         tables += [np.full((1, 1), opt_state.lr), opt_state.acc_entity, opt_state.acc_relation]
+    for table, (rows, cols, what) in zip(tables, _layout(
+            store.variant, store.k, store.n_entities, store.n_relations, opt_state is not None)):
+        if table.shape != (rows, cols):  # the reader would reject the file
+            raise ShapeMismatch(f"checkpoint {what} is {table.shape}, not {(rows, cols)}")
     tmp = f"{path}.tmp"  # renamed over path once complete, so a failed save keeps the old file
     try:
         with open(tmp, "wb") as fh:
@@ -110,11 +124,7 @@ def load_checkpoint(path):
             raise BadMagic(f"checkpoint optimizer-state flag is {has_opt}; it must be 0 or 1")
         ablation = model.ABLATION_MODES[ablation_code]
         variant = model.ablated(model.VARIANTS[name], ablation)
-        ew, rw = variant.entity_row_width(k), variant.relation_row_width(k)
-        shapes = [(n_ent, ew, "entity table"), (n_rel, rw, "relation table")]  # (rows, cols, name)
-        if has_opt:
-            shapes += [(1, 1, "lr"), (n_ent, ew, "entity accumulators"),
-                       (n_rel, rw, "relation accumulators")]
+        shapes = _layout(variant, k, n_ent, n_rel, has_opt)
         # check the declared payload against the file before allocating it
         payload = 8 * sum(rows * cols for rows, cols, _ in shapes)
         remaining = size - fh.tell()

@@ -5,13 +5,15 @@ defaults < preset < config file < flags < a grid point's `--set` values; the
 resolved key=value form is written next to the outputs and reparses to an
 equal config. `eval` takes only `--dataset`, `--checkpoint`, `--split` and
 `--out`: the checkpoint fixes the variant, k and ablation. A bad value of
-any flag exits 1 with one `error:` line. All outputs are CSV with a header
-row.
+any flag exits 1 with one `error:` line. `_csv` writes every CSV output,
+header row first and each row flushed as it is made: `train_report.csv`
+gains a row as each epoch ends, and an unwritable one fails before training.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -33,6 +35,7 @@ PRESETS = {
                      schedule="constant"),
 }
 
+METRICS = ("mrr", "hits1", "hits3", "hits10")  # the test columns of metrics.csv and grid.csv
 MODEL_ALIASES = {"rc": "module_rc", "rh": "module_rh", "hh": "module_hh"}
 _CASTS = {"int": int, "float": float, "str": str}  # by field type, for every setting value
 
@@ -165,13 +168,28 @@ def _make_dir(path):
         raise MissingFile(f"cannot create output directory {path!r}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _csv(path, header):
+    """Open `path`, write the `header` row and yield write(row), which writes
+    one row of cells and flushes it, so a later failure keeps it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        def write(row):
+            fh.write(",".join(map(str, row)) + "\n")
+            fh.flush()
+        write(header)
+        yield write
+
+
 def _evaluate(split, store, index, vocab, out_dir):
     """Rank `split` and write metrics.csv and per_relation.csv to out_dir."""
     from . import ranking
 
     metrics = ranking.evaluate(split, store, index)
-    metrics.to_csv(os.path.join(out_dir, "metrics.csv"))
-    ranking.per_relation_csv(metrics, os.path.join(out_dir, "per_relation.csv"), vocab)
+    with _csv(os.path.join(out_dir, "metrics.csv"), METRICS) as write:
+        write([f"{getattr(metrics, name):.6f}" for name in METRICS])
+    with _csv(os.path.join(out_dir, "per_relation.csv"), ["relation", "mrr", "count"]) as write:
+        for name, mrr, count in ranking.per_relation_table(metrics, vocab):
+            write([name, f"{mrr:.6f}", count])
     return metrics
 
 
@@ -195,15 +213,19 @@ def run_training(cfg, prepared, resume=None):
     else:
         store = model.init_model(cfg.model, cfg.k, vocab.n_entities, vocab.n_relations,
                                  seed=cfg.seed, ablation=cfg.ablation)
-    report, opt_state = train.fit(store, train_aug, _fit_config(cfg),
-                                  valid_triples=triples.valid, filter_index=index,
-                                  opt_state=opt_state, start_epoch=start_epoch)
+    with _csv(os.path.join(cfg.out, "train_report.csv"),
+              ["epoch", "loss", "lr", "valid_mrr", "seconds"]) as write:
+        def epoch_row(rec, _):  # fit's callback, as each epoch ends
+            mrr = "" if rec.valid_mrr is None else f"{rec.valid_mrr:.6f}"
+            write([rec.epoch, f"{rec.loss:.10f}", f"{rec.lr:.10f}", mrr, f"{rec.seconds:.3f}"])
+        report, opt_state = train.fit(store, train_aug, _fit_config(cfg), callback=epoch_row,
+                                      valid_triples=triples.valid, filter_index=index,
+                                      opt_state=opt_state, start_epoch=start_epoch)
     final_epoch = report.epochs[-1].epoch + 1 if report.epochs else start_epoch
     ckpt.save_checkpoint(os.path.join(cfg.out, "checkpoint.mkge"), store,
                          opt_state=opt_state, epoch=final_epoch, digest=digest)
     with open(os.path.join(cfg.out, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
-    report.to_csv(os.path.join(cfg.out, "train_report.csv"))
     return store, report, _evaluate(triples.test, store, index, vocab, cfg.out)
 
 
@@ -256,20 +278,15 @@ def cmd_grid(args):
         seen.add(cfg.out)
     prepared = _prepare(cfgs[0].dataset, "test")
     _make_dir(root)
-    with open(os.path.join(root, "grid.csv"), "w", encoding="utf-8") as fh:
-
-        def write_row(row):  # flushed, so a later failure keeps the finished points
-            fh.write(",".join(map(str, row)) + "\n")
-            fh.flush()
-
-        write_row([*axes, "valid_mrr", "valid_epoch", "mrr", "hits1", "hits3", "hits10"])
+    header = [*axes, "valid_mrr", "valid_epoch", *METRICS]
+    with _csv(os.path.join(root, "grid.csv"), header) as write:
         for cfg in points:
             _, report, m = run_training(cfg, prepared)
             best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
                        key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
             valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]
-            write_row([getattr(cfg, key) for key in axes] + valid
-                      + [f"{v:.6f}" for v in (m.mrr, m.hits1, m.hits3, m.hits10)])
+            write([getattr(cfg, key) for key in axes] + valid
+                  + [f"{getattr(m, name):.6f}" for name in METRICS])
             print(f"{os.path.basename(cfg.out)} mrr={m.mrr:.4f} h@1={m.hits1:.4f}")
     return 0
 

@@ -280,12 +280,23 @@ def _check_ids(ids, bound, what="id"):
         raise IndexError(f"{what} out of range [0, {bound})")
 
 
+def as_ids(ids, name, ndim=1):
+    """`ids` as an int64 array, int64 input itself, uncopied. An array that
+    is not of an integer dtype (bool is not) or has more than `ndim` axes
+    raises ShapeMismatch naming `name`: a cast would truncate 0.5 to id 0."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or ids.ndim > ndim:
+        raise ShapeMismatch(f"{name} must be integer ids with at most {ndim} axes, "
+                            f"got a {ids.ndim}-axis {ids.dtype} array")
+    return ids.astype(np.int64, copy=False)
+
+
 def check_triples(triples, n_entities, n_relations, name):
-    """`triples` as an int64 id array, checked to be a nonempty (n, 3) array
-    of (head, relation, tail) rows with entity ids in [0, n_entities) and
-    relation ids in [0, n_relations); otherwise ShapeMismatch or IndexError,
-    whose message names the array `name`."""
-    triples = np.asarray(triples, dtype=np.int64)
+    """`triples` as int64 ids (`as_ids`), checked to be a nonempty (n, 3)
+    array of (head, relation, tail) rows with entity ids in [0, n_entities)
+    and relation ids in [0, n_relations); otherwise ShapeMismatch or
+    IndexError, whose message names the array `name`."""
+    triples = as_ids(triples, name, ndim=2)
     if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
         raise ShapeMismatch(f"{name} must be a nonempty (n, 3) id array")
     _check_ids(triples[:, 0::2], n_entities, f"{name} entity id")
@@ -504,10 +515,11 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
 
     The transformed head is computed once per (h, r) row and reused across
     candidates; pass a precomputed combined-entity table to amortize it. A
-    head id outside [0, E) or a relation id outside [0, R) raises IndexError.
+    head id outside [0, E) or a relation id outside [0, R) raises IndexError,
+    and id arrays that are not integer ids of at most one axis ShapeMismatch.
     """
-    h_ids = np.atleast_1d(np.asarray(h_ids, dtype=np.int64))
-    r_ids = np.atleast_1d(np.asarray(r_ids, dtype=np.int64))
+    h_ids = np.atleast_1d(as_ids(h_ids, "head ids"))
+    r_ids = np.atleast_1d(as_ids(r_ids, "relation ids"))
     if h_ids.shape != r_ids.shape:
         raise ShapeMismatch("head and relation id arrays differ in shape")
     c_all = tails_combined if tails_combined is not None else combined_embeddings(store)

@@ -60,11 +60,6 @@ class MetricsReport:
     head: RankMetrics  # head queries (?, r, t) alone
     ranks: list = field(default_factory=list)
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("mrr,hits1,hits3,hits10\n")
-            fh.write(f"{self.mrr:.6f},{self.hits1:.6f},{self.hits3:.6f},{self.hits10:.6f}\n")
-
     def format_table(self):
         rows = [("MRR", self.mrr), ("Hits@1", self.hits1), ("Hits@3", self.hits3),
                 ("Hits@10", self.hits10)]
@@ -78,9 +73,10 @@ def bottom_rank(scores, true_idx, filtered=None):
     scores drop out of the count, so a -inf true score ties with no masked -inf.
     A candidate counts unless it scores below the true one, so a NaN true score
     ranks last among the unmasked and a NaN candidate counts against it. The
-    ranks are np.intp, shaped like true_idx."""
+    ranks are np.intp, shaped like true_idx; a true_idx that is not integer
+    ids (`model.as_ids`) raises ShapeMismatch."""
     scores = np.asarray(scores, dtype=np.float64)
-    true_idx = np.asarray(true_idx, dtype=np.int64)
+    true_idx = model.as_ids(true_idx, "true index", ndim=scores.ndim - 1)
     if np.any((true_idx < 0) | (true_idx >= scores.shape[-1])):
         raise IndexError(f"true index {true_idx} out of range")
     at_true = true_idx[..., None]
@@ -154,18 +150,9 @@ def evaluate(split, store, filter_index):
     )
 
 
-def per_relation_table(report, vocab=None):
+def per_relation_table(report, vocab):
     """Rows (relation name, mrr, direction count) sorted by count descending."""
-    rows = []
-    for rid, (mrr, count) in report.per_relation.items():
-        name = vocab.relation_name(rid) if vocab is not None else str(rid)
-        rows.append((name, mrr, count))
+    rows = [(vocab.relation_name(rid), mrr, count)
+            for rid, (mrr, count) in report.per_relation.items()]
     rows.sort(key=lambda row: (-row[2], row[0]))
     return rows
-
-
-def per_relation_csv(report, path, vocab=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("relation,mrr,count\n")
-        for name, mrr, count in per_relation_table(report, vocab):
-            fh.write(f"{name},{mrr:.6f},{count}\n")

@@ -102,13 +102,6 @@ class EpochRecord:
 class TrainReport:
     epochs: list = field(default_factory=list)
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss,lr,valid_mrr,seconds\n")
-            for rec in self.epochs:
-                mrr = "" if rec.valid_mrr is None else f"{rec.valid_mrr:.6f}"
-                fh.write(f"{rec.epoch},{rec.loss:.10f},{rec.lr:.10f},{mrr},{rec.seconds:.3f}\n")
-
 
 def lr_at(epoch, schedule, lr0, total_epochs):
     """Constant schedule, or geometric decay reaching a total factor of 0.1

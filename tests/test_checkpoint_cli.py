@@ -14,7 +14,7 @@ import pytest
 from mkge import checkpoint as ckpt
 from mkge import cli, data, model, ranking, train
 from mkge.errors import (BadMagic, DigestMismatch, MissingFile, MkgeError, ParseError,
-                         VersionUnsupported)
+                         ShapeMismatch, VersionUnsupported)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -157,6 +157,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"32 bytes, got {length}"):
             ckpt.save_checkpoint(path, store, opt_state=state, digest=b"\x01" * length)
         assert not path.exists() and not (tmp_path / "n.mkge.tmp").exists()
+
+    @pytest.mark.parametrize("table", ["entity table", "entity accumulators",
+                                       "relation accumulators"])
+    def test_table_of_other_shape_raises_before_writing(self, table, tmp_path):
+        """A table whose shape is not the one the reader derives from the
+        header raises ShapeMismatch naming it, before any file is opened;
+        such a file was written and then rejected by its own reader."""
+        store = model.init_model("module_hh", 3, 10, 4, seed=0)
+        state = train.OptimizerState.for_store(store)
+        if table == "entity table":  # rows of another width, without Adagrad state
+            store, state = replace(store, entity=np.zeros((10, 5))), None
+        elif table == "entity accumulators":  # Adagrad state of an 11-entity store
+            state.acc_entity = np.zeros((11, store.entity.shape[1]))
+        else:
+            state.acc_relation = np.zeros((4, 5))
+        path = tmp_path / "s.mkge"
+        with pytest.raises(ShapeMismatch, match=f"checkpoint {table} is "):
+            ckpt.save_checkpoint(path, store, opt_state=state)
+        assert not path.exists() and not (tmp_path / "s.mkge.tmp").exists()
 
     def test_loaded_tables_are_native_and_writable(self, tmp_path):
         store, state = self.make_store()
@@ -586,14 +605,19 @@ class TestBadInput:
         assert self.run(capsys, argv).count("\n") == 1
         assert not out.exists()
 
-    def test_grid_csv_is_directory(self, toy_dataset, tmp_path, capsys, monkeypatch):
-        """`grid.csv` is opened before the first point trains."""
+    @pytest.mark.parametrize("name", ["grid.csv", "train_report.csv"])
+    def test_csv_opened_before_training(self, name, toy_dataset, tmp_path, capsys,
+                                        monkeypatch):
+        """`grid.csv` is opened before the first point trains, and
+        `train_report.csv` before the first epoch."""
         monkeypatch.setattr(train, "fit", never)
-        out = tmp_path / "grid"
-        (out / "grid.csv").mkdir(parents=True)
-        err = self.run(capsys, ["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0,1"])
-        assert err.count("\n") == 1 and str(out / "grid.csv") in err
-        assert os.listdir(out) == ["grid.csv"]
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        argv = {"grid.csv": ["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0,1"],
+                "train_report.csv": ["train", *small_args(toy_dataset, str(out))]}[name]
+        err = self.run(capsys, argv)
+        assert err.count("\n") == 1 and str(out / name) in err
+        assert os.listdir(out) == [name]
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap(self, value, toy_dataset, tmp_path, capsys, monkeypatch):
@@ -950,3 +974,77 @@ class TestCmdGrid:
         assert cli.main(["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0"]) == 0
         (row,) = grid_rows(str(out))[1]
         assert row[:3] == ["0", "", ""]
+
+
+def after_each_epoch(monkeypatch, hook):
+    """Make `train.fit` call `hook(rec)` after the callback it was given has
+    seen each epoch's record `rec`."""
+    fit = train.fit
+
+    def watched(*args, callback, **kwargs):
+        def wrapped(rec, store):
+            callback(rec, store)
+            hook(rec)
+
+        return fit(*args, callback=wrapped, **kwargs)
+
+    monkeypatch.setattr(train, "fit", watched)
+
+
+class TestCsvOutputs:
+    """Every CSV output: its header row, the format of each column, and
+    `train_report.csv` written row by row as the epochs end."""
+
+    def test_headers_and_column_formats(self, toy_dataset, tmp_path):
+        out = tmp_path / "grid"
+        assert cli.main(["grid", *small_args(toy_dataset, str(out), ["--eval-interval", "2"]),
+                         "--set", "seed=0,1"]) == 0
+        cells = r"\d\.\d{6},\d\.\d{6},\d\.\d{6},\d\.\d{6}"
+        vocab, triples = data.build_dataset(toy_dataset)
+        files = {
+            "grid.csv": ("seed,valid_mrr,valid_epoch,mrr,hits1,hits3,hits10",
+                         rf"[01],(\d\.\d{{6}},\d+|,),{cells}", 2),
+            "seed=0/train_report.csv": (
+                "epoch,loss,lr,valid_mrr,seconds",
+                r"\d+,-?\d+\.\d{10},\d+\.\d{10},(\d\.\d{6})?,\d+\.\d{3}", 2),
+            "seed=0/metrics.csv": ("mrr,hits1,hits3,hits10", cells, 1),
+            "seed=0/per_relation.csv": ("relation,mrr,count", r"[^,]+,\d\.\d{6},[1-9]\d*",
+                                        len(set(triples.test[:, 1].tolist()))),
+        }
+        for name, (header, row, count) in files.items():
+            lines = (out / name).read_text(encoding="utf-8").split("\n")
+            assert lines[0] == header and lines[-1] == "", name  # each row ends in a newline
+            assert len(lines) == count + 2, name
+            for line in lines[1:-1]:
+                assert re.fullmatch(row, line), (name, line)
+        report = (out / "seed=0/train_report.csv").read_text().splitlines()
+        assert [line.split(",")[3] != "" for line in report[1:]] == [False, True]
+        relations = [line.split(",")[0] for line in
+                     (out / "seed=0/per_relation.csv").read_text().splitlines()[1:]]
+        assert set(relations) <= set(vocab.id_to_relation)
+
+    def test_train_report_grows_per_epoch(self, toy_dataset, tmp_path, monkeypatch):
+        """While `fit` runs, `train_report.csv` holds one row per finished
+        epoch, so a crash keeps the rows of the epochs it finished."""
+        out = tmp_path / "o"
+        seen = []
+        after_each_epoch(monkeypatch, lambda rec: seen.append(
+            (out / "train_report.csv").read_text(encoding="utf-8").splitlines()))
+        assert cli.main(["train", *small_args(toy_dataset, str(out), ["--epochs", "3"])]) == 0
+        final = (out / "train_report.csv").read_text(encoding="utf-8").splitlines()
+        assert seen == [final[:2], final[:3], final[:4]]
+        assert [line.split(",")[0] for line in final[1:]] == ["0", "1", "2"]
+
+    def test_crash_keeps_finished_epochs(self, toy_dataset, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o"
+
+        def crash(rec):
+            if rec.epoch == 1:
+                raise ValueError("crashed after epoch 1")
+
+        after_each_epoch(monkeypatch, crash)
+        assert cli.main(["train", *small_args(toy_dataset, str(out), ["--epochs", "3"])]) == 1
+        assert capsys.readouterr().err == "error: crashed after epoch 1\n"
+        lines = (out / "train_report.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+        assert os.listdir(out) == ["train_report.csv"]

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mkge import algebra, data, model, train
-from mkge.errors import LengthMismatch
+from mkge import algebra, data, model, ranking, train
+from mkge.errors import LengthMismatch, ShapeMismatch
 from oracles import conj, oracle_score
 
 
@@ -277,6 +277,58 @@ class TestScore:
             model.score_all_tails(store, [0, h], [0, r])
         with pytest.raises(IndexError):
             model.transformed_heads(store, np.array([h]), np.array([r]))
+
+
+class TestIdArrays:
+    """Every id array passes `model.as_ids`: ids that are not of an integer
+    dtype, or have too many axes, raise ShapeMismatch naming the array, where
+    a cast to int64 truncated 0.5 to id 0."""
+
+    def make_case(self):
+        vocab, kg = data.generate_synthetic_kg(seed=0, n_entities=20)
+        store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
+        return vocab, kg, store
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, "bool"], ids=["half", "whole_float", "bool"])
+    def test_non_integer_triples_raise(self, bad):
+        vocab, kg, store = self.make_case()
+        aug = data.augment_reciprocal(kg.train, vocab)
+
+        def spoil(triples):
+            return triples.astype(bool) if bad == "bool" else triples + bad
+
+        with pytest.raises(ShapeMismatch, match="split must be integer ids"):
+            ranking.evaluate(spoil(kg.test), store, data.build_filter_index(kg, vocab))
+        with pytest.raises(ShapeMismatch, match="batch must be integer ids"):
+            train.batch_loss_and_grads(store, spoil(aug[:4]), train.LossConfig())
+        with pytest.raises(ShapeMismatch, match="train split must be integer ids"):
+            train.fit(store, spoil(aug), train.FitConfig(epochs=1))
+
+    def test_score_all_tails_ids(self):
+        _, _, store = self.make_case()
+        with pytest.raises(ShapeMismatch, match="head ids must be integer ids with at most 1"):
+            model.score_all_tails(store, np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64))
+        with pytest.raises(ShapeMismatch, match="relation ids"):
+            model.score_all_tails(store, [0, 1], [0.0, 1.0])
+        with pytest.raises(ShapeMismatch, match="head ids"):
+            model.score_all_tails(store, True, 0)
+
+    def test_bottom_rank_true_index(self):
+        with pytest.raises(ShapeMismatch, match="true index"):
+            ranking.bottom_rank(np.zeros(3), 1.0)
+        with pytest.raises(ShapeMismatch, match="true index"):  # one axis more than the scores'
+            ranking.bottom_rank(np.zeros((2, 3)), np.zeros((2, 1), np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+    def test_any_integer_dtype_ranks_as_int64(self, dtype):
+        vocab, kg, store = self.make_case()
+        index = data.build_filter_index(kg, vocab)
+        want = ranking.evaluate(kg.test, store, index)
+        got = ranking.evaluate(kg.test.astype(dtype), store, index)
+        assert [rec.rank for rec in got.ranks] == [rec.rank for rec in want.ranks]
+        ids = np.arange(4, dtype=dtype)
+        assert model.as_ids(ids, "ids").dtype == np.int64
+        assert (model.as_ids(ids, "ids") is ids) == (dtype == np.int64)  # int64 is not copied
 
 
 class TestDegenerations:

@@ -23,11 +23,12 @@ The `data` line hashes the entity and relation name lists and the three id
 arrays that `build_dataset` reads back from `write_dataset` of the synthetic
 KG, so a change to parsing or to id assignment shows there.
 
-The `cli` line runs `mkge train` (`module_rc`, k=2, 2 epochs) on that KG
-and then `mkge eval` of its checkpoint with the four eval flags, and hashes
-the `checkpoint.mkge`, `train_report.csv` (without its `seconds` column),
-`metrics.csv` and `per_relation.csv` they write, so a change to the command
-line's settings or outputs shows there.
+The `cli` line runs `mkge train` (`module_rc`, k=2, 2 epochs) on that KG,
+then `mkge eval` of its checkpoint with the four eval flags and a 2-point
+`mkge grid --set seed=0,1` (1 epoch, the same settings), and hashes the
+`checkpoint.mkge`, `train_report.csv` (without its `seconds` column),
+`metrics.csv`, `per_relation.csv` and `grid.csv` they write, so a change to
+the command line's settings or outputs shows there.
 
 Two trees give the same output exactly when they compute the same bits, so a
 refactor is checked by diffing the output of the parent and of the change:
@@ -95,17 +96,20 @@ def data_line(vocab, triples):
 
 def cli_line(vocab, triples):
     with tempfile.TemporaryDirectory() as tmp:
-        kg, trained, evaluated = (os.path.join(tmp, name) for name in ("kg", "t", "e"))
+        kg, trained, evaluated, grid = (os.path.join(tmp, name) for name in ("kg", "t", "e", "g"))
         data.write_dataset(kg, vocab, triples)
+        toy = ["--dataset", kg, "--model", "rc", "--k", "2", "--batch-size", "32",
+               "--eval-interval", "1"]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["train", "--dataset", kg, "--model", "rc", "--k", "2",
-                             "--epochs", "2", "--batch-size", "32", "--seed", "1",
-                             "--eval-interval", "1", "--out", trained]) == 0
+            assert cli.main(["train", *toy, "--epochs", "2", "--seed", "1", "--out", trained]) == 0
             assert cli.main(["eval", "--dataset", kg, "--split", "test", "--out", evaluated,
                              "--checkpoint", os.path.join(trained, "checkpoint.mkge")]) == 0
+            assert cli.main(["grid", *toy, "--epochs", "1", "--out", grid,
+                             "--set", "seed=0,1"]) == 0
         outputs = {}
         for name, directory in (("checkpoint.mkge", trained), ("train_report.csv", trained),
-                                ("metrics.csv", evaluated), ("per_relation.csv", evaluated)):
+                                ("metrics.csv", evaluated), ("per_relation.csv", evaluated),
+                                ("grid.csv", grid)):
             with open(os.path.join(directory, name), "rb") as fh:
                 outputs[name] = fh.read()
     # the seconds column, last in each row, is wall time
