@@ -149,16 +149,14 @@ def _fit_config(cfg):
 
 
 def _prepare(dataset, split):
-    """The dataset's vocab, triples, filter index and reciprocal train
-    triples; an empty `split`, the one to be ranked, fails before any work."""
+    """The dataset's vocab, triples and filter index; an empty `split`, the
+    one to be ranked, fails before any work."""
     from . import data
 
     vocab, triples = data.build_dataset(dataset)
     if len(triples.splits()[split]) == 0:
         raise ValueError(f"{split} split of {dataset} is empty: nothing to rank")
-    index = data.build_filter_index(triples, vocab)
-    train_aug = data.augment_reciprocal(triples.train, vocab)
-    return vocab, triples, index, train_aug
+    return vocab, triples, data.build_filter_index(triples, vocab)
 
 
 def _make_dir(path):
@@ -166,6 +164,22 @@ def _make_dir(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise MissingFile(f"cannot create output directory {path!r}: {exc.strerror}") from exc
+
+
+def _earlier_rows(path, header, start_epoch):
+    """The rows of the report at `path` if it has `header` and exactly the
+    epochs 0 ... start_epoch - 1, in order, as a run that is resumed at
+    start_epoch into its own output directory left it; else none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError):  # no report there: a fresh one
+        return []
+    rows = [line.split(",") for line in lines[1:]]
+    epochs = [row[0] for row in rows]
+    if lines[:1] != [",".join(header)] or epochs != [str(e) for e in range(start_epoch)]:
+        return []
+    return rows
 
 
 @contextlib.contextmanager
@@ -197,9 +211,10 @@ def run_training(cfg, prepared, resume=None):
     """Shared train pipeline into cfg.out, on `prepared`, the `_prepare` of
     cfg.dataset for the test split; returns (store, report, metrics)."""
     from . import checkpoint as ckpt
-    from . import model, train
+    from . import data, model, train
 
-    vocab, triples, index, train_aug = prepared
+    vocab, triples, index = prepared
+    train_aug = data.augment_reciprocal(triples.train, vocab)
     _make_dir(cfg.out)
     digest = ckpt.config_digest(cfg.model, cfg.k, cfg.ablation,
                                 vocab.n_entities, vocab.n_relations)
@@ -213,8 +228,13 @@ def run_training(cfg, prepared, resume=None):
     else:
         store = model.init_model(cfg.model, cfg.k, vocab.n_entities, vocab.n_relations,
                                  seed=cfg.seed, ablation=cfg.ablation)
-    with _csv(os.path.join(cfg.out, "train_report.csv"),
-              ["epoch", "loss", "lr", "valid_mrr", "seconds"]) as write:
+    report_path = os.path.join(cfg.out, "train_report.csv")
+    header = ["epoch", "loss", "lr", "valid_mrr", "seconds"]
+    kept = [] if resume is None else _earlier_rows(report_path, header, start_epoch)
+    with _csv(report_path, header) as write:
+        for row in kept:  # the resumed run's earlier epochs, verbatim
+            write(row)
+
         def epoch_row(rec, _):  # fit's callback, as each epoch ends
             mrr = "" if rec.valid_mrr is None else f"{rec.valid_mrr:.6f}"
             write([rec.epoch, f"{rec.loss:.10f}", f"{rec.lr:.10f}", mrr, f"{rec.seconds:.3f}"])
@@ -245,7 +265,7 @@ def cmd_eval(args):
         raise ValueError("--dataset is required")
     if args.split not in ("train", "valid", "test"):
         raise ValueError(f"unknown split {args.split!r}")
-    vocab, triples, index, _ = _prepare(args.dataset, args.split)
+    vocab, triples, index = _prepare(args.dataset, args.split)
     _make_dir(args.out)
     loaded = ckpt.load_checkpoint(args.checkpoint)
     store = loaded.store

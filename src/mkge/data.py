@@ -3,7 +3,11 @@ and the deterministic synthetic KG used by desk-scale tests.
 
 A Vocab is built from its two name lists, entities and relations, indexed by
 id: the TSV reader lists the names in first-appearance order, and the
-synthetic KG names its entities e000, e001, ... in id order."""
+synthetic KG names its entities e000, e001, ... in id order.
+
+Ids are defined here, and so is the one gate for the id arrays the library
+takes: `as_ids` casts them to int64 and checks their dtype, axes and range,
+and `check_triples` checks triple arrays with it. No other code casts ids."""
 
 from __future__ import annotations
 
@@ -12,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateTriple, MissingFile, ParseError
+from .errors import DuplicateTriple, MissingFile, ParseError, ShapeMismatch
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
+ID_DTYPE = np.int64  # of every id array the library makes or hands on
 
 
 @dataclass
@@ -106,7 +111,7 @@ def build_dataset(directory):
     vocab = Vocab(list(dict.fromkeys(name for h, _, t in every for name in (h, t))),
                   list(dict.fromkeys(r for _, r, _ in every)))
     ent, rel = vocab.entity_to_id, vocab.relation_to_id
-    arrays = [np.array([(ent[h], rel[r], ent[t]) for h, r, t in raw], dtype=np.int64).reshape(-1, 3)
+    arrays = [np.array([(ent[h], rel[r], ent[t]) for h, r, t in raw], dtype=ID_DTYPE).reshape(-1, 3)
               for raw in raws]
     return vocab, TripleStore(*arrays)
 
@@ -124,9 +129,35 @@ def write_dataset(directory, vocab, store):
         write_split(os.path.join(directory, name), arr, vocab)
 
 
+def as_ids(ids, name, bound=None, ndim=1):
+    """`ids` as an int64 array, int64 input itself, uncopied. Not integer ids
+    (bool is not), or more than `ndim` axes: ShapeMismatch naming `name`, as a
+    cast would truncate 0.5 to id 0. Given a `bound`, an id outside [0, bound):
+    IndexError naming `name` and the bound, as numpy would wrap -1 silently."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or ids.ndim > ndim:
+        raise ShapeMismatch(f"{name} must be integer ids with at most {ndim} axes, "
+                            f"got a {ids.ndim}-axis {ids.dtype} array")
+    if bound is not None and ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise IndexError(f"{name} out of range [0, {bound})")
+    return ids.astype(ID_DTYPE, copy=False)
+
+
+def check_triples(triples, n_entities, n_relations, name):
+    """`triples` (`as_ids`) checked to be a nonempty (n, 3) array of (head,
+    relation, tail) rows, entity ids in [0, n_entities) and relation ids in
+    [0, n_relations); otherwise ShapeMismatch or IndexError naming `name`."""
+    triples = as_ids(triples, name, ndim=2)
+    if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
+        raise ShapeMismatch(f"{name} must be a nonempty (n, 3) id array")
+    as_ids(triples[:, 0::2], f"{name} entity id", n_entities, ndim=2)
+    as_ids(triples[:, 1], f"{name} relation id", n_relations)
+    return triples
+
+
 def augment_reciprocal(triples, vocab):
-    """For each (h, r, t) also emit (t, r + |R|, h); output is 2x the input."""
-    triples = np.asarray(triples, dtype=np.int64)
+    """For each (h, r, t) also emit (t, r + |R|, h), 2x the input; ids pass `as_ids`."""
+    triples = as_ids(triples, "triples", ndim=2)
     recip = np.stack(
         [triples[:, 2], triples[:, 1] + vocab.n_base_relations, triples[:, 0]], axis=1
     )
@@ -143,8 +174,10 @@ class FilterIndex:
     n_relations: int
 
     def mask(self, heads, rels):
-        """(B, E) bool array, True at every known tail of each (head, rel) query."""
-        first = (np.asarray(heads, dtype=np.int64) * self.n_relations + rels) * self.n_entities
+        """(B, E) bool, True at each known tail of each (head, rel) query; ids pass `as_ids`."""
+        heads = as_ids(heads, "head ids", self.n_entities)
+        rels = as_ids(rels, "relation ids", self.n_relations)
+        first = (heads * self.n_relations + rels) * self.n_entities
         lo, hi = np.searchsorted(self.keys, [first, first + self.n_entities])
         rows = np.repeat(np.arange(len(first)), hi - lo)  # the query of each known tail
         at = np.arange(len(rows)) + (hi - np.cumsum(hi - lo))[rows]  # the tail's key

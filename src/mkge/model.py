@@ -39,7 +39,8 @@ both parts. The whole-table forward, `combined_embeddings(store)`, runs it per
 block of entity rows (`rows_per_block`) on the process's thread pool and keeps
 only the combined entities s_e * v_e, in the kernels' layout (E, k, w). The
 training backward rebuilds each block's inputs with it, and `head_inputs` adds
-the relation factors to the head rows' inputs for `head_forward`.
+the relation factors to the head rows' inputs for `head_forward`. The id gate
+is `data.as_ids`: `head_inputs` and `score_all_tails` check their ids with it.
 
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
@@ -65,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import algebra, map_blocks
+from . import algebra, data, map_blocks
 from .errors import LengthMismatch, ShapeMismatch
 
 # the ModelVariant parts each ablation freezes; its position here is its checkpoint code
@@ -272,38 +273,6 @@ def combine(scalar, vector):
     return algebra.elem_mul(scalar, vector)
 
 
-def _check_ids(ids, bound, what="id"):
-    """Raise IndexError unless every id lies in [0, bound); numpy indexing
-    would wrap a negative id silently."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= bound):
-        raise IndexError(f"{what} out of range [0, {bound})")
-
-
-def as_ids(ids, name, ndim=1):
-    """`ids` as an int64 array, int64 input itself, uncopied. An array that
-    is not of an integer dtype (bool is not) or has more than `ndim` axes
-    raises ShapeMismatch naming `name`: a cast would truncate 0.5 to id 0."""
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu" or ids.ndim > ndim:
-        raise ShapeMismatch(f"{name} must be integer ids with at most {ndim} axes, "
-                            f"got a {ids.ndim}-axis {ids.dtype} array")
-    return ids.astype(np.int64, copy=False)
-
-
-def check_triples(triples, n_entities, n_relations, name):
-    """`triples` as int64 ids (`as_ids`), checked to be a nonempty (n, 3)
-    array of (head, relation, tail) rows with entity ids in [0, n_entities)
-    and relation ids in [0, n_relations); otherwise ShapeMismatch or
-    IndexError, whose message names the array `name`."""
-    triples = as_ids(triples, name, ndim=2)
-    if triples.ndim != 2 or triples.shape[1] != 3 or len(triples) == 0:
-        raise ShapeMismatch(f"{name} must be a nonempty (n, 3) id array")
-    _check_ids(triples[:, 0::2], n_entities, f"{name} entity id")
-    _check_ids(triples[:, 1], n_relations, f"{name} relation id")
-    return triples
-
-
 def rows_per_block(store):
     """Entity rows per block of the whole-table entity work, so that a block's
     combined entities hold about ROW_BLOCK_ELEMENTS floats."""
@@ -348,8 +317,8 @@ def head_inputs(store, h_ids, r_ids):
     head transform's four factors for id arrays: head scalars, head unit
     vectors (`entity_inputs`), relation scalings, relation rotations. A head
     id outside [0, E) or a relation id outside [0, R) raises IndexError."""
-    _check_ids(h_ids, store.n_entities)
-    _check_ids(r_ids, store.n_relations)
+    h_ids = data.as_ids(h_ids, "head ids", store.n_entities)
+    r_ids = data.as_ids(r_ids, "relation ids", store.n_relations)
     variant = store.variant
     params, elems = entity_inputs(store, h_ids)
     scaling, rotation = (planes(part[r_ids]) for part in store.relation_parts())
@@ -518,8 +487,8 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
     head id outside [0, E) or a relation id outside [0, R) raises IndexError,
     and id arrays that are not integer ids of at most one axis ShapeMismatch.
     """
-    h_ids = np.atleast_1d(as_ids(h_ids, "head ids"))
-    r_ids = np.atleast_1d(as_ids(r_ids, "relation ids"))
+    h_ids = np.atleast_1d(data.as_ids(h_ids, "head ids"))
+    r_ids = np.atleast_1d(data.as_ids(r_ids, "relation ids"))
     if h_ids.shape != r_ids.shape:
         raise ShapeMismatch("head and relation id arrays differ in shape")
     c_all = tails_combined if tails_combined is not None else combined_embeddings(store)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model
+from . import data, model
 from .errors import ShapeMismatch
 
 # scores of one block of evaluate's queries, 16 MB of float64: 144 queries
@@ -74,11 +74,9 @@ def bottom_rank(scores, true_idx, filtered=None):
     A candidate counts unless it scores below the true one, so a NaN true score
     ranks last among the unmasked and a NaN candidate counts against it. The
     ranks are np.intp, shaped like true_idx; a true_idx that is not integer
-    ids (`model.as_ids`) raises ShapeMismatch."""
+    ids raises ShapeMismatch, and one outside [0, E) IndexError (`data.as_ids`)."""
     scores = np.asarray(scores, dtype=np.float64)
-    true_idx = model.as_ids(true_idx, "true index", ndim=scores.ndim - 1)
-    if np.any((true_idx < 0) | (true_idx >= scores.shape[-1])):
-        raise IndexError(f"true index {true_idx} out of range")
+    true_idx = data.as_ids(true_idx, "true index", scores.shape[-1], ndim=scores.ndim - 1)
     at_true = true_idx[..., None]
     # the candidates that drop out: those beaten by the true score, and the
     # masked ones other than the true candidate; a NaN is never beaten
@@ -104,7 +102,7 @@ def evaluate(split, store, filter_index):
     [0, R / 2) raises IndexError.
     """
     n_base = store.n_relations // 2
-    split = model.check_triples(split, store.n_entities, n_base, "split")
+    split = data.check_triples(split, store.n_entities, n_base, "split")
     if filter_index is not None and (filter_index.n_entities, filter_index.n_relations) != (
             store.n_entities, store.n_relations):
         raise ShapeMismatch("filter index was built for other entity or relation counts")
@@ -114,7 +112,7 @@ def evaluate(split, store, filter_index):
     queries = np.stack([split, split[:, ::-1] + [0, n_base, 0]], axis=1).reshape(-1, 3)
     keys = queries[:, 0] * store.n_relations + queries[:, 1]
     order = np.argsort(keys, kind="stable")
-    ranks = np.empty(len(queries), dtype=np.int64)
+    ranks = np.empty(len(queries), dtype=np.intp)  # bottom_rank's dtype
     step = max(1, EVAL_BLOCK_ELEMENTS // store.n_entities)
     for start in range(0, len(order), step):
         block = order[start : start + step]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, map_blocks, model, ranking
+from . import algebra, data, map_blocks, model, ranking
 from .errors import NonFiniteLoss, ShapeMismatch
 
 ADAGRAD_EPS = 1e-10
@@ -143,7 +143,7 @@ def batch_loss_and_grads(store, triples, cfg, update=None):
     gradient is returned. A batch that is not a nonempty (n, 3) id array
     raises ShapeMismatch, and an id outside the parameter tables IndexError.
     """
-    triples = model.check_triples(triples, store.n_entities, store.n_relations, "batch")
+    triples = data.check_triples(triples, store.n_entities, store.n_relations, "batch")
     variant = store.variant
     b = len(triples)
     heads, rels, tails = triples.T
@@ -263,12 +263,12 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     outside [0, R) IndexError; a validation split that will be evaluated is
     checked as `ranking.evaluate` checks it, relations in [0, R / 2).
     """
-    train_triples = model.check_triples(train_triples, store.n_entities, store.n_relations,
-                                        "train split")
+    train_triples = data.check_triples(train_triples, store.n_entities, store.n_relations,
+                                       "train split")
     validates = valid_triples is not None and len(valid_triples) > 0 and filter_index is not None
     if validates:
-        model.check_triples(valid_triples, store.n_entities, store.n_relations // 2,
-                            "validation split")
+        data.check_triples(valid_triples, store.n_entities, store.n_relations // 2,
+                           "validation split")
     if opt_state is None:
         opt_state = OptimizerState.for_store(store, lr=cfg.lr)
     report = TrainReport()

@@ -742,6 +742,26 @@ class TestCmdTrain:
         assert np.array_equal(resumed.store.entity, full.store.entity)
         assert np.array_equal(resumed.store.relation, full.store.relation)
 
+    def test_cli_resume_into_own_out_keeps_report_rows(self, toy_dataset, tmp_path):
+        """Resumed into its own --out, a run keeps the report rows of the epochs
+        before the resume; resumed into another --out it reports its own only."""
+        own, other = str(tmp_path / "own"), str(tmp_path / "other")
+        assert cli.main(["train", *small_args(toy_dataset, own)]) == 0
+        with open(os.path.join(own, "train_report.csv"), "rb") as fh:
+            first = fh.read().splitlines()
+        checkpoint = os.path.join(own, "checkpoint.mkge")
+        for out in (other, own):  # `own` last: its resume overwrites the checkpoint
+            resume = ["--epochs", "4", "--resume", checkpoint]
+            assert cli.main(["train", *small_args(toy_dataset, out, resume)]) == 0
+        reports = {}
+        for out in (own, other):
+            with open(os.path.join(out, "train_report.csv"), "rb") as fh:
+                reports[out] = fh.read().splitlines()
+        assert [row.split(b",")[0] for row in reports[own][1:]] == [b"0", b"1", b"2", b"3"]
+        assert reports[own][:3] == first  # header and rows 0-1 byte for byte
+        assert [row.split(b",")[0] for row in reports[other][1:]] == [b"2", b"3"]
+        assert reports[own][0] == reports[other][0]
+
     def test_cli_resume_rejects_changed_lr(self, toy_dataset, tmp_path, capsys, monkeypatch):
         part_out = str(tmp_path / "part")
         assert cli.main(["train", *small_args(toy_dataset, part_out, ["--lr", "0.1"])]) == 0

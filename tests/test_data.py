@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkge import data
-from mkge.errors import DuplicateTriple, MissingFile, ParseError
+from mkge.errors import DuplicateTriple, MissingFile, ParseError, ShapeMismatch
 
 
 def write_toy_dataset(directory, train, valid, test):
@@ -173,6 +173,15 @@ class TestFilterIndex:
         # every (h, r) query in one mask, the pairs with no known tail included
         heads, rels = np.divmod(np.arange(vocab.n_entities * vocab.n_relations), vocab.n_relations)
         assert np.array_equal(index.mask(heads, rels), want.reshape(len(heads), -1))
+
+    # the synthetic KG's 20 entities and 8 relations: heads -1 and E, relations R and 0.5
+    @pytest.mark.parametrize("head,rel,name", [(-1, 0, "head ids"), (20, 0, "head ids"),
+                                               (0, 8, "relation ids"), (0, 0.5, "relation ids")])
+    def test_mask_rejects_bad_ids(self, head, rel, name):
+        vocab, store = data.generate_synthetic_kg(seed=0, n_entities=20)
+        index = data.build_filter_index(store, vocab)
+        with pytest.raises((IndexError, ShapeMismatch), match=name):
+            index.mask([head], [rel])
 
 
 class TestSyntheticKG:

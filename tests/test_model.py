@@ -280,7 +280,7 @@ class TestScore:
 
 
 class TestIdArrays:
-    """Every id array passes `model.as_ids`: ids that are not of an integer
+    """Every id array passes `data.as_ids`: ids that are not of an integer
     dtype, or have too many axes, raise ShapeMismatch naming the array, where
     a cast to int64 truncated 0.5 to id 0."""
 
@@ -303,6 +303,8 @@ class TestIdArrays:
             train.batch_loss_and_grads(store, spoil(aug[:4]), train.LossConfig())
         with pytest.raises(ShapeMismatch, match="train split must be integer ids"):
             train.fit(store, spoil(aug), train.FitConfig(epochs=1))
+        with pytest.raises(ShapeMismatch, match="triples must be integer ids"):
+            data.augment_reciprocal(spoil(aug), vocab)
 
     def test_score_all_tails_ids(self):
         _, _, store = self.make_case()
@@ -327,8 +329,8 @@ class TestIdArrays:
         got = ranking.evaluate(kg.test.astype(dtype), store, index)
         assert [rec.rank for rec in got.ranks] == [rec.rank for rec in want.ranks]
         ids = np.arange(4, dtype=dtype)
-        assert model.as_ids(ids, "ids").dtype == np.int64
-        assert (model.as_ids(ids, "ids") is ids) == (dtype == np.int64)  # int64 is not copied
+        assert data.as_ids(ids, "ids").dtype == np.int64
+        assert (data.as_ids(ids, "ids") is ids) == (dtype == np.int64)  # int64 is not copied
 
 
 class TestDegenerations:

@@ -38,7 +38,7 @@ class TestBottomRank:
         assert ranking.bottom_rank(scores, 1, as_mask(2, {1})) == 2
 
     def test_invalid_index(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"true index out of range \[0, 3\)"):
             ranking.bottom_rank(np.zeros(3), 5)
 
     def test_matches_brute_force_with_ties(self):

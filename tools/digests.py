@@ -21,7 +21,10 @@ they do at full scale.
 
 The `data` line hashes the entity and relation name lists and the three id
 arrays that `build_dataset` reads back from `write_dataset` of the synthetic
-KG, so a change to parsing or to id assignment shows there.
+KG, so a change to parsing or to id assignment shows there. Its last three
+fields hash what the data layer computes from those arrays:
+`augment_reciprocal` of the train split, the keys of `build_filter_index`,
+and the filter mask of the test split's (head, relation) rows.
 
 The `cli` line runs `mkge train` (`module_rc`, k=2, 2 epochs) on that KG,
 then `mkge eval` of its checkpoint with the four eval flags and a 2-point
@@ -91,7 +94,12 @@ def data_line(vocab, triples):
         data.write_dataset(tmp, vocab, triples)
         vocab, triples = data.build_dataset(tmp)
     names = digest(np.array(vocab.id_to_entity), np.array(vocab.id_to_relation))
-    return f"data names={names} triples={digest(*triples.splits().values())}"
+    index = data.build_filter_index(triples, vocab)
+    return " ".join([
+        f"data names={names} triples={digest(*triples.splits().values())}",
+        f"aug={digest(data.augment_reciprocal(triples.train, vocab))}",
+        f"keys={digest(index.keys)}",
+        f"mask={digest(index.mask(triples.test[:, 0], triples.test[:, 1]))}"])
 
 
 def cli_line(vocab, triples):
