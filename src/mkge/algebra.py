@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TagMismatch
+from .errors import ShapeMismatch
 
 REAL, COMPLEX, QUAT = 1, 2, 4
 
@@ -102,9 +102,9 @@ def _check_widths(x, y):
     """The common width of two element arrays of a non-real product."""
     w = x.shape[0]
     if w != y.shape[0]:
-        raise TagMismatch(f"element widths differ: {w} vs {y.shape[0]}")
+        raise ShapeMismatch(f"element widths differ: {w} vs {y.shape[0]}")
     if w not in _PRODUCT_TERMS:
-        raise TagMismatch(f"unsupported element width {w}")
+        raise ShapeMismatch(f"unsupported element width {w}")
     return w
 
 

@@ -2,11 +2,11 @@
 
 `train` and `grid` take one flag per run setting. Settings resolve as
 defaults < preset < config file < flags < a grid point's `--set` values; the
-resolved key=value form is written next to the outputs and reparses to an
-equal config. `eval` takes only `--dataset`, `--checkpoint`, `--split` and
-`--out`: the checkpoint fixes the variant, k and ablation. A bad value of
-any flag exits 1 with one `error:` line. `_csv` writes every CSV output,
-header row first and each row flushed as it is made: `train_report.csv`
+resolved key=value form, written next to the outputs before training,
+reparses to an equal config. `eval` takes only `--dataset`, `--checkpoint`,
+`--split` and `--out`: the checkpoint fixes the variant, k and ablation. A
+bad value of any flag exits 1 with one `error:` line. `_csv` writes every
+CSV output, header row first and each row flushed: `train_report.csv`
 gains a row as each epoch ends, and an unwritable one fails before training.
 """
 
@@ -209,7 +209,7 @@ def _evaluate(split, store, index, vocab, out_dir):
 
 def run_training(cfg, prepared, resume=None):
     """Shared train pipeline into cfg.out, on `prepared`, the `_prepare` of
-    cfg.dataset for the test split; returns (store, report, metrics)."""
+    cfg.dataset for the test split; returns (report, metrics)."""
     from . import checkpoint as ckpt
     from . import data, model, train
 
@@ -232,6 +232,8 @@ def run_training(cfg, prepared, resume=None):
     header = ["epoch", "loss", "lr", "valid_mrr", "seconds"]
     kept = [] if resume is None else _earlier_rows(report_path, header, start_epoch)
     with _csv(report_path, header) as write:
+        with open(os.path.join(cfg.out, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(cfg.to_text())
         for row in kept:  # the resumed run's earlier epochs, verbatim
             write(row)
 
@@ -244,14 +246,12 @@ def run_training(cfg, prepared, resume=None):
     final_epoch = report.epochs[-1].epoch + 1 if report.epochs else start_epoch
     ckpt.save_checkpoint(os.path.join(cfg.out, "checkpoint.mkge"), store,
                          opt_state=opt_state, epoch=final_epoch, digest=digest)
-    with open(os.path.join(cfg.out, "resolved_config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_text())
-    return store, report, _evaluate(triples.test, store, index, vocab, cfg.out)
+    return report, _evaluate(triples.test, store, index, vocab, cfg.out)
 
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    _, _, metrics = run_training(cfg, _prepare(cfg.dataset, "test"), resume=args.resume)
+    _, metrics = run_training(cfg, _prepare(cfg.dataset, "test"), resume=args.resume)
     print(metrics.format_table())
     return 0
 
@@ -301,7 +301,7 @@ def cmd_grid(args):
     header = [*axes, "valid_mrr", "valid_epoch", *METRICS]
     with _csv(os.path.join(root, "grid.csv"), header) as write:
         for cfg in points:
-            _, report, m = run_training(cfg, prepared)
+            report, m = run_training(cfg, prepared)
             best = max((rec for rec in report.epochs if rec.valid_mrr is not None),
                        key=lambda rec: rec.valid_mrr, default=None)  # first epoch at the best
             valid = ["", ""] if best is None else [f"{best.valid_mrr:.6f}", best.epoch]

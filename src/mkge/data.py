@@ -5,9 +5,10 @@ A Vocab is built from its two name lists, entities and relations, indexed by
 id: the TSV reader lists the names in first-appearance order, and the
 synthetic KG names its entities e000, e001, ... in id order.
 
-Ids are defined here, and so is the one gate for the id arrays the library
+Ids are defined here, and so are the gates of the id arrays the library
 takes: `as_ids` casts them to int64 and checks their dtype, axes and range,
-and `check_triples` checks triple arrays with it. No other code casts ids."""
+and `check_triples` and `as_queries` check (n, 3) triple arrays and (head,
+relation) query pairs with it. No other code casts ids or checks their shapes."""
 
 from __future__ import annotations
 
@@ -155,6 +156,18 @@ def check_triples(triples, n_entities, n_relations, name):
     return triples
 
 
+def as_queries(heads, rels, n_entities, n_relations):
+    """(heads, rels) as id arrays (`as_ids`) of at least one axis, heads in
+    [0, n_entities) and relations in [0, n_relations); arrays of two shapes,
+    which numpy would broadcast into other queries, raise ShapeMismatch."""
+    heads = np.atleast_1d(as_ids(heads, "head ids", n_entities))
+    rels = np.atleast_1d(as_ids(rels, "relation ids", n_relations))
+    if heads.shape != rels.shape:
+        raise ShapeMismatch(f"head and relation id arrays differ in shape: "
+                            f"{heads.shape} vs {rels.shape}")
+    return heads, rels
+
+
 def augment_reciprocal(triples, vocab):
     """For each (h, r, t) also emit (t, r + |R|, h), 2x the input; ids pass `as_ids`."""
     triples = as_ids(triples, "triples", ndim=2)
@@ -174,9 +187,8 @@ class FilterIndex:
     n_relations: int
 
     def mask(self, heads, rels):
-        """(B, E) bool, True at each known tail of each (head, rel) query; ids pass `as_ids`."""
-        heads = as_ids(heads, "head ids", self.n_entities)
-        rels = as_ids(rels, "relation ids", self.n_relations)
+        """(B, E) bool, True at each known tail of each (head, rel) query; ids pass `as_queries`."""
+        heads, rels = as_queries(heads, rels, self.n_entities, self.n_relations)
         first = (heads * self.n_relations + rels) * self.n_entities
         lo, hi = np.searchsorted(self.keys, [first, first + self.n_entities])
         rows = np.repeat(np.arange(len(first)), hi - lo)  # the query of each known tail

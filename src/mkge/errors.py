@@ -5,16 +5,10 @@ class MkgeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TagMismatch(MkgeError):
-    """Binary operation on module elements of different kinds."""
-
-
-class LengthMismatch(MkgeError):
-    """Tuple operands of different lengths."""
-
-
 class ShapeMismatch(MkgeError):
-    """Array shapes inconsistent with the parameter store."""
+    """Arrays of inconsistent shapes or dtypes: operands of different element
+    widths or lengths, id arrays that are not integer ids or are of two
+    shapes, or tables that do not fit the parameter store."""
 
 
 class NonFiniteLoss(MkgeError):

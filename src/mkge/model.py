@@ -39,8 +39,9 @@ both parts. The whole-table forward, `combined_embeddings(store)`, runs it per
 block of entity rows (`rows_per_block`) on the process's thread pool and keeps
 only the combined entities s_e * v_e, in the kernels' layout (E, k, w). The
 training backward rebuilds each block's inputs with it, and `head_inputs` adds
-the relation factors to the head rows' inputs for `head_forward`. The id gate
-is `data.as_ids`: `head_inputs` and `score_all_tails` check their ids with it.
+the relation factors to the head rows' inputs for `head_forward`. Its ids
+pass the query gate `data.as_queries`, which so checks every (head,
+relation) pair of `transformed_heads`, `score_all_tails` and training.
 
 Each score kind has one kernel, `variant.kernel(h, c, tails=None)`, over
 transformed heads h (B, k, w) and combined entities c (E, k, w). It returns
@@ -67,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, data, map_blocks
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 
 # the ModelVariant parts each ablation freezes; its position here is its checkpoint code
 FROZEN_PARTS = {"scalar": ("vector", "rotation"), "vector": ("scalar", "scaling"), "both": ()}
@@ -269,7 +270,7 @@ def combine(scalar, vector):
     scalar = np.asarray(scalar, dtype=np.float64)
     vector = np.asarray(vector, dtype=np.float64)
     if scalar.shape[-1] != vector.shape[-1]:
-        raise LengthMismatch("scalar and vector tuples differ in length")
+        raise ShapeMismatch("scalar and vector tuples differ in length")
     return algebra.elem_mul(scalar, vector)
 
 
@@ -315,10 +316,11 @@ def head_forward(s_h, v_h, g_s, g_v):
 def head_inputs(store, h_ids, r_ids):
     """(params, elems): parameters and elements, as planes (w, B, k), of the
     head transform's four factors for id arrays: head scalars, head unit
-    vectors (`entity_inputs`), relation scalings, relation rotations. A head
-    id outside [0, E) or a relation id outside [0, R) raises IndexError."""
-    h_ids = data.as_ids(h_ids, "head ids", store.n_entities)
-    r_ids = data.as_ids(r_ids, "relation ids", store.n_relations)
+    vectors (`entity_inputs`), relation scalings, relation rotations. The ids
+    pass `data.as_queries`: a head id outside [0, E) or a relation id outside
+    [0, R) raises IndexError, and arrays that are not integer ids of at most
+    one axis, or are of two shapes, ShapeMismatch."""
+    h_ids, r_ids = data.as_queries(h_ids, r_ids, store.n_entities, store.n_relations)
     variant = store.variant
     params, elems = entity_inputs(store, h_ids)
     scaling, rotation = (planes(part[r_ids]) for part in store.relation_parts())
@@ -329,8 +331,7 @@ def head_inputs(store, h_ids, r_ids):
 def transformed_heads(store, h_ids, r_ids):
     """Transformed head embeddings T_s(s_h) * T_v(v_h) for id arrays, in the
     kernels' layout (B, k, variant.width): a frozen part, the trivial group,
-    adds no coordinate. A head id outside [0, E) or a relation id outside
-    [0, R) raises IndexError."""
+    adds no coordinate. The ids are checked as in `head_inputs`."""
     return element_last(head_forward(*head_inputs(store, h_ids, r_ids)[1])[2])
 
 
@@ -483,13 +484,9 @@ def score_all_tails(store, h_ids, r_ids, tails_combined=None):
     """Scores of (h, r) against every entity: (B, n_entities).
 
     The transformed head is computed once per (h, r) row and reused across
-    candidates; pass a precomputed combined-entity table to amortize it. A
-    head id outside [0, E) or a relation id outside [0, R) raises IndexError,
-    and id arrays that are not integer ids of at most one axis ShapeMismatch.
+    candidates; pass a precomputed combined-entity table to amortize it. The
+    ids are checked as in `head_inputs`, before the whole-table forward.
     """
-    h_ids = np.atleast_1d(data.as_ids(h_ids, "head ids"))
-    r_ids = np.atleast_1d(data.as_ids(r_ids, "relation ids"))
-    if h_ids.shape != r_ids.shape:
-        raise ShapeMismatch("head and relation id arrays differ in shape")
+    heads = transformed_heads(store, h_ids, r_ids)
     c_all = tails_combined if tails_combined is not None else combined_embeddings(store)
-    return store.variant.kernel(transformed_heads(store, h_ids, r_ids), c_all)
+    return store.variant.kernel(heads, c_all)

@@ -13,7 +13,7 @@ on rows gathered by key; the ranks come back in query order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +49,12 @@ class RankMetrics:
                    *(float(np.mean(ranks <= n)) for n in (1, 3, 10)))
 
 
-@dataclass
-class MetricsReport:
-    mrr: float
-    hits1: float
-    hits3: float
-    hits10: float
+@dataclass(frozen=True)
+class MetricsReport(RankMetrics):  # the metrics of both directions, and their breakdowns
     per_relation: dict  # base relation id -> (mrr, count)
     tail: RankMetrics  # tail queries (h, r, ?) alone
     head: RankMetrics  # head queries (?, r, t) alone
-    ranks: list = field(default_factory=list)
+    ranks: list  # a RankRecord per query, in query order
 
     def format_table(self):
         rows = [("MRR", self.mrr), ("Hits@1", self.hits1), ("Hits@3", self.hits3),
@@ -135,12 +131,8 @@ def evaluate(split, store, filter_index):
     counts = np.bincount(split[:, 1]).tolist()  # triples; mrr still averages both directions
     records = [RankRecord(*triple, direction, rank) for triple, direction, rank in zip(
         np.repeat(split, 2, axis=0).tolist(), ("tail", "head") * len(split), ranks.tolist())]
-    both = RankMetrics.of(ranks)
     return MetricsReport(
-        mrr=both.mrr,
-        hits1=both.hits1,
-        hits3=both.hits3,
-        hits10=both.hits10,
+        **vars(RankMetrics.of(ranks)),
         per_relation={rid: (sums[rid] / (2 * c), c) for rid, c in enumerate(counts) if c},
         tail=RankMetrics.of(ranks[0::2]),
         head=RankMetrics.of(ranks[1::2]),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mkge import algebra
-from mkge.errors import TagMismatch
+from mkge.errors import ShapeMismatch
 from oracles import conj
 
 RNG = np.random.default_rng(7)
@@ -74,11 +74,11 @@ class TestRingProduct:
             assert algebra.elem_mul(y, s).tobytes() == (y * s).tobytes()
 
     def test_width_mismatch_raises(self):
-        with pytest.raises(TagMismatch):
+        with pytest.raises(ShapeMismatch):
             algebra.elem_mul(np.zeros(2), np.zeros(4))
 
     def test_unsupported_width_raises(self):
-        with pytest.raises(TagMismatch):
+        with pytest.raises(ShapeMismatch):
             algebra.elem_mul(np.zeros(3), np.zeros(3))
 
 

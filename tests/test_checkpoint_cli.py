@@ -605,19 +605,22 @@ class TestBadInput:
         assert self.run(capsys, argv).count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["grid.csv", "train_report.csv"])
+    @pytest.mark.parametrize("name", ["grid.csv", "train_report.csv", "resolved_config.cfg"])
     def test_csv_opened_before_training(self, name, toy_dataset, tmp_path, capsys,
                                         monkeypatch):
         """`grid.csv` is opened before the first point trains, and
-        `train_report.csv` before the first epoch."""
+        `train_report.csv`, then `resolved_config.cfg`, before the first epoch."""
         monkeypatch.setattr(train, "fit", never)
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
+        train_argv = ["train", *small_args(toy_dataset, str(out))]
         argv = {"grid.csv": ["grid", *small_args(toy_dataset, str(out)), "--set", "seed=0,1"],
-                "train_report.csv": ["train", *small_args(toy_dataset, str(out))]}[name]
+                "train_report.csv": train_argv, "resolved_config.cfg": train_argv}[name]
         err = self.run(capsys, argv)
         assert err.count("\n") == 1 and str(out / name) in err
-        assert os.listdir(out) == [name]
+        # the report, opened first, is all that a settings file that failed leaves
+        opened_first = {"resolved_config.cfg": ["train_report.csv"]}.get(name, [])
+        assert sorted(os.listdir(out)) == sorted([name, *opened_first])
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap(self, value, toy_dataset, tmp_path, capsys, monkeypatch):
@@ -1067,4 +1070,4 @@ class TestCsvOutputs:
         assert capsys.readouterr().err == "error: crashed after epoch 1\n"
         lines = (out / "train_report.csv").read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
-        assert os.listdir(out) == ["train_report.csv"]
+        assert sorted(os.listdir(out)) == ["resolved_config.cfg", "train_report.csv"]

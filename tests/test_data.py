@@ -151,6 +151,7 @@ class TestFilterIndex:
         index = data.build_filter_index(store, vocab)
         assert known_tails(index, 0, 0) == {1, 2}
         assert known_tails(index, 1, 1) == {0} and known_tails(index, 2, 1) == {0}
+        assert np.array_equal(index.mask(0, 0), index.mask([0], [0]))  # a scalar pair is one query
 
     def test_every_test_tail_member(self):
         vocab, store = data.generate_synthetic_kg(seed=6, n_entities=20)
@@ -174,14 +175,19 @@ class TestFilterIndex:
         heads, rels = np.divmod(np.arange(vocab.n_entities * vocab.n_relations), vocab.n_relations)
         assert np.array_equal(index.mask(heads, rels), want.reshape(len(heads), -1))
 
-    # the synthetic KG's 20 entities and 8 relations: heads -1 and E, relations R and 0.5
+    # the synthetic KG's 20 entities and 8 relations: heads -1 and E, relations R and 0.5,
+    # and id arrays of two shapes
     @pytest.mark.parametrize("head,rel,name", [(-1, 0, "head ids"), (20, 0, "head ids"),
-                                               (0, 8, "relation ids"), (0, 0.5, "relation ids")])
+                                               (0, 8, "relation ids"), (0, 0.5, "relation ids"),
+                                               pytest.param([0, 1], [0], "differ in shape",
+                                                            id="two_heads_one_rel"),
+                                               pytest.param([0], [0, 1], "differ in shape",
+                                                            id="one_head_two_rels")])
     def test_mask_rejects_bad_ids(self, head, rel, name):
         vocab, store = data.generate_synthetic_kg(seed=0, n_entities=20)
         index = data.build_filter_index(store, vocab)
         with pytest.raises((IndexError, ShapeMismatch), match=name):
-            index.mask([head], [rel])
+            index.mask(np.reshape(head, -1), np.reshape(rel, -1))
 
 
 class TestSyntheticKG:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mkge import algebra, data, model, ranking, train
-from mkge.errors import LengthMismatch, ShapeMismatch
+from mkge.errors import ShapeMismatch
 from oracles import conj, oracle_score
 
 
@@ -174,7 +174,7 @@ class TestCombineTransform:
     def test_combine_length_mismatch(self):
         s = model.planes(np.ones((2, 3, 4)))  # k=3 quaternions
         v = algebra.exp_map(model.planes(np.zeros((2, 4, 3))))  # k=4 unit quaternions
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             model.combine(s, v)
 
     def test_identity_relation_is_noop(self):
@@ -282,7 +282,9 @@ class TestScore:
 class TestIdArrays:
     """Every id array passes `data.as_ids`: ids that are not of an integer
     dtype, or have too many axes, raise ShapeMismatch naming the array, where
-    a cast to int64 truncated 0.5 to id 0."""
+    a cast to int64 truncated 0.5 to id 0. (head, relation) pairs also pass
+    `data.as_queries`, so arrays of two shapes raise ShapeMismatch, where
+    numpy broadcast them into other queries."""
 
     def make_case(self):
         vocab, kg = data.generate_synthetic_kg(seed=0, n_entities=20)
@@ -314,6 +316,10 @@ class TestIdArrays:
             model.score_all_tails(store, [0, 1], [0.0, 1.0])
         with pytest.raises(ShapeMismatch, match="head ids"):
             model.score_all_tails(store, True, 0)
+        for heads, rels in (([0, 1], [0]), ([0, 1, 2], [0, 1])):  # two shapes
+            for scorer in (model.transformed_heads, model.score_all_tails):
+                with pytest.raises(ShapeMismatch, match="differ in shape"):
+                    scorer(store, heads, rels)
 
     def test_bottom_rank_true_index(self):
         with pytest.raises(ShapeMismatch, match="true index"):
