@@ -61,17 +61,11 @@ class ExperimentConfig:
     out: str = "runs/run"
 
     def validate(self):
-        from . import model as model_mod
+        from . import model
 
-        if not self.dataset:
-            raise ValueError("--dataset is required")
-        if self.model not in model_mod.VARIANTS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.ablation not in model_mod.ABLATION_MODES:
-            raise ValueError(f"unknown ablation mode {self.ablation!r}")
-        _fit_config(self)  # the training and loss configs check their own fields
+        # the two owners check the settings: `model.init_model` (an empty store), the fit configs
+        model.init_model(self.model, self.k, 0, 0, 0, self.ablation)
+        _fit_config(self)
         return self
 
     def to_text(self):
@@ -149,10 +143,14 @@ def _fit_config(cfg):
 
 
 def _prepare(dataset, split):
-    """The dataset's vocab, triples and filter index; an empty `split`, the
-    one to be ranked, fails before any work."""
+    """The dataset's vocab, triples and filter index; a missing `dataset` or
+    an unknown or empty `split`, the one to be ranked, fails before any work."""
     from . import data
 
+    if not dataset:
+        raise ValueError("--dataset is required")
+    if split not in ("train", "valid", "test"):
+        raise ValueError(f"unknown split {split!r}")
     vocab, triples = data.build_dataset(dataset)
     if len(triples.splits()[split]) == 0:
         raise ValueError(f"{split} split of {dataset} is empty: nothing to rank")
@@ -261,10 +259,6 @@ def cmd_eval(args):
     ablation are bound to the dataset's sizes by the checkpoint digest."""
     from . import checkpoint as ckpt
 
-    if not args.dataset:
-        raise ValueError("--dataset is required")
-    if args.split not in ("train", "valid", "test"):
-        raise ValueError(f"unknown split {args.split!r}")
     vocab, triples, index = _prepare(args.dataset, args.split)
     _make_dir(args.out)
     loaded = ckpt.load_checkpoint(args.checkpoint)

@@ -103,18 +103,6 @@ class TrainReport:
     epochs: list = field(default_factory=list)
 
 
-def lr_at(epoch, schedule, lr0, total_epochs):
-    """Constant schedule, or geometric decay reaching a total factor of 0.1
-    at the final epoch."""
-    if schedule == "constant":
-        return lr0
-    if schedule == "exp":
-        if total_epochs <= 0:
-            return lr0
-        return lr0 * 0.1 ** (epoch / total_epochs)
-    raise ValueError(f"unknown schedule {schedule!r}")
-
-
 def _gp_pieces(norms, p):
     """Given per-dimension field norms (..., k): G_p value (...,) and the
     coefficient such that dG_p/dx_i = coeff_i * 2 * x_i."""
@@ -249,6 +237,14 @@ class FitConfig:
         if self.eval_interval < 1 or self.patience < 1:
             raise ValueError("eval interval and patience must be >= 1")
 
+    def lr_at(self, epoch):
+        """`lr`, or under "exp" `lr * 0.1 ** (epoch / epochs)`: the factor 0.1 is
+        reached at epoch `epochs`, one past the last epoch trained, which trains
+        at `lr * 0.1 ** ((epochs - 1) / epochs)`. With no epochs, `lr`."""
+        if self.schedule == "exp" and self.epochs > 0:
+            return self.lr * 0.1 ** (epoch / self.epochs)
+        return self.lr
+
 
 def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_state=None,
         start_epoch=0, stop_epoch=None, callback=None):
@@ -275,7 +271,7 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     best_mrr, stale = -np.inf, 0
     for epoch in range(start_epoch, cfg.epochs if stop_epoch is None else stop_epoch):
         t0 = time.perf_counter()
-        lr = lr_at(epoch, cfg.schedule, cfg.lr, cfg.epochs)
+        lr = cfg.lr_at(epoch)
         # keyed by (seed, epoch) so a resumed run replays the same shuffles
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_triples))
         total, n_batches = 0.0, 0

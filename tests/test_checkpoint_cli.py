@@ -397,12 +397,27 @@ class TestConfig:
         assert cli._fit_config(cli.ExperimentConfig()) == train.FitConfig()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(k=0).validate()
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(p=4).validate()
-        with pytest.raises(ValueError):
-            cli.ExperimentConfig(lam=-1.0).validate()
+        """Each bad setting raises its owner's message, with no dataset given:
+        `_prepare` checks the dataset, not `validate`."""
+        cases = [({"k": 0}, "k must be >= 1"), ({"p": 4}, "norm exponent p must be 2 or 3"),
+                 ({"lam": -1.0}, "regularization rates"), ({"model": "nope"}, "unknown model"),
+                 ({"ablation": "x"}, "unknown ablation mode"),
+                 ({"schedule": "x"}, "unknown schedule")]
+        for settings, message in cases:
+            with pytest.raises(ValueError, match=message):
+                cli.ExperimentConfig(**settings).validate()
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# a run\n\n  k=3\n   # seed=9\n\t\nseed = 2\n"
+        assert cli.parse_config_text(text) == cli.ExperimentConfig(k=3, seed=2)
+
+    def test_line_without_equals(self, tmp_path):
+        with pytest.raises(ParseError, match="^config line 2: expected key=value$"):
+            cli.parse_config_text("k=3\nseed\n")
+        path = tmp_path / "run.cfg"
+        path.write_text("k=3\nseed\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: expected key=value$"):
+            cli.load_config_file(str(path))
 
 
 class TestBadInput:
@@ -415,6 +430,15 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         return err
+
+    def test_config_line_without_equals(self, toy_dataset, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("k=3\nseed\n")
+        out = tmp_path / "o"
+        err = self.run(capsys, ["train", *small_args(toy_dataset, str(out)),
+                                "--config", str(path)])
+        assert err == f"error: {path}:2: expected key=value\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config(self, kind, toy_dataset, tmp_path, capsys):
@@ -764,6 +788,28 @@ class TestCmdTrain:
         assert reports[own][:3] == first  # header and rows 0-1 byte for byte
         assert [row.split(b",")[0] for row in reports[other][1:]] == [b"2", b"3"]
         assert reports[own][0] == reports[other][0]
+
+    @pytest.mark.parametrize("report", ["cut", "header"])
+    def test_cli_resume_into_own_out_with_other_report(self, report, toy_dataset, tmp_path):
+        """Resumed into its own --out whose report does not hold exactly the
+        epochs before the resume under the same header (`cut`: only epoch 0
+        is left; `header`: a column is renamed), a run starts a fresh report
+        at the resumed epoch."""
+        out = str(tmp_path / "own")
+        assert cli.main(["train", *small_args(toy_dataset, out)]) == 0
+        path = os.path.join(out, "train_report.csv")
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        header = lines[0]
+        lines = lines[:2] if report == "cut" else [header.replace(b"loss", b"cost"), *lines[1:]]
+        with open(path, "wb") as fh:
+            fh.write(b"".join(line + b"\n" for line in lines))
+        resume = ["--epochs", "4", "--resume", os.path.join(out, "checkpoint.mkge")]
+        assert cli.main(["train", *small_args(toy_dataset, out, resume)]) == 0
+        with open(path, "rb") as fh:
+            rows = fh.read().splitlines()
+        assert rows[0] == header
+        assert [row.split(b",")[0] for row in rows[1:]] == [b"2", b"3"]
 
     def test_cli_resume_rejects_changed_lr(self, toy_dataset, tmp_path, capsys, monkeypatch):
         part_out = str(tmp_path / "part")

@@ -3,8 +3,9 @@ script runs to completion in a fresh interpreter, and the digests do not
 depend on the size of the thread pool. The harness self-test
 drives the public calls the benchmark makes (init_model, fit, checkpoints,
 evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
-per-function metric names are checked against the program's functions, and
-every function, class and method of the package against its uses."""
+per-function metric names are checked against the program's functions,
+every function, class and method of the package against its uses, and each
+error message against the modules that raise it."""
 
 import ast
 import glob
@@ -96,3 +97,29 @@ def test_every_definition_is_used():
     unused = [(module, name) for module, name in defined
               if name not in used and not name.startswith("__")]
     assert sorted(set(unused) - ENTRY_POINTS) == []
+
+
+def _message_text(node):
+    """The string-constant parts of an error message expression, each
+    formatted value as `{}`; None if the message has no constant text."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        text = "".join(_message_text(part) or "{}" for part in node.values)
+        return text if text.strip("{}") else None
+    return None
+
+
+def test_each_error_rule_has_one_module():
+    """No error message text is raised from two modules of `src/mkge`: each
+    rule has one owner, and a caller asks it rather than copying its check.
+    Repeats inside one module are allowed."""
+    owners = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "mkge", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                text = _message_text(node.exc.args[0])
+                if text is not None:
+                    owners.setdefault(text, set()).add(module)
+    assert {text: sorted(mods) for text, mods in owners.items() if len(mods) > 1} == {}

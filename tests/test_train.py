@@ -437,14 +437,26 @@ class TestAdagrad:
 
 class TestSchedule:
     def test_epoch_zero(self):
-        assert train.lr_at(0, "exp", 0.1, 200) == pytest.approx(0.1)
+        assert train.FitConfig(epochs=200, schedule="exp").lr_at(0) == pytest.approx(0.1)
 
     def test_final_epoch_decade(self):
-        assert train.lr_at(200, "exp", 0.1, 200) == pytest.approx(0.01, abs=1e-12)
+        cfg = train.FitConfig(epochs=200, schedule="exp")
+        assert cfg.lr_at(200) == pytest.approx(0.01, abs=1e-12)
 
     def test_constant(self):
         for epoch in (0, 7, 199):
-            assert train.lr_at(epoch, "constant", 0.1, 200) == 0.1
+            assert train.FitConfig(epochs=200).lr_at(epoch) == 0.1
+
+    def test_zero_epochs_keeps_lr(self):
+        """With no epochs the exp schedule is flat: an epoch trained past the
+        end, through `stop_epoch`, trains at `lr`."""
+        cfg = train.FitConfig(epochs=0, lr=0.2, batch_size=16, schedule="exp")
+        assert cfg.lr_at(0) == 0.2
+        vocab, kg = data.generate_synthetic_kg(seed=3, n_entities=20)
+        store = model.init_model("module_rc", 2, vocab.n_entities, vocab.n_relations, seed=0)
+        report, _ = train.fit(store, data.augment_reciprocal(kg.train, vocab), cfg,
+                              stop_epoch=1)
+        assert [(rec.epoch, rec.lr) for rec in report.epochs] == [(0, 0.2)]
 
 
 class TestFitConfig:
