@@ -1,12 +1,13 @@
 """Rotation-based knowledge graph embeddings over complex and quaternion
 modules, with a 1-vs-all training objective and filtered ranking evaluation.
 
-Importing the package loads no submodule, and so not numpy: the `mkge`
-command applies its thread cap before numpy starts its BLAS threads.
+Importing the package loads no submodule, and so not numpy, and caps the BLAS
+threads at MKGE_THREADS, which holds if numpy loads later, as in the command.
 """
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 __version__ = "0.1.0"
 
@@ -16,9 +17,9 @@ _pool_lock = threading.Lock()
 
 def thread_cap():
     """The thread cap in the MKGE_THREADS environment variable, or None when
-    it is unset or empty. It caps both the BLAS threads (set by the `mkge`
-    command) and the process's thread pool. A value that is not a positive
-    integer raises ValueError."""
+    it is unset or empty. It caps both the BLAS threads (set at `import mkge`)
+    and the process's thread pool. A value that is not a positive integer
+    raises ValueError."""
     value = os.environ.get("MKGE_THREADS", "")
     if not value:
         return None
@@ -31,14 +32,25 @@ def thread_cap():
     return cap
 
 
+def _cap_blas_threads():
+    try:
+        cap = thread_cap()
+    except ValueError:  # `import mkge` raises nothing; `thread_pool` and the command report it
+        return
+    if cap is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, str(cap))
+
+
+_cap_blas_threads()
+
+
 def thread_pool():
     """The process's one thread pool, started on first use: one worker per
     usable core, at most MKGE_THREADS. `map_blocks` is its one use."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # kept out of `import mkge`
-
             try:
                 cores = len(os.sched_getaffinity(0))
             except AttributeError:  # no affinity call on this platform

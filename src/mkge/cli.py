@@ -8,6 +8,9 @@ reparses to an equal config. `eval` takes only `--dataset`, `--checkpoint`,
 bad value of any flag exits 1 with one `error:` line. `_csv` writes every
 CSV output, header row first and each row flushed: `train_report.csv`
 gains a row as each epoch ends, and an unwritable one fails before training.
+
+The trainer's defaults come from `train.FitConfig` and `train.LossConfig`,
+and the metric columns from `ranking.RankMetrics`: cli declares neither.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 
-from . import thread_cap
+from . import checkpoint as ckpt
+from . import data, model, ranking, thread_cap, train
 from .errors import DigestMismatch, MissingFile, MkgeError, ParseError
 
 PRESETS = {
@@ -35,7 +39,7 @@ PRESETS = {
                      schedule="constant"),
 }
 
-METRICS = ("mrr", "hits1", "hits3", "hits10")  # the test columns of metrics.csv and grid.csv
+METRICS = tuple(f.name for f in fields(ranking.RankMetrics))  # metrics.csv and grid.csv columns
 MODEL_ALIASES = {"rc": "module_rc", "rh": "module_rh", "hh": "module_hh"}
 _CASTS = {"int": int, "float": float, "str": str}  # by field type, for every setting value
 
@@ -45,24 +49,22 @@ class ExperimentConfig:
     dataset: str = ""
     model: str = "module_hh"
     k: int = 32
-    p: int = 3
-    lam: float = 0.0
-    lambda1: float = 2.0
-    lambda2: float = 0.5
-    lambda3: float = 2.0
-    epochs: int = 100
-    batch_size: int = 100
-    lr: float = 0.1
-    schedule: str = "constant"
-    seed: int = 0
+    p: int = train.LossConfig.p
+    lam: float = train.LossConfig.lam
+    lambda1: float = train.LossConfig.lambda1
+    lambda2: float = train.LossConfig.lambda2
+    lambda3: float = train.LossConfig.lambda3
+    epochs: int = train.FitConfig.epochs
+    batch_size: int = train.FitConfig.batch_size
+    lr: float = train.FitConfig.lr
+    schedule: str = train.FitConfig.schedule
+    seed: int = train.FitConfig.seed
     ablation: str = "both"
-    eval_interval: int = 5
-    patience: int = 10
+    eval_interval: int = train.FitConfig.eval_interval
+    patience: int = train.FitConfig.patience
     out: str = "runs/run"
 
     def validate(self):
-        from . import model
-
         # the two owners check the settings: `model.init_model` (an empty store), the fit configs
         model.init_model(self.model, self.k, 0, 0, 0, self.ablation)
         _fit_config(self)
@@ -134,19 +136,16 @@ def resolve_config(args):
 
 def _fit_config(cfg):
     """The trainer's configs, from the settings of the same names."""
-    from .train import FitConfig, LossConfig
-
     def settings(cls):
         return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name != "loss"}
 
-    return FitConfig(**settings(FitConfig), loss=LossConfig(**settings(LossConfig)))
+    return train.FitConfig(**settings(train.FitConfig),
+                           loss=train.LossConfig(**settings(train.LossConfig)))
 
 
 def _prepare(dataset, split):
     """The dataset's vocab, triples and filter index; a missing `dataset` or
     an unknown or empty `split`, the one to be ranked, fails before any work."""
-    from . import data
-
     if not dataset:
         raise ValueError("--dataset is required")
     if split not in ("train", "valid", "test"):
@@ -194,8 +193,6 @@ def _csv(path, header):
 
 def _evaluate(split, store, index, vocab, out_dir):
     """Rank `split` and write metrics.csv and per_relation.csv to out_dir."""
-    from . import ranking
-
     metrics = ranking.evaluate(split, store, index)
     with _csv(os.path.join(out_dir, "metrics.csv"), METRICS) as write:
         write([f"{getattr(metrics, name):.6f}" for name in METRICS])
@@ -208,9 +205,6 @@ def _evaluate(split, store, index, vocab, out_dir):
 def run_training(cfg, prepared, resume=None):
     """Shared train pipeline into cfg.out, on `prepared`, the `_prepare` of
     cfg.dataset for the test split; returns (report, metrics)."""
-    from . import checkpoint as ckpt
-    from . import data, model, train
-
     vocab, triples, index = prepared
     train_aug = data.augment_reciprocal(triples.train, vocab)
     _make_dir(cfg.out)
@@ -257,8 +251,6 @@ def cmd_train(args):
 def cmd_eval(args):
     """Rank `--split` with the checkpoint's model, whose variant, k and
     ablation are bound to the dataset's sizes by the checkpoint digest."""
-    from . import checkpoint as ckpt
-
     vocab, triples, index = _prepare(args.dataset, args.split)
     _make_dir(args.out)
     loaded = ckpt.load_checkpoint(args.checkpoint)
@@ -348,17 +340,10 @@ def build_parser():
     return parser
 
 
-def _apply_thread_cap():
-    cap = thread_cap()
-    if cap is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()  # before a layer module loads numpy and its BLAS threads
+        thread_cap()  # a bad MKGE_THREADS fails before any file is read
         return args.func(args)
     except (MkgeError, ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,12 @@ synthetic KG names its entities e000, e001, ... in id order.
 Ids are defined here, and so are the gates of the id arrays the library
 takes: `as_ids` casts them to int64 and checks their dtype, axes and range,
 and `check_triples` and `as_queries` check (n, 3) triple arrays and (head,
-relation) query pairs with it. No other code casts ids or checks their shapes."""
+relation) query pairs with it. No other code casts ids or checks their shapes.
+`check_integers` is the gate of the integer settings: counts, sizes and seeds."""
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -130,13 +132,23 @@ def write_dataset(directory, vocab, store):
         write_split(os.path.join(directory, name), arr, vocab)
 
 
+def check_integers(**values):
+    """ValueError naming the first of `values` that is not an integer (numpy
+    integers are, bool is not), where numpy would raise TypeError later."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_ids(ids, name, bound=None, ndim=1):
     """`ids` as an int64 array, int64 input itself, uncopied. Not integer ids
     (bool is not), or more than `ndim` axes: ShapeMismatch naming `name`, as a
-    cast would truncate 0.5 to id 0. Given a `bound`, an id outside [0, bound):
-    IndexError naming `name` and the bound, as numpy would wrap -1 silently."""
+    cast would truncate 0.5 to id 0; an empty array is empty ids whatever its
+    dtype, as numpy reads `[]` as float64. Given a `bound`, an id outside
+    [0, bound): IndexError naming `name` and the bound, as numpy would wrap -1
+    silently."""
     ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu" or ids.ndim > ndim:
+    if (ids.dtype.kind not in "iu" and ids.size) or ids.ndim > ndim:
         raise ShapeMismatch(f"{name} must be integer ids with at most {ndim} axes, "
                             f"got a {ids.ndim}-axis {ids.dtype} array")
     if bound is not None and ids.size and (ids.min() < 0 or ids.max() >= bound):

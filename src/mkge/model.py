@@ -233,6 +233,7 @@ def init_model(variant, k, n_entities, n_relations, seed, ablation="both"):
     random draws, so e.g. a scalar-only module_rc store has the tables of a
     distmult store of the same seed.
     """
+    data.check_integers(k=k, n_entities=n_entities, n_relations=n_relations, seed=seed)
     if k < 1:
         raise ValueError("k must be >= 1")
     if variant not in VARIANTS:

@@ -70,7 +70,9 @@ def bottom_rank(scores, true_idx, filtered=None):
     A candidate counts unless it scores below the true one, so a NaN true score
     ranks last among the unmasked and a NaN candidate counts against it. The
     ranks are np.intp, shaped like true_idx; a true_idx that is not integer
-    ids raises ShapeMismatch, and one outside [0, E) IndexError (`data.as_ids`)."""
+    ids raises ShapeMismatch, and one outside [0, E) IndexError (`data.as_ids`).
+    A mask that is not bool or not of the scores' shape raises ShapeMismatch,
+    where numpy would broadcast a row mask over every row."""
     scores = np.asarray(scores, dtype=np.float64)
     true_idx = data.as_ids(true_idx, "true index", scores.shape[-1], ndim=scores.ndim - 1)
     at_true = true_idx[..., None]
@@ -78,6 +80,10 @@ def bottom_rank(scores, true_idx, filtered=None):
     # masked ones other than the true candidate; a NaN is never beaten
     out = scores < np.take_along_axis(scores, at_true, axis=-1)
     if filtered is not None:
+        filtered = np.asarray(filtered)
+        if filtered.dtype != bool or filtered.shape != scores.shape:
+            raise ShapeMismatch(f"filter mask must be a bool array of shape {scores.shape}, "
+                                f"got a {filtered.dtype} array of shape {filtered.shape}")
         out |= filtered
         np.put_along_axis(out, at_true, False, axis=-1)
     # summing the mask's bytes into int32 counts it about twice as fast as

@@ -65,6 +65,7 @@ class LossConfig:
     lambda3: float = 2.0
 
     def __post_init__(self):
+        data.check_integers(p=self.p)
         if self.p not in (2, 3):
             raise ValueError("norm exponent p must be 2 or 3")
         rates = (self.lam, self.lambda1, self.lambda2, self.lambda3)
@@ -226,6 +227,8 @@ class FitConfig:
     loss: LossConfig = LossConfig()
 
     def __post_init__(self):
+        data.check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
+                            eval_interval=self.eval_interval, patience=self.patience)
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.seed < 0:

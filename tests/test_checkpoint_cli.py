@@ -392,8 +392,8 @@ class TestConfig:
                 assert action.type is None and action.choices is None
 
     def test_fit_defaults_agree(self):
-        """The trainer's defaults are declared twice, so that importing cli
-        loads no numpy; the two declarations must agree."""
+        """The settings' defaults that `ExperimentConfig` takes from the
+        trainer's configs build those configs' own defaults."""
         assert cli._fit_config(cli.ExperimentConfig()) == train.FitConfig()
 
     def test_validation(self):
@@ -666,10 +666,19 @@ def _run_mkge(argv, threads):
 
 
 class TestThreadCap:
-    def test_import_loads_no_numpy(self):
-        """The command applies MKGE_THREADS before numpy starts its BLAS threads."""
-        proc = _run_mkge(["-c", "import sys, mkge.cli; print('numpy' in sys.modules)"], None)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    def test_import_caps_blas_threads(self):
+        """`import mkge` loads no numpy and sets the BLAS thread variables to
+        MKGE_THREADS, so a matmul after `import mkge.cli` runs on one thread."""
+        code = ("import os, sys, mkge; print('numpy' in sys.modules, *(os.environ[var] for var "
+                "in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        proc = _run_mkge(["-c", code], "1")
+        assert proc.returncode == 0 and proc.stdout.split() == ["False", "1", "1", "1"], (
+            proc.stderr)
+        if os.path.isdir("/proc/self/task"):  # where the process's threads can be counted
+            code = ("import os, mkge.cli, numpy as np; a = np.ones((600, 600)); a @ a; "
+                    "print(len(os.listdir('/proc/self/task')))")
+            proc = _run_mkge(["-c", code], "1")
+            assert proc.returncode == 0 and proc.stdout.strip() == "1", proc.stderr
 
     def test_one_thread_trains_byte_identical(self, toy_dataset, tmp_path):
         runs = []

@@ -77,6 +77,17 @@ class TestInit:
         with pytest.raises(ValueError, match="unknown model 'nope'"):
             model.init_model("nope", 2, 3, 2, seed=0)
 
+    @pytest.mark.parametrize("field,value", [("k", 2.5), ("n_entities", 20.0),
+                                             ("n_relations", True), ("seed", 0.5)])
+    def test_non_integer_count_raises(self, field, value):
+        """Where numpy raised TypeError, a count or seed that is not an integer
+        raises ValueError naming it; numpy integers are accepted."""
+        counts = dict(k=2, n_entities=20, n_relations=8, seed=0)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            model.init_model("module_rc", **{**counts, field: value})
+        assert model.init_model("module_rc", np.int64(2), np.int32(20), np.uint8(8),
+                                np.int64(0)).entity.shape == (20, 4)
+
     def test_shapes(self):
         store = model.init_model("module_hh", 1, 2, 1, seed=0)
         assert store.entity.shape == (2, 7)
@@ -320,6 +331,20 @@ class TestIdArrays:
             for scorer in (model.transformed_heads, model.score_all_tails):
                 with pytest.raises(ShapeMismatch, match="differ in shape"):
                     scorer(store, heads, rels)
+
+    def test_empty_ids_of_any_dtype(self):
+        """numpy reads `[]` as float64; an empty list is still empty ids."""
+        vocab, kg, store = self.make_case()
+        index = data.build_filter_index(kg, vocab)
+        for heads, rels in (([], []), (np.array([], int), np.array([], int))):
+            assert model.score_all_tails(store, heads, rels).shape == (0, vocab.n_entities)
+            assert len(model.transformed_heads(store, heads, rels)) == 0
+            assert index.mask(heads, rels).shape == (0, vocab.n_entities)
+        assert data.as_ids(np.zeros((0, 3)), "ids", ndim=2).dtype == np.int64
+        with pytest.raises(ShapeMismatch, match="at most 1 axes"):
+            data.as_ids(np.zeros((0, 3)), "ids")
+        with pytest.raises(ShapeMismatch, match=r"nonempty \(n, 3\)"):
+            data.check_triples([], 20, 8, "split")
 
     def test_bottom_rank_true_index(self):
         with pytest.raises(ShapeMismatch, match="true index"):

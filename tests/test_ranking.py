@@ -37,6 +37,15 @@ class TestBottomRank:
         scores = np.array([0.9, 0.5])
         assert ranking.bottom_rank(scores, 1, as_mask(2, {1})) == 2
 
+    @pytest.mark.parametrize("mask", [np.zeros((3, 3), bool), np.zeros((2, 4), bool),
+                                      np.zeros((2, 3), int), np.zeros(3, bool)],
+                             ids=["rows", "columns", "int", "one_row"])
+    def test_bad_mask_raises(self, mask):
+        """A mask that is not bool of the scores' shape raises ShapeMismatch,
+        where numpy raised ValueError or UFuncTypeError, or broadcast a row."""
+        with pytest.raises(ShapeMismatch, match="filter mask"):
+            ranking.bottom_rank(np.zeros((2, 3)), [0, 1], mask)
+
     def test_invalid_index(self):
         with pytest.raises(IndexError, match=r"true index out of range \[0, 3\)"):
             ranking.bottom_rank(np.zeros(3), 5)

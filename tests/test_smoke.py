@@ -4,8 +4,9 @@ depend on the size of the thread pool. The harness self-test
 drives the public calls the benchmark makes (init_model, fit, checkpoints,
 evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
 per-function metric names are checked against the program's functions,
-every function, class and method of the package against its uses, and each
-error message against the modules that raise it."""
+every function, class and method of the package against its uses, each
+error message against the modules that raise it, and each import of the
+package against the top of its module."""
 
 import ast
 import glob
@@ -123,3 +124,15 @@ def test_each_error_rule_has_one_module():
                 if text is not None:
                     owners.setdefault(text, set()).add(module)
     assert {text: sorted(mods) for text, mods in owners.items() if len(mods) > 1} == {}
+
+
+def test_no_function_local_imports():
+    """Every import of `src/mkge` is at module level, so a module's imports
+    list what it uses, and no layer is loaded late to keep numpy out."""
+    local = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "mkge", "*.py"))):
+        for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [(os.path.basename(path), inner.lineno) for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert local == []

@@ -464,6 +464,8 @@ class TestFitConfig:
         ("epochs", -1), ("batch_size", 0), ("schedule", "cosine"),
         ("eval_interval", 0), ("patience", 0),
         ("lr", 0.0), ("lr", -0.1), ("lr", float("nan")), ("lr", float("inf")),
+        ("epochs", 2.5), ("batch_size", 2.5), ("seed", 1.5), ("patience", True),
+        ("eval_interval", "5"),
     ])
     def test_bad_value_raises(self, field, value):
         with pytest.raises(ValueError):
@@ -481,6 +483,11 @@ class TestLossConfig:
     def test_bad_rate_raises(self, field, value):
         with pytest.raises(ValueError, match="regularization rates"):
             train.LossConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_p_not_integer_raises(self, value):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            train.LossConfig(p=value)
 
     def test_edges_accepted(self):
         train.LossConfig(p=2, lam=0.0, lambda1=0.0, lambda2=0.0, lambda3=0.0)
