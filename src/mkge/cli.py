@@ -257,6 +257,7 @@ def cmd_eval(args):
     store = loaded.store
     loaded.verify_digest(ckpt.config_digest(store.variant.name, store.k, store.ablation,
                                             vocab.n_entities, vocab.n_relations))
+    del loaded  # its Adagrad accumulators, as large as the tables, are not needed to rank
     metrics = _evaluate(triples.splits()[args.split], store, index, vocab, args.out)
     print(metrics.format_table())
     return 0

@@ -9,7 +9,8 @@ Ids are defined here, and so are the gates of the id arrays the library
 takes: `as_ids` casts them to int64 and checks their dtype, axes and range,
 and `check_triples` and `as_queries` check (n, 3) triple arrays and (head,
 relation) query pairs with it. No other code casts ids or checks their shapes.
-`check_integers` is the gate of the integer settings: counts, sizes and seeds."""
+`check_integers` is the gate of the integer settings (counts, sizes and
+seeds), and `check_reals` of the real-valued ones (rates)."""
 
 from __future__ import annotations
 
@@ -52,6 +53,9 @@ class Vocab:
         return 2 * len(self.id_to_relation)
 
     def relation_name(self, rid):
+        """The name of relation id `rid`, which passes `as_ids` in [0,
+        n_relations); a reciprocal id adds "_reciprocal" to its base name."""
+        rid = int(as_ids(rid, f"relation id {rid}", self.n_relations, ndim=0))
         base = self.n_base_relations
         if rid < base:
             return self.id_to_relation[rid]
@@ -71,59 +75,98 @@ class TripleStore:
 
 
 def load_split(path):
-    """Parse one TSV split into a list of (head, relation, tail) strings. A
-    leading UTF-8 byte-order mark is dropped. A malformed line, or one that
-    is not valid UTF-8, raises ParseError."""
+    """Parse one TSV split into three name columns, (heads, relations, tails).
+    The file is UTF-8, with a byte-order mark dropped at its start only; "\\n",
+    "\\r\\n" and a lone "\\r" each end a line. Fields are stripped, and blank or
+    whitespace-only lines are skipped. The first bad line raises ParseError:
+    one not valid UTF-8, or one without three nonempty fields."""
     try:
-        # undecodable bytes become lone surrogates, which fail to encode below
-        fh = open(path, encoding="utf-8-sig", errors="surrogateescape")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:  # missing, a directory, unreadable
         raise MissingFile(f"cannot read split file {path}: {exc.strerror}") from exc
-    triples = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
-            line = line.rstrip("\r\n")
-            if not line.strip():
+    try:
+        return _columns(path, _lines(raw.decode("utf-8-sig")))
+    except UnicodeDecodeError as exc:
+        # under utf-8-sig, exc.object and exc.start count from after the BOM;
+        # the lines before the undecodable one are parsed first, so a bad
+        # line there wins
+        lines = _lines(exc.object[:exc.start].decode("utf-8"))
+        _columns(path, lines[:-1])
+        raise ParseError(f"{path}:{len(lines)}: not valid UTF-8") from None
+
+
+def _lines(text):
+    """`text` split at "\\n", "\\r\\n" and "\\r" only, as text mode reads it:
+    str.splitlines would also split at form feeds and U+2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _columns(path, lines):
+    """The stripped (heads, relations, tails) of `lines`, blank ones skipped."""
+    heads, rels, tails = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) == 3:
+            h, r, t = parts[0].strip(), parts[1].strip(), parts[2].strip()
+            if h and r and t:
+                heads.append(h)
+                rels.append(r)
+                tails.append(t)
                 continue
-            parts = [p.strip() for p in line.split("\t")]
-            if len(parts) != 3 or not all(parts):
-                raise ParseError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            triples.append(tuple(parts))
-    return triples
+        if line.strip():
+            raise ParseError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+    return heads, rels, tails
 
 
 def build_dataset(directory):
     """Load train/valid/test from a directory. All three files are parsed
     before anything else is checked, so a bad line anywhere wins over a
-    duplicate triple, which raises DuplicateTriple naming its split. The
-    vocab spans all three splits: names take ids in first-appearance order,
-    per triple the head, then the tail, over train, then valid, then test."""
-    raws = [load_split(os.path.join(directory, f)) for f in SPLIT_FILES]
-    for name, raw in zip(("train", "valid", "test"), raws):
-        if len(set(raw)) < len(raw):
-            seen = set()
-            for triple in raw:
-                if triple in seen:
-                    raise DuplicateTriple(f"duplicate triple in {name} split: {triple}")
-                seen.add(triple)
-    every = [triple for raw in raws for triple in raw]
-    vocab = Vocab(list(dict.fromkeys(name for h, _, t in every for name in (h, t))),
-                  list(dict.fromkeys(r for _, r, _ in every)))
-    ent, rel = vocab.entity_to_id, vocab.relation_to_id
-    arrays = [np.array([(ent[h], rel[r], ent[t]) for h, r, t in raw], dtype=ID_DTYPE).reshape(-1, 3)
-              for raw in raws]
+    duplicate triple, which raises DuplicateTriple naming its split and the
+    first repeat in file order. The vocab spans all three splits: names take
+    ids in first-appearance order, per triple the head, then the tail, over
+    train, then valid, then test."""
+    columns = [load_split(os.path.join(directory, f)) for f in SPLIT_FILES]
+    entities, relations = {}, {}
+    for heads, rels, tails in columns:
+        both = [None] * (2 * len(heads))  # head, tail, head, tail, ...
+        both[0::2], both[1::2] = heads, tails
+        entities.update(dict.fromkeys(both))
+        relations.update(dict.fromkeys(rels))
+    vocab = Vocab(_compact(entities), _compact(relations))
+    ent, rel = vocab.entity_to_id.__getitem__, vocab.relation_to_id.__getitem__
+    arrays = [np.stack([np.fromiter(map(ids, names), ID_DTYPE, len(names))
+                        for ids, names in zip((ent, rel, ent), cols)], axis=1)
+              for cols in columns]
+    for name, cols, triples in zip(("train", "valid", "test"), columns, arrays):
+        keys = _keys(triples, vocab.n_base_relations, vocab.n_entities)
+        order = np.argsort(keys, kind="stable")  # equal keys stay in file order
+        repeats = order[1:][np.diff(keys[order]) == 0]
+        if len(repeats):
+            i = repeats.min()
+            raise DuplicateTriple(f"duplicate triple in {name} split: "
+                                  f"{(cols[0][i], cols[1][i], cols[2][i])}")
     return vocab, TripleStore(*arrays)
 
 
+def _compact(names):
+    """New strings equal to `names`, which hold no tab, made together: the
+    few names a vocab keeps would otherwise pin the memory pages of the
+    many parsed fields they were picked from after those are freed."""
+    return "\t".join(names).split("\t") if names else []
+
+
 def write_split(path, triples, vocab):
-    """Serialize id triples back to the TSV format of load_split."""
+    """Serialize id triples back to the TSV format of load_split. A nonempty
+    split passes `check_triples` before the file is opened, so an id outside
+    the vocab raises IndexError, as numpy would wrap -1 to the last name."""
+    rows = []
+    if len(triples):
+        rows = check_triples(triples, vocab.n_entities, vocab.n_relations, "triples").tolist()
+    ents = vocab.id_to_entity
+    rels = [vocab.relation_name(r) for r in range(vocab.n_relations)]
     with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in triples:
-            fh.write(f"{vocab.id_to_entity[h]}\t{vocab.relation_name(r)}\t{vocab.id_to_entity[t]}\n")
+        fh.writelines(f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in rows)
 
 
 def write_dataset(directory, vocab, store):
@@ -135,9 +178,20 @@ def write_dataset(directory, vocab, store):
 def check_integers(**values):
     """ValueError naming the first of `values` that is not an integer (numpy
     integers are, bool is not), where numpy would raise TypeError later."""
+    _check_numbers(values, numbers.Integral, "an integer")
+
+
+def check_reals(**values):
+    """ValueError naming the first of `values` that is not a real number
+    (numpy floats and integers are, bool is not): True would train as 1.0,
+    and a string fails a comparison with TypeError."""
+    _check_numbers(values, numbers.Real, "a real number")
+
+
+def _check_numbers(values, kind, label):
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{name} must be {label}, got {value!r}")
 
 
 def as_ids(ids, name, bound=None, ndim=1):
@@ -210,12 +264,20 @@ class FilterIndex:
         return out
 
 
+def _keys(triples, n_relations, n_entities):
+    """The int64 key (h * n_relations + r) * n_entities + t of each (h, r, t)
+    row, which orders the rows as they sort lexicographically."""
+    return (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+
+
 def build_filter_index(store, vocab):
     """FilterIndex of train+valid+test and their reciprocal triples."""
     n_ent, n_rel = vocab.n_entities, vocab.n_relations
     known = augment_reciprocal(np.concatenate([store.train, store.valid, store.test]), vocab)
-    keys = np.unique((known[:, 0] * n_rel + known[:, 1]) * n_ent + known[:, 2])
-    return FilterIndex(keys, n_ent, n_rel)
+    keys = np.sort(_keys(known, n_rel, n_ent))
+    first = np.ones(len(keys), dtype=bool)  # each key unlike its predecessor
+    first[1:] = keys[1:] != keys[:-1]
+    return FilterIndex(keys[first], n_ent, n_rel)
 
 
 def generate_synthetic_kg(seed, n_entities):

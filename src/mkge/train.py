@@ -66,6 +66,8 @@ class LossConfig:
 
     def __post_init__(self):
         data.check_integers(p=self.p)
+        data.check_reals(lam=self.lam, lambda1=self.lambda1, lambda2=self.lambda2,
+                         lambda3=self.lambda3)
         if self.p not in (2, 3):
             raise ValueError("norm exponent p must be 2 or 3")
         rates = (self.lam, self.lambda1, self.lambda2, self.lambda3)
@@ -229,6 +231,7 @@ class FitConfig:
     def __post_init__(self):
         data.check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
                             eval_interval=self.eval_interval, patience=self.patience)
+        data.check_reals(lr=self.lr)
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.seed < 0:

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import os
 import re
 import shutil
@@ -851,6 +852,30 @@ class TestCmdEval:
         with open(os.path.join(out, "metrics.csv")) as fa, \
                 open(os.path.join(eval_out, "metrics.csv")) as fb:
             assert fa.read() == fb.read()
+
+    def test_eval_ranks_without_optimizer_state(self, toy_dataset, tmp_path, monkeypatch):
+        """The checkpoint's Adagrad accumulators, as large as the tables, are
+        dropped before the ranking starts."""
+        out = str(tmp_path / "trained_opt")
+        cli.main(["train", *small_args(toy_dataset, out)])
+        path = os.path.join(out, "checkpoint.mkge")
+        assert ckpt.load_checkpoint(path).opt_state is not None
+
+        def states():
+            gc.collect()
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, train.OptimizerState)}
+
+        before, during = states(), []
+        evaluate = cli._evaluate
+
+        def checked(*args):
+            during.append(states() - before)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "_evaluate", checked)
+        assert cli.main(["eval", "--dataset", toy_dataset, "--checkpoint", path,
+                         "--out", str(tmp_path / "e")]) == 0
+        assert during == [set()]
 
     def test_eval_twice_identical(self, toy_dataset, tmp_path):
         out = str(tmp_path / "trained2")

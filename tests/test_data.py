@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -19,17 +20,17 @@ class TestLoadSplit:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "train.txt"
         path.write_text("")
-        assert data.load_split(path) == []
+        assert data.load_split(path) == ([], [], [])
 
     def test_single_line(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("a\tr\tb\n")
-        assert data.load_split(path) == [("a", "r", "b")]
+        assert data.load_split(path) == (["a"], ["r"], ["b"])
 
     def test_crlf_and_whitespace(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("a \tr\t b\r\n\n", encoding="utf-8")
-        assert data.load_split(path) == [("a", "r", "b")]
+        assert data.load_split(path) == (["a"], ["r"], ["b"])
 
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -46,11 +47,69 @@ class TestLoadSplit:
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"\xef\xbb\xbfa\tr\tb\nb\tr\ta\n")
-        assert data.load_split(path) == [("a", "r", "b"), ("b", "r", "a")]
+        assert data.load_split(path) == (["a", "b"], ["r", "r"], ["b", "a"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             data.load_split(tmp_path / "nope.txt")
+
+    # "\n", "\r\n" and a lone "\r" each end one line, and the first bad line
+    # wins whatever its kind; a leading BOM moves the decoder's offsets, not
+    # the line count
+    @pytest.mark.parametrize("content,error", [
+        (b"a\tr\tb\rc\tr\td\rbad\n", ":3: expected"),
+        (b"a\tr\tb\r\n\r\nbad\r\n", ":3: expected"),
+        (b"bad\nc\tr\t\xff\n", ":1: expected"),
+        (b"c\tr\t\xff\nbad\n", ":1: not valid UTF-8"),
+        (b"\xef\xbb\xbfa\tr\tb\n\xff\tr\tb\n", ":2: not valid UTF-8"),
+        (b"a\tr\tb\rc\tr\td\r\xff\tr\tb\n", ":3: not valid UTF-8"),
+    ])
+    def test_first_bad_line_named(self, tmp_path, content, error):
+        path = tmp_path / "t.txt"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=error):
+            data.load_split(path)
+
+
+def train_split_kg(tmp_path, content):
+    """build_dataset of a KG whose train file holds `content` (bytes) and
+    whose valid and test files are empty."""
+    write_toy_dataset(tmp_path / "kg", [], [], [])
+    (tmp_path / "kg" / "train.txt").write_bytes(content)
+    return data.build_dataset(tmp_path / "kg")
+
+
+class TestSplitText:
+    """What the reader keeps, seen through build_dataset."""
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        vocab, store = train_split_kg(tmp_path, b"\t\t\n  \t \t \na\tr\tb\n")
+        assert vocab.id_to_entity == ["a", "b"] and store.train.tolist() == [[0, 0, 1]]
+
+    def test_only_line_ends_split_lines(self, tmp_path):
+        # U+2028, a form feed and a BOM past the file's start are name characters
+        content = "a\u2028x\tr\x0cs\tb\n\ufeffc\tr\td\n".encode()
+        vocab, store = train_split_kg(tmp_path, content)
+        assert vocab.id_to_entity == ["a\u2028x", "b", "\ufeffc", "d"]
+        assert vocab.id_to_relation == ["r\x0cs", "r"] and len(store.train) == 2
+
+    def test_matches_text_mode_reference(self, tmp_path):
+        """Random line ends, padding and blank lines read as Python's text mode
+        reads them, line by line."""
+        rng = random.Random(3)
+        pad = ["", " ", "\x0c", "\u2028", "\u00a0"]
+        rows = {(f"e{rng.randrange(30)}", f"r{rng.randrange(4)}", f"e{rng.randrange(30)}")
+                for _ in range(300)}
+        text = "".join(
+            rng.choice(["", " \t \n"]) + "\t".join(rng.choice(pad) + name + rng.choice(pad)
+                                                   for name in row)
+            + rng.choice(["\n", "\r\n", "\r"]) for row in sorted(rows))
+        vocab, store = train_split_kg(tmp_path, text.encode())
+        with open(tmp_path / "kg" / "train.txt", encoding="utf-8") as fh:
+            want = [tuple(part.strip() for part in line.split("\t")) for line in fh if line.strip()]
+        assert vocab.id_to_entity == list(dict.fromkeys(n for h, _, t in want for n in (h, t)))
+        assert [(vocab.id_to_entity[h], vocab.id_to_relation[r], vocab.id_to_entity[t])
+                for h, r, t in store.train.tolist()] == want
 
 
 class TestBuildDataset:
@@ -92,6 +151,12 @@ class TestBuildDataset:
             data.build_dataset(tmp_path / "kg")
         assert str(exc.value) == f"duplicate triple in {split} split: ('a', 'r', 'b')"
 
+    def test_first_repeat_in_file_order_reported(self, tmp_path):
+        a, b = ("a", "r", "b"), ("b", "r", "a")
+        write_toy_dataset(tmp_path / "kg", [a, b, b, a], [], [])
+        with pytest.raises(DuplicateTriple, match=r"train split: \('b', 'r', 'a'\)$"):
+            data.build_dataset(tmp_path / "kg")
+
     def test_missing_split_file(self, tmp_path):
         (tmp_path / "kg").mkdir()
         (tmp_path / "kg" / "train.txt").write_text("a\tr\tb\n")
@@ -114,6 +179,36 @@ class TestBuildDataset:
         write_toy_dataset(tmp_path / "kg", [("a", "r", "b"), ("c", "s", "a")], [], [])
         ids = [data.build_dataset(tmp_path / "kg")[0].entity_to_id for _ in range(2)]
         assert ids[0] == ids[1]
+
+
+class TestWriter:
+    def test_relation_names(self):
+        vocab = data.Vocab(["a", "b"], ["r", "s"])
+        assert [vocab.relation_name(r) for r in range(4)] == ["r", "s", "r_reciprocal",
+                                                             "s_reciprocal"]
+        assert vocab.relation_name(np.int64(3)) == "s_reciprocal"
+
+    @pytest.mark.parametrize("rid", [-1, 4])
+    def test_relation_id_out_of_range(self, rid):
+        with pytest.raises(IndexError, match=rf"relation id {rid} out of range \[0, 4\)"):
+            data.Vocab(["a", "b"], ["r", "s"]).relation_name(rid)
+
+    @pytest.mark.parametrize("row,name", [([-1, 0, 1], "entity id"), ([0, 0, 2], "entity id"),
+                                          ([0, -1, 1], "relation id"), ([0, 4, 1], "relation id")])
+    def test_write_split_rejects_ids_before_opening(self, tmp_path, row, name):
+        vocab = data.Vocab(["a", "b"], ["r", "s"])
+        path = tmp_path / "t.txt"
+        with pytest.raises(IndexError, match=rf"{name} out of range \[0, [24]\)"):
+            data.write_split(path, np.array([[0, 0, 1], row]), vocab)
+        assert not path.exists()
+
+    def test_write_split_round_trip_and_empty(self, tmp_path):
+        vocab = data.Vocab(["a", "b"], ["r", "s"])
+        data.write_split(tmp_path / "t.txt", np.array([[0, 3, 1], [1, 0, 0]]), vocab)
+        assert (tmp_path / "t.txt").read_text() == "a\ts_reciprocal\tb\nb\tr\ta\n"
+        for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+            data.write_split(tmp_path / "e.txt", empty, vocab)
+            assert (tmp_path / "e.txt").read_bytes() == b""
 
 
 class TestReciprocal:
@@ -152,6 +247,17 @@ class TestFilterIndex:
         assert known_tails(index, 0, 0) == {1, 2}
         assert known_tails(index, 1, 1) == {0} and known_tails(index, 2, 1) == {0}
         assert np.array_equal(index.mask(0, 0), index.mask([0], [0]))  # a scalar pair is one query
+
+    def test_fact_in_two_splits_keyed_once(self):
+        vocab = data.Vocab(["a", "b", "c"], ["r", "s"])
+        train = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 0]])
+        empty = np.zeros((0, 3), dtype=np.int64)
+        index = data.build_filter_index(data.TripleStore(train, empty, train[:2]), vocab)
+        once = data.build_filter_index(data.TripleStore(train, empty, empty), vocab)
+        assert np.all(np.diff(index.keys) > 0)
+        assert len(index.keys) == len(data.augment_reciprocal(train, vocab)) == 6
+        heads, rels = np.divmod(np.arange(vocab.n_entities * vocab.n_relations), vocab.n_relations)
+        assert np.array_equal(index.mask(heads, rels), once.mask(heads, rels))
 
     def test_every_test_tail_member(self):
         vocab, store = data.generate_synthetic_kg(seed=6, n_entities=20)

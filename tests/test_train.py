@@ -471,10 +471,17 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             train.FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_lr_not_real_named(self, value):
+        with pytest.raises(ValueError, match="lr must be a real number"):
+            train.FitConfig(lr=value)
+
     def test_defaults_and_edges_accepted(self):
         train.FitConfig()
         train.FitConfig(epochs=0, batch_size=1, schedule="exp", eval_interval=1, patience=1,
                         lr=1e-300)
+        train.FitConfig(lr=np.float32(0.5))
+        train.FitConfig(lr=1)
 
 
 class TestLossConfig:
@@ -482,6 +489,12 @@ class TestLossConfig:
     @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"), float("-inf")])
     def test_bad_rate_raises(self, field, value):
         with pytest.raises(ValueError, match="regularization rates"):
+            train.LossConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "lambda1", "lambda2", "lambda3"])
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_rate_not_real_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
             train.LossConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [2.0, True])
@@ -492,6 +505,7 @@ class TestLossConfig:
     def test_edges_accepted(self):
         train.LossConfig(p=2, lam=0.0, lambda1=0.0, lambda2=0.0, lambda3=0.0)
         train.LossConfig(lam=1e300, lambda1=5e-324)
+        train.LossConfig(lam=np.float64(0.5), lambda2=0)
 
 
 class TestFit:
