@@ -49,9 +49,10 @@ the scores (B, E), or, given the true tail of each head row, the 1-vs-all
 logistic loss and its gradients on h and c. The objective is written once,
 in `logistic_terms`: `cosine_kernel` applies it to row blocks of its one
 score matmul and sums the terms once, `distance_kernel` applies it to each
-chunk of its pass over component planes and sums each chunk's terms. A
-distance chunk is sized by the memory its planes take (w planes of
-differences and one of distances); in training it turns the differences into
+chunk of candidates and sums each chunk's terms. A distance chunk copies only
+its own candidates to component planes and is sized by the memory its planes
+take (w planes of differences and one of distances); its squared distances
+take one pass over the differences, which it then, in training, turns into
 unit directions in place, from which each gradient is one contraction with
 the score gradient. Both kernels run their blocks on the process's thread
 pool, and neither result depends on the pool size: the cosine kernel's blocks
@@ -360,11 +361,31 @@ def logistic_terms(x, pos, b):
     return d_s
 
 
+def _kernel_tails(h, c, tails):
+    """The score kernels' one gate, run before any of their work: heads h
+    (B, k, w) and entities c (E, k, w) of one k and w, else ShapeMismatch, as
+    a reshape or a broadcast would pair other coordinates. Given tails, they
+    are returned as ids (`data.as_ids`) in [0, E), one per head row, else
+    IndexError or ShapeMismatch, as numpy would wrap a tail of -1 and a
+    chunk would find no positive for a tail of E."""
+    if np.ndim(h) != 3 or np.ndim(c) != 3 or np.shape(h)[1:] != np.shape(c)[1:]:
+        raise ShapeMismatch(f"heads (B, k, w) and entities (E, k, w) must share k and w, "
+                            f"got {np.shape(h)} and {np.shape(c)}")
+    if tails is None:
+        return None
+    tails = data.as_ids(tails, "tails", len(c))
+    if tails.shape != (len(h),):
+        raise ShapeMismatch(f"tails must hold one id per head row, got shape {tails.shape} "
+                            f"for {len(h)} heads")
+    return tails
+
+
 def cosine_kernel(h, c, tails=None):
     """Inner-product scores of heads h (B, k, w) against every entity
     c (E, k, w): one matmul to the scores (B, E). Given the true tail id of
     each head row it returns instead (loss, grad_h, grad_c), the summed
-    logistic loss and the gradients of loss / B, by two more matmuls.
+    logistic loss and the gradients of loss / B, by two more matmuls. The
+    inputs pass the kernels' gate first, as in `distance_kernel`.
 
     The objective runs between the matmuls, per block of score rows (about
     ROW_BLOCK_ELEMENTS scores each) on the process's thread pool: a block
@@ -373,6 +394,7 @@ def cosine_kernel(h, c, tails=None):
     on the pool size or the block size. The caller waits on the pool, so the
     kernel must not be called from a task on that pool.
     """
+    tails = _kernel_tails(h, c, tails)
     b, k, w = h.shape
     h_flat, c_flat = h.reshape(b, k * w), c.reshape(-1, k * w)
     scores = h_flat @ c_flat.T
@@ -393,7 +415,8 @@ def cosine_kernel(h, c, tails=None):
 
 def distance_kernel(h, c, tails=None):
     """Distance scores of heads h (B, k, w) against every entity c (E, k, w),
-    walked in chunks of candidates over component planes (w, B, k), (w, E, k).
+    walked in chunks of candidates; each chunk copies only its own candidates
+    to component planes (w, C, k), beside the heads' planes (w, B, k).
 
     The score of (b, e) is -sum_i |h_bi - c_ei|, the Euclidean distance of
     each dimension's w coordinates. Without `tails` the kernel returns the
@@ -401,19 +424,24 @@ def distance_kernel(h, c, tails=None):
     returns instead (loss, grad_h, grad_c): the 1-vs-all logistic loss
     summed over rows and candidates, and the gradients of loss / B shaped
     like h and c. A dimension at distance 0 contributes a zero subgradient.
+    The inputs pass the kernels' gate: h and c of another k or w raise
+    ShapeMismatch, and tails that are not one id in [0, E) per head row
+    IndexError or ShapeMismatch.
 
     Chunks hold C = DISTANCE_CHUNK_ELEMENTS // (B * k) candidates. The
     budget is set by memory, not by cache: a running chunk holds w planes of
     differences d and one of distances, each (B, C, k), and fewer, larger
-    chunks spend less of the kernel on per-call overhead. The differences and
-    distances of a chunk serve the scores, the loss and the gradients. In
-    training the chunk then divides d by the distances in place, giving unit
-    directions u_j = d_j / dist, and each gradient is one contraction of the
-    score gradient with u: sum_b d_s u_j for the candidates and
-    -sum_e d_s u_j for the heads. Where a distance is 0 (or its square
-    underflows to 0), the chunk divides by an infinite distance instead, so u
-    is 0 there, the zero subgradient. No (B, E, k) array and, in training, no
-    (B, E) array is built.
+    chunks spend less of the kernel on per-call overhead. The squared
+    distances take one pass over d (an einsum over the coordinates, each
+    product rounded on its own and added in coordinate order), which leaves d
+    intact, so the differences and distances of a chunk serve the scores, the
+    loss and the gradients. In training the chunk then divides d by the
+    distances in place, giving unit directions u_j = d_j / dist, and each
+    gradient is one contraction of the score gradient with u: sum_b d_s u_j
+    for the candidates and -sum_e d_s u_j for the heads. Where a distance is 0
+    (or its square underflows to 0), the chunk divides by an infinite
+    distance instead, so u is 0 there, the zero subgradient. No (B, E, k) array, no copy of the
+    whole of c and, in training, no (B, E) array is built.
 
     The chunks run as blocks of `mkge.map_blocks` on the process's thread
     pool. A chunk writes only its own columns of the scores or its own rows of
@@ -423,22 +451,20 @@ def distance_kernel(h, c, tails=None):
     pool, so the kernel must not be called from a task on that pool: with
     every worker waiting, nothing would run the chunks.
     """
-    h, c = planes(h), planes(c)
+    tails = _kernel_tails(h, c, tails)
+    h = planes(h)
     w, b, k = h.shape
-    n = c.shape[1]
+    n = c.shape[0]
     if tails is None:
         scores = np.empty((b, n))
     else:
-        grad_c = np.empty_like(c)
+        grad_c = np.empty((w, n, k))
 
     def run_chunk(cols):
-        d = h[:, :, None, :] - c[:, None, cols, :]  # (w, B, C, k)
-        # squared distances, coordinates added in order as `algebra.field_norm`
-        # adds them; the later coordinates are squared in place, so the sum
-        # takes no plane beyond its own
-        dist = d[0] * d[0]
-        for j in range(1, w):
-            dist += np.multiply(d[j], d[j], out=d[j])
+        d = h[:, :, None, :] - planes(c[cols])[:, None]  # (w, B, C, k)
+        # squared distances in one pass, coordinates added in order as
+        # `algebra.field_norm` adds them
+        dist = np.einsum("jbck,jbck->bck", d, d)
         np.sqrt(dist, out=dist)
         x = -np.sum(dist, axis=-1)  # (B, C) scores
         if tails is None:
@@ -446,13 +472,10 @@ def distance_kernel(h, c, tails=None):
             return None
         hit = np.flatnonzero((tails >= cols.start) & (tails < cols.stop))
         d_s = logistic_terms(x, (hit, tails[hit] - cols.start), b)
-        # rebuild the differences squared above, then turn d into the unit directions
-        # u_j = d_j / dist in place; then
+        # turn d into the unit directions u_j = d_j / dist in place; then
         # d (loss / B) / d h_j = -sum_e d_s u_j and d (loss / B) / d c_j = sum_b d_s u_j.
         # A distance of 0 (d_j 0, or so small that its square underflowed) is
         # made infinite first, so that its u_j is 0, the zero subgradient.
-        for j in range(1, w):
-            np.subtract(h[j, :, None, :], c[j, None, cols, :], out=d[j])
         dist[dist == 0.0] = np.inf
         np.divide(d, dist, out=d)
         for j in range(w):

@@ -290,6 +290,46 @@ class TestScore:
             model.transformed_heads(store, np.array([h]), np.array([r]))
 
 
+KERNELS = [model.cosine_kernel, model.distance_kernel]
+
+
+class TestKernelGate:
+    """Both score kernels check heads, entities and tails before any work.
+    Unchecked, a tail of -1 would train as the last candidate (cosine) or
+    find no positive (distance), as would a tail of E; one tail for two heads
+    would be broadcast (cosine) or leave a row without a positive (distance);
+    and an entity table of another (k, w) with the same k * w would be
+    reshaped or broadcast against the heads."""
+
+    def inputs(self):
+        rng = np.random.default_rng(6)
+        return rng.normal(size=(2, 3, 2)), rng.normal(size=(7, 3, 2))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("tails", [[1, -1], [1, 7]], ids=["minus_one", "n_entities"])
+    def test_tail_out_of_range(self, kernel, tails):
+        h, c = self.inputs()
+        with pytest.raises(IndexError, match=r"tails out of range \[0, 7\)"):
+            kernel(h, c, np.array(tails))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("tails", [[1], [1, 2, 3], [[1], [2]], [1.0, 2.0]],
+                             ids=["fewer", "more", "two_axes", "float"])
+    def test_tails_not_one_id_per_head(self, kernel, tails):
+        h, c = self.inputs()
+        with pytest.raises(ShapeMismatch, match="tails"):
+            kernel(h, c, tails)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("h_shape,c_shape", [((2, 3, 2), (7, 6, 1)), ((2, 2, 1), (7, 1, 2)),
+                                                 ((2, 6), (7, 6)), ((2, 3, 2), (7, 3, 1))])
+    def test_entities_of_another_k_or_w(self, kernel, h_shape, c_shape):
+        h, c = np.ones(h_shape), np.ones(c_shape)
+        for tails in (None, np.array([0, 1])):
+            with pytest.raises(ShapeMismatch, match="must share k and w"):
+                kernel(h, c, tails)
+
+
 class TestIdArrays:
     """Every id array passes `data.as_ids`: ids that are not of an integer
     dtype, or have too many axes, raise ShapeMismatch naming the array, where

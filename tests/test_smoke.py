@@ -1,6 +1,6 @@
 """Smoke test of the benchmark harness, the digest tool and the demos: each
 script runs to completion in a fresh interpreter, and the digests do not
-depend on the size of the thread pool. The harness self-test
+depend on the size of the thread pool and match `tests/digests.golden`. The harness self-test
 drives the public calls the benchmark makes (init_model, fit, checkpoints,
 evaluate and its per-query ranks) on a tiny generated KG. The benchmark's
 per-function metric names are checked against the program's functions,
@@ -44,12 +44,40 @@ def test_script_exits_cleanly(script):
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def test_digests_do_not_depend_on_pool_size():
-    """The bit digests of every variant and ablation are the same with one
-    pool worker as with the default pool."""
+@pytest.fixture(scope="module")
+def digest_runs():
+    """`tools/digests.py` run with one pool worker and with the default pool.
+    The tool sets module globals at import, so it runs in its own process."""
     one, default = (_run("tools/digests.py", threads) for threads in (1, None))
     assert one.returncode == 0 and default.returncode == 0, (one.stderr + default.stderr)[-4000:]
-    assert one.stdout and one.stdout == default.stdout
+    return {"MKGE_THREADS=1": one.stdout, "default pool": default.stdout}
+
+
+def test_digests_do_not_depend_on_pool_size(digest_runs):
+    """The bit digests of every variant and ablation are the same with one
+    pool worker as with the default pool."""
+    one, default = digest_runs.values()
+    assert one and one == default
+
+
+def test_digests_match_golden_file(digest_runs):
+    """Both digest runs print `tests/digests.golden` line for line, on a
+    build whose `env` line (numpy, BLAS, SIMD extensions, machine) matches
+    the file's; on another build the bits may round otherwise, so the test
+    skips and names the fields that differ. A change that alters bits on
+    purpose regenerates the file and says so:
+
+        PYTHONPATH=src python tools/digests.py > tests/digests.golden
+    """
+    with open(os.path.join(ROOT, "tests", "digests.golden"), encoding="utf-8") as fh:
+        golden = fh.read()
+    for setting, output in digest_runs.items():
+        want, got = golden.splitlines()[0].split(), output.splitlines()[0].split()
+        if want != got:
+            pytest.skip(f"digest build differs from the golden file's: "
+                        f"{[f for f in want if f not in got]} in the file, "
+                        f"{[f for f in got if f not in want]} here")
+        assert output == golden, setting
 
 
 def _traced_function_metrics():

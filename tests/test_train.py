@@ -187,28 +187,52 @@ class TestDistanceKernel:
         assert pooled == [one, one]
 
     def test_peak_memory(self, monkeypatch, thread_pools):
-        """A training call holds, per running chunk, the (w, B, C, k)
-        differences, the (B, C, k) distances and a few (B, C) score arrays,
-        with C * B * k <= DISTANCE_CHUNK_ELEMENTS, besides its (w, E, k) and
-        (w, B, k) copies of the inputs and gradients. A weight plane of
-        d_s / dist next to them would break the bound."""
-        b, k, w, n = 32, 16, 2, 4000
+        """A call holds, per running chunk, the (w, B, C, k) differences, the
+        (B, C, k) distances, its candidates' (w, C, k) planes and a few (B, C)
+        score arrays, with C * B * k <= DISTANCE_CHUNK_ELEMENTS, besides its
+        (w, B, k) copy of the heads and its result: grad_c and grad_h in
+        training, the (B, E) scores otherwise. At n = 40,000 c takes 10 MB, so
+        a copy of the whole of c breaks either bound, as would a weight plane
+        of d_s / dist next to the chunk's planes."""
+        b, k, w, n = 32, 16, 2, 40_000
         assert n_distance_chunks(b, k, n) > 2  # chunks to overlap on two workers
         rng = np.random.default_rng(15)
         h, c = rng.normal(size=(b, k, w)), rng.normal(size=(n, k, w))
-        tails = rng.integers(n, size=b)
         # w + 1 planes, and below half a plane of (B, C) arrays at k = 16
         per_worker = (w + 1.5) * model.DISTANCE_CHUNK_ELEMENTS * 8
-        for workers in (1, 2):
-            monkeypatch.setattr(mkge, "_pool", thread_pools[workers])
-            model.distance_kernel(h, c, tails)  # start the pool's threads
-            tracemalloc.start()
-            try:
-                model.distance_kernel(h, c, tails)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < per_worker * workers + 2 * (h.nbytes + c.nbytes)
+        for tails, held in ((rng.integers(n, size=b), 2 * h.nbytes + 1.5 * c.nbytes),
+                            (None, h.nbytes + b * n * 8 + 0.5 * c.nbytes)):  # heads, scores
+            for workers in (1, 2):
+                monkeypatch.setattr(mkge, "_pool", thread_pools[workers])
+                model.distance_kernel(h, c, tails)  # start the pool's threads
+                tracemalloc.start()
+                try:
+                    model.distance_kernel(h, c, tails)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < per_worker * workers + held
+
+    def test_squared_distances_round_as_separate_products(self, monkeypatch):
+        """The scores, in several chunks, are the bytes of the squared
+        distances written out as separate numpy calls, d0 * d0 + d1 * d1: each
+        product rounded on its own, then added in coordinate order, as
+        `algebra.field_norm` adds them. Pair (0, 3) sits at distance 0
+        in dimension 1, and pair (1, 5) differs by 1e-170 in dimension 2,
+        whose square underflows to 0. A numpy whose einsum fuses the
+        multiply-add (rounding once) fails here; the digests' golden file
+        would then change too."""
+        monkeypatch.setattr(model, "DISTANCE_CHUNK_ELEMENTS", MULTI_CHUNK_ELEMENTS)
+        rng = np.random.default_rng(16)
+        h, c = rng.normal(size=(3, 4, 2)), rng.normal(size=(20, 4, 2))
+        c[3, 1] = h[0, 1]
+        h[1, 2], c[5, 2] = 0.0, [1e-170, -1e-170]
+        assert n_distance_chunks(3, 4, 20) > 2
+        d0, d1 = (np.subtract(h[:, None, :, j], c[None, :, :, j]) for j in (0, 1))
+        squared = np.add(np.multiply(d0, d0), np.multiply(d1, d1))
+        want = -np.sum(np.sqrt(squared), axis=-1)
+        assert squared[0, 3, 1] == 0.0 and squared[1, 5, 2] == 0.0
+        assert model.distance_kernel(h, c).tobytes() == want.tobytes()
 
     def test_pool_size_bit_identical(self, monkeypatch, pool_runs):
         """Three chunks on pools of 1, 2 and 8 workers: the chunk losses and

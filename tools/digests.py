@@ -1,6 +1,13 @@
-"""Bit-identity digests of the model and the trainer, one line per variant x
-ablation, then one `data` line for the data layer and one `cli` line for the
+"""Bit-identity digests of the model and the trainer: a first `env` line that
+names the build the bits were computed on, then one line per variant x
+ablation, one `data` line for the data layer and one `cli` line for the
 command line.
+
+The `env` line names numpy's version, its BLAS library and version, numpy's
+SIMD baseline and the extensions it found on this CPU, and the machine
+architecture. Two runs whose `env` lines match are expected to print the same
+digests; where they differ, a float result may round otherwise (a BLAS
+kernel, or a fused multiply-add), so the other lines need not match.
 
 Each model line hashes, for one case on a small synthetic KG: the initial
 parameter tables (an ablation's hold its free parameters only), the
@@ -38,12 +45,16 @@ refactor is checked by diffing the output of the parent and of the change:
 
     PYTHONPATH=src python tools/digests.py > after.txt
     MKGE_THREADS=1 PYTHONPATH=src python tools/digests.py > after_1.txt
+
+`tests/digests.golden` holds the output of the tree as committed, and
+`tests/test_smoke.py` compares both runs with it.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import platform
 import tempfile
 
 import numpy as np
@@ -64,6 +75,16 @@ def digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:16]
+
+
+def env_line():
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return " ".join([
+        "env", f"numpy={np.__version__}", f"blas={blas['name']}/{blas['version']}",
+        f"simd={'+'.join(simd['baseline'])}:{'+'.join(simd['found'])}",
+        f"machine={platform.machine()}"])
 
 
 def case(name, ablation, vocab, triples, aug, index):
@@ -131,6 +152,7 @@ def main():
     vocab, triples = data.generate_synthetic_kg(seed=SEED, n_entities=N_ENTITIES)
     aug = data.augment_reciprocal(triples.train, vocab)
     index = data.build_filter_index(triples, vocab)
+    print(env_line())
     for name in sorted(model.VARIANTS):
         for ablation in model.ABLATION_MODES:
             print(case(name, ablation, vocab, triples, aug, index))
