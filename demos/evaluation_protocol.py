@@ -27,7 +27,7 @@ store = model.init_model("module_rc", k=4, n_entities=vocab.n_entities,
                          n_relations=vocab.n_relations, seed=3)
 index = data.build_filter_index(triples, vocab)
 report = ranking.evaluate(triples.test, store, index)
-ranks = [rec.rank for rec in report.ranks]
+ranks = report.ranks.rank
 print(f"\nuntrained model on {len(triples.test)} test triples "
       f"(both directions -> {len(ranks)} queries)")
 print(f"mean rank {np.mean(ranks):.1f} of {vocab.n_entities} candidates, "
@@ -36,6 +36,6 @@ print(f"mean rank {np.mean(ranks):.1f} of {vocab.n_entities} candidates, "
 # every query contributes one rank per direction; head prediction runs
 # through the reciprocal relation id r + |R|
 rec = report.ranks[0]
-print("first record:", rec)
+print("first record", report.ranks.dtype.names, "=", rec)
 reciprocal = vocab.n_base_relations + 0
 print("reciprocal of relation 0 is id", reciprocal, "named", vocab.relation_name(reciprocal))

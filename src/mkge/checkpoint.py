@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, train
+from . import data, model, train
 from .errors import BadMagic, DigestMismatch, MissingFile, ShapeMismatch, VersionUnsupported
 
 MAGIC = b"MKGE"
@@ -59,6 +59,9 @@ def _layout(variant, k, n_ent, n_rel, has_opt):
 
 
 def save_checkpoint(path, store, opt_state=None, epoch=0, digest=b"\x00" * 32):
+    data.check_nonnegative(epoch=epoch)
+    if epoch >= 2**64:  # the header's field is a uint64
+        raise ValueError(f"checkpoint epoch must be < 2**64, got {epoch}")
     if len(digest) != 32:
         raise ValueError(f"checkpoint digest must be 32 bytes, got {len(digest)}")
     name = store.variant.name.encode()

@@ -181,6 +181,16 @@ def check_integers(**values):
     _check_numbers(values, numbers.Integral, "an integer")
 
 
+def check_nonnegative(**values):
+    """`check_integers`, then ValueError naming the first of `values` below 0,
+    where numpy would raise on a negative seed or dimension, or struct on a
+    negative unsigned field."""
+    check_integers(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def check_reals(**values):
     """ValueError naming the first of `values` that is not a real number
     (numpy floats and integers are, bool is not): True would train as 1.0,

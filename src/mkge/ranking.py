@@ -9,11 +9,15 @@ candidate, so `evaluate` walks the queries sorted by key, in blocks of
 EVAL_BLOCK_ELEMENTS scores, and scores and masks each distinct key of a block
 once. The first query of a key ranks on the key's row, and its later queries
 on rows gathered by key; the ranks come back in query order.
+
+`MetricsReport.ranks` is a record array of the queries, with fields h_id,
+r_id, t_id, direction and rank: row 2i is split triple i's tail query and row
+2i + 1 its head query, both holding the triple's (h, r, t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,15 +28,6 @@ from .errors import ShapeMismatch
 # at E = 14,541, and every query of a desk-scale KG in one block. It bounds a
 # block's memory whatever E is, and splits work only; no rank depends on it.
 EVAL_BLOCK_ELEMENTS = 2**21
-
-
-@dataclass(frozen=True)
-class RankRecord:
-    h_id: int
-    r_id: int
-    t_id: int
-    direction: str  # 'tail' | 'head'
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,9 @@ class MetricsReport(RankMetrics):  # the metrics of both directions, and their b
     per_relation: dict  # base relation id -> (mrr, count)
     tail: RankMetrics  # tail queries (h, r, ?) alone
     head: RankMetrics  # head queries (?, r, t) alone
-    ranks: list  # a RankRecord per query, in query order
+    # a record per query, as the module docstring says; out of ==, as an array
+    # has no truth value: compare per-query ranks as `ranks.rank`
+    ranks: np.recarray = field(compare=False)
 
     def format_table(self):
         rows = [("MRR", self.mrr), ("Hits@1", self.hits1), ("Hits@3", self.hits3),
@@ -135,14 +132,14 @@ def evaluate(split, store, filter_index):
     # bincount adds in query order, as a running sum per relation does
     sums = np.bincount(np.repeat(split[:, 1], 2), weights=inverse).tolist()
     counts = np.bincount(split[:, 1]).tolist()  # triples; mrr still averages both directions
-    records = [RankRecord(*triple, direction, rank) for triple, direction, rank in zip(
-        np.repeat(split, 2, axis=0).tolist(), ("tail", "head") * len(split), ranks.tolist())]
     return MetricsReport(
         **vars(RankMetrics.of(ranks)),
         per_relation={rid: (sums[rid] / (2 * c), c) for rid, c in enumerate(counts) if c},
         tail=RankMetrics.of(ranks[0::2]),
         head=RankMetrics.of(ranks[1::2]),
-        ranks=records,
+        ranks=np.rec.fromarrays([*np.repeat(split, 2, axis=0).T,
+                                 np.tile(["tail", "head"], len(split)), ranks],
+                                names="h_id,r_id,t_id,direction,rank"),
     )
 
 

@@ -234,8 +234,7 @@ class FitConfig:
         data.check_reals(lr=self.lr)
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        data.check_nonnegative(seed=self.seed)
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
         if self.schedule not in ("constant", "exp"):
@@ -263,8 +262,11 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
     nothing: a train split that is not a nonempty (n, 3) id array raises
     ShapeMismatch, and one with an entity id outside [0, E) or a relation id
     outside [0, R) IndexError; a validation split that will be evaluated is
-    checked as `ranking.evaluate` checks it, relations in [0, R / 2).
+    checked as `ranking.evaluate` checks it, relations in [0, R / 2). A
+    start_epoch or stop_epoch that is not an integer >= 0 raises ValueError.
     """
+    stop_epoch = cfg.epochs if stop_epoch is None else stop_epoch
+    data.check_nonnegative(start_epoch=start_epoch, stop_epoch=stop_epoch)
     train_triples = data.check_triples(train_triples, store.n_entities, store.n_relations,
                                        "train split")
     validates = valid_triples is not None and len(valid_triples) > 0 and filter_index is not None
@@ -275,7 +277,7 @@ def fit(store, train_triples, cfg, valid_triples=None, filter_index=None, opt_st
         opt_state = OptimizerState.for_store(store, lr=cfg.lr)
     report = TrainReport()
     best_mrr, stale = -np.inf, 0
-    for epoch in range(start_epoch, cfg.epochs if stop_epoch is None else stop_epoch):
+    for epoch in range(start_epoch, stop_epoch):
         t0 = time.perf_counter()
         lr = cfg.lr_at(epoch)
         # keyed by (seed, epoch) so a resumed run replays the same shuffles

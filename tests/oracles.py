@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from mkge import train
+from mkge import model, train
 
 
 def finite_difference_grads(store, triples, cfg, step=1e-5):
@@ -130,3 +130,25 @@ def oracle_regularizer(store, h, r, t, cfg):
     return cfg.lam * (cfg.lambda1 * _g_p(_combined(store, h), cfg.p)
                       + cfg.lambda2 * _g_p(g, cfg.p)
                       + cfg.lambda3 * _g_p(_combined(store, t), cfg.p))
+
+
+def rc_to_hh(store):
+    """(hh, m): the module_hh store at the same k whose every score is the
+    module_rc `store`'s divided by m, the largest |scaling| of its relation
+    table. An entity scalar s becomes the quaternion (s, 0, 0, 0), a phase
+    theta of an entity vector or a relation rotation the rotation vector
+    (theta, 0, 0), and a scaling r the rotation vector (0, arccos(r / m), 0);
+    `tests/test_hierarchy.py` gives the argument."""
+    scalars, phases = store.entity_parts()
+    scalings, rotations = store.relation_parts()
+    m = float(np.max(np.abs(scalings)))
+    hh = model.ParameterStore(model.VARIANTS["module_hh"], store.k,
+                              np.zeros((store.n_entities, 7 * store.k)),
+                              np.zeros((store.n_relations, 6 * store.k)))
+    hh_scalars, hh_vectors = hh.entity_parts()
+    hh_scalings, hh_rotations = hh.relation_parts()
+    hh_scalars[..., 0] = scalars[..., 0]
+    hh_vectors[..., 0] = phases[..., 0]
+    hh_scalings[..., 1] = np.arccos(scalings[..., 0] / m)
+    hh_rotations[..., 0] = rotations[..., 0]
+    return hh, m

@@ -159,6 +159,24 @@ class TestCheckpoint:
             ckpt.save_checkpoint(path, store, opt_state=state, digest=b"\x01" * length)
         assert not path.exists() and not (tmp_path / "n.mkge.tmp").exists()
 
+    @pytest.mark.parametrize("epoch, message", [
+        (-1, "epoch must be >= 0, got -1"), (2**64, r"epoch must be < 2\*\*64"),
+        (1.5, "epoch must be an integer, got 1.5")])
+    def test_epoch_outside_header_field_raises_before_writing(self, epoch, message, tmp_path):
+        """An epoch the header's uint64 cannot hold raises ValueError naming
+        it, where struct raised struct.error, and no file is written."""
+        store, state = self.make_store()
+        path = tmp_path / "e.mkge"
+        with pytest.raises(ValueError, match=message):
+            ckpt.save_checkpoint(path, store, opt_state=state, epoch=epoch)
+        assert not path.exists() and not (tmp_path / "e.mkge.tmp").exists()
+
+    def test_largest_epoch_round_trips(self, tmp_path):
+        store, _ = self.make_store()
+        path = tmp_path / "e.mkge"
+        ckpt.save_checkpoint(path, store, epoch=np.uint64(2**64 - 1))
+        assert ckpt.load_checkpoint(path).epoch == 2**64 - 1
+
     @pytest.mark.parametrize("table", ["entity table", "entity accumulators",
                                        "relation accumulators"])
     def test_table_of_other_shape_raises_before_writing(self, table, tmp_path):

@@ -88,6 +88,17 @@ class TestInit:
         assert model.init_model("module_rc", np.int64(2), np.int32(20), np.uint8(8),
                                 np.int64(0)).entity.shape == (20, 4)
 
+    @pytest.mark.parametrize("field,value", [("n_entities", -1), ("n_relations", -2),
+                                             ("seed", -1)])
+    def test_negative_count_raises(self, field, value):
+        """Where numpy raised its own ValueError, a negative count or seed
+        raises one naming the field; counts of 0 build an empty store."""
+        counts = dict(k=2, n_entities=2, n_relations=4, seed=0)
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got {value}"):
+            model.init_model("module_rc", **{**counts, field: value})
+        empty = model.init_model("module_rc", 2, 0, 0, 0)
+        assert empty.entity.shape == (0, 4) and empty.relation.shape == (0, 4)
+
     def test_shapes(self):
         store = model.init_model("module_hh", 1, 2, 1, seed=0)
         assert store.entity.shape == (2, 7)

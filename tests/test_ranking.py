@@ -281,6 +281,26 @@ class TestEvaluate:
         assert report.mrr == pytest.approx(from_records, abs=1e-12)
         assert all(1 <= rec.rank <= store.n_entities for rec in report.ranks)
 
+    def test_ranks_are_records_in_query_order(self):
+        """`ranks` is a record array of (h_id, r_id, t_id, direction, rank),
+        ranks as bottom_rank's np.intp; rows 2i and 2i + 1 are split row i's
+        tail and head queries, and each record's fields compare equal to the
+        Python ints and str of its query."""
+        _, store_data, store, index = self.make_setup(seed=9)
+        ranks = ranking.evaluate(store_data.test, store, index).ranks
+        assert ranks.dtype.names == ("h_id", "r_id", "t_id", "direction", "rank")
+        assert ranks.rank.dtype == np.intp
+        assert len(ranks) == 2 * len(store_data.test)
+        for i, (h, r, t) in enumerate(store_data.test.tolist()):
+            for rec, direction in zip(ranks[2 * i : 2 * i + 2], ("tail", "head")):
+                assert (rec.h_id, rec.r_id, rec.t_id, rec.direction) == (h, r, t, direction)
+
+    def test_two_evaluations_compare_equal(self):
+        _, store_data, store, index = self.make_setup(seed=9)
+        a, b = (ranking.evaluate(store_data.test, store, index) for _ in range(2))
+        assert a == b
+        assert a.ranks.rank.tobytes() == b.ranks.rank.tobytes()
+
     def test_order_independent(self):
         _, store_data, store, index = self.make_setup(seed=7)
         a = ranking.evaluate(store_data.test, store, index)

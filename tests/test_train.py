@@ -602,6 +602,24 @@ class TestFit:
                       filter_index=data.build_filter_index(kg, vocab), opt_state=opt)
         assert [a.tobytes() for a in state] == before
 
+    @pytest.mark.parametrize("bounds, message", [
+        ({"start_epoch": -2}, "start_epoch must be >= 0, got -2"),
+        ({"start_epoch": 1.5}, "start_epoch must be an integer, got 1.5"),
+        ({"stop_epoch": 2.5}, "stop_epoch must be an integer, got 2.5"),
+    ])
+    def test_bad_epoch_bound_raises_before_any_update(self, bounds, message):
+        """Where numpy's default_rng or range raised, an epoch bound that is
+        not an integer >= 0 raises ValueError naming it before the first
+        batch: the tables and accumulators keep their bytes."""
+        store = model.init_model("module_rc", 2, 4, 2, seed=0)
+        opt = train.OptimizerState.for_store(store)
+        state = (store.entity, store.relation, opt.acc_entity, opt.acc_relation)
+        before = [a.tobytes() for a in state]
+        with pytest.raises(ValueError, match=message):
+            train.fit(store, small_batch(), train.FitConfig(epochs=3, batch_size=2),
+                      opt_state=opt, **bounds)
+        assert [a.tobytes() for a in state] == before
+
     @pytest.mark.parametrize("name", ["module_rc", "module_rh", "module_hh", "rotate"])
     def test_first_epoch_decreases_objective(self, name):
         vocab, store_data = data.generate_synthetic_kg(seed=1, n_entities=20)

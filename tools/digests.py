@@ -106,7 +106,7 @@ def case(name, ablation, vocab, triples, aug, index):
     fields.append(f"fit={digest(losses, store.entity, store.relation)}")
     report = ranking.evaluate(triples.test, store, index)
     fields.append(f"mrr={report.mrr.hex()}")
-    fields.append(f"ranks={digest(np.array([rec.rank for rec in report.ranks]))}")
+    fields.append(f"ranks={digest(report.ranks.rank)}")
     return " ".join([f"{name}/{ablation}"] + fields)
 
 
